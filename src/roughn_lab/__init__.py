@@ -1,6 +1,6 @@
 """roughn-lab: a desk-scale laboratory for shifted-rough-number sieve weights.
 
-Subpackages follow the pipeline: prime tables and windowed factorizations
+Subpackages follow the pipeline: prime tables and windowed omega/Omega counts
 (primes_core), the smooth cutoff and its normalization constant
 (bump_functions), the weighted measure on [x, 2x] with its local factors and
 distributional axioms (sieve_measure), exact moment and concentration

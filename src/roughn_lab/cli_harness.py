@@ -353,8 +353,8 @@ def _cmd_cramer_gaps(cfg: RunConfig, fingerprint: bytes) -> int:
     def finalize(state):
         rows = [row for chunk in state["rows"] for row in chunk]
         write_csv(out / "gaps.csv", ["trial", "k", "S_k", "gap", "ratio"], rows)
-        maxes = state["maxes"]
-        finite = [m for m in maxes if m is not None and not math.isnan(m)]
+        # an empty trial has no max ratio: NaN in the state, null in the report
+        maxes = [None if math.isnan(m) else m for m in state["maxes"]]
         total_gaps = sum(state["gap_n"])
         write_json(out / "gap_report.json", {
             "trials": GAP_TRIALS,
@@ -362,7 +362,7 @@ def _cmd_cramer_gaps(cfg: RunConfig, fingerprint: bytes) -> int:
             "warmup": warmup,
             "seed": cfg.seed,
             "max_ratios": maxes,
-            "trials_with_max_ratio_le_1.5": sum(1 for m in finite if m <= 1.5),
+            "trials_with_max_ratio_le_1.5": sum(1 for m in maxes if m is not None and m <= 1.5),
             "mean_gap": (sum(state["gap_sum"]) / total_gaps) if total_gaps else None,
             "gap_count": total_gaps,
             "partial": False,
@@ -509,6 +509,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            parser.error(f"--workers must be >= 1, got {args.workers}")
+        if args.checkpoint_secs < 0:
+            parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     seed = args.seed

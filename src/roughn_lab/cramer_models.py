@@ -312,7 +312,7 @@ def window_search(
             small, total = _trial_omegas(n)
             check = total if variant == "B-Omega" else small
             if check != got:
-                raise RuntimeError(f"window factorization disagrees with trial division at {n}")
+                raise RuntimeError(f"window counts disagree with trial division at {n}")
             witness, value, threshold = n, got, thresh
             break
     return WindowWitness(x=x, variant=variant, params=params, lo=lo, hi=hi,

@@ -1,9 +1,10 @@
-"""Exact factorization and the classical arithmetic functions (omega, Omega, tau, mu)
-over single integers and over contiguous windows, via segmented sieving.
+"""Prime tables, exact factorization and the classical arithmetic functions
+(omega, Omega, tau, mu) of single integers, and windowed omega/Omega counts
+over contiguous windows via a strided prime-power sieve.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
-produced here.
+and counts produced here.
 """
 
 from __future__ import annotations
@@ -170,34 +171,20 @@ def mobius(n: int, table: PrimeTable) -> int:
 
 
 @dataclass(frozen=True)
-class WindowFactors:
-    """Full factorizations for every n in [lo, hi], stored in CSR layout.
-
-    omega/big_omega are dense arrays indexed by n-lo; the (prime, exponent)
-    pairs for n live in fac_primes/fac_exps[offsets[i]:offsets[i+1]], primes
-    ascending.  Immutable; parallel readers are safe.
+class WindowOmega:
+    """omega(n) and Omega(n) for every n in [lo, hi], as dense int16 arrays
+    indexed by n - lo.  Immutable; parallel readers are safe.
     """
 
     lo: int
     hi: int
     omega: np.ndarray
     big_omega: np.ndarray
-    offsets: np.ndarray
-    fac_primes: np.ndarray
-    fac_exps: np.ndarray
 
     def _index(self, n: int) -> int:
         if not self.lo <= n <= self.hi:
             raise ValueError(f"n={n} outside window [{self.lo}, {self.hi}]")
         return n - self.lo
-
-    def factorization(self, n: int) -> Factorization:
-        i = self._index(n)
-        a, b = int(self.offsets[i]), int(self.offsets[i + 1])
-        pairs = tuple(
-            (int(p), int(e)) for p, e in zip(self.fac_primes[a:b], self.fac_exps[a:b])
-        )
-        return Factorization(n=n, factors=pairs)
 
     def omega_of(self, n: int) -> int:
         return int(self.omega[self._index(n)])
@@ -209,7 +196,14 @@ class WindowFactors:
 WINDOW_WIDTH_MAX = 10**7
 
 
-def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowFactors:
+def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
+    """Count prime factors over [lo, hi] with a strided prime-power sieve.
+
+    Every power q = p^e <= hi of a prime p <= sqrt(hi) divides the residual
+    of each of its in-window multiples by p and adds one to Omega there (and,
+    for e = 1, to omega).  The cofactor left above 1 is a single prime beyond
+    sqrt(hi) and counts once more in both.
+    """
     if lo < 2 or hi < lo:
         raise ValueError("window needs 2 <= lo <= hi")
     if hi > WORD_MAX:
@@ -224,60 +218,22 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowFactors:
     residual = np.arange(lo, hi + 1, dtype=np.int64)
     om = np.zeros(width, dtype=np.int16)
     bom = np.zeros(width, dtype=np.int16)
-    idx_parts: list[np.ndarray] = []
-    prime_parts: list[np.ndarray] = []
-    exp_parts: list[np.ndarray] = []
-    root = isqrt(hi)
-    for p in table.primes:
-        p = int(p)
-        if p > root:
-            break
-        first = lo + (-lo) % p
-        if first > hi:
-            continue
-        idx = np.arange(first - lo, width, p, dtype=np.int64)
-        residual[idx] //= p
-        exps = np.ones(len(idx), dtype=np.int8)
-        sel = np.arange(len(idx))
-        while len(sel):
-            m = residual[idx[sel]] % p == 0
-            if not m.any():
-                break
-            sel = sel[m]
-            residual[idx[sel]] //= p
-            exps[sel] += 1
-        idx_parts.append(idx)
-        prime_parts.append(np.full(len(idx), p, dtype=np.int64))
-        exp_parts.append(exps)
-        om[idx] += 1
-        bom[idx] += exps
-    cof = np.flatnonzero(residual > 1)
-    if len(cof):
-        idx_parts.append(cof)
-        prime_parts.append(residual[cof].copy())
-        exp_parts.append(np.ones(len(cof), dtype=np.int8))
-        om[cof] += 1
-        bom[cof] += 1
-    if idx_parts:
-        all_idx = np.concatenate(idx_parts)
-        all_p = np.concatenate(prime_parts)
-        all_e = np.concatenate(exp_parts)
-        order = np.lexsort((all_p, all_idx))
-        all_idx, all_p, all_e = all_idx[order], all_p[order], all_e[order]
-        counts = np.bincount(all_idx, minlength=width)
-    else:
-        all_idx = np.zeros(0, dtype=np.int64)
-        all_p = np.zeros(0, dtype=np.int64)
-        all_e = np.zeros(0, dtype=np.int8)
-        counts = np.zeros(width, dtype=np.int64)
-    offsets = np.zeros(width + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    for arr in (om, bom, offsets, all_p, all_e):
-        arr.setflags(write=False)
-    return WindowFactors(
-        lo=lo, hi=hi, omega=om, big_omega=bom,
-        offsets=offsets, fac_primes=all_p, fac_exps=all_e,
-    )
+    n_small = int(np.searchsorted(table.primes, isqrt(hi), side="right"))
+    for p in table.primes[:n_small].tolist():
+        q = p
+        # multiples of p^(e+1) are multiples of p^e: stop at the first empty power
+        while (s := -lo % q) < width:
+            residual[s::q] //= p
+            bom[s::q] += 1
+            if q == p:
+                om[s::q] += 1
+            q *= p
+    big = residual > 1
+    om += big
+    bom += big
+    om.setflags(write=False)
+    bom.setflags(write=False)
+    return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
 
 
 def mertens_partial_sum(lo: float, hi: float, table: PrimeTable) -> float:

@@ -34,6 +34,7 @@ def write_csv(path, header, rows) -> None:
 
 
 def write_json(path, payload) -> None:
+    """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

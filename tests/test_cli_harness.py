@@ -6,6 +6,8 @@ from pathlib import Path
 import pytest
 
 from roughn_lab import cli_harness as ch
+from roughn_lab import cramer_models
+from roughn_lab.reporting import write_json
 
 TOY_PARAMS = """\
 # toy bundle sized for fast scans
@@ -98,15 +100,44 @@ def test_axioms_report(toy_file, tmp_path):
     assert rep["D"]["detail"]["max_deviation"] < 1e-2
 
 
+def read_strict_json(path):
+    """json.loads that refuses the non-standard NaN/Infinity literals."""
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+    return json.loads(Path(path).read_text(), parse_constant=reject)
+
+
 def test_cramer_gaps_outputs(tmp_path):
     rc = ch.main(["cramer-gaps", "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
     header, rows = read_rows(tmp_path / "gaps.csv")
     assert header == ["trial", "k", "S_k", "gap", "ratio"]
-    rep = json.loads((tmp_path / "gap_report.json").read_text())
+    rep = read_strict_json(tmp_path / "gap_report.json")
     assert rep["trials"] == 100
     assert len(rows) == rep["gap_count"]
     assert rep["trials_with_max_ratio_le_1.5"] >= 90
+
+
+def test_gap_report_writes_null_for_empty_trials(tmp_path, monkeypatch):
+    # with sites 3..10 only, some trials see fewer than two successes
+    monkeypatch.setattr(ch, "GAP_N", 10)
+    monkeypatch.setattr(ch, "GAP_TRIALS", 300)
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--checkpoint-secs", "0"]) == 0
+    rep = read_strict_json(tmp_path / "gap_report.json")
+    empty = [t for t in range(300) if math.isnan(cramer_models.simulate_gaps(
+        cramer_models.CramerConfig(rate="log", N=10, trials=1, seed=t, warmup=3)
+    ).max_ratios[0])]
+    assert empty
+    assert [t for t, m in enumerate(rep["max_ratios"]) if m is None] == empty
+    assert rep["trials_with_max_ratio_le_1.5"] == sum(
+        1 for m in rep["max_ratios"] if m is not None and m <= 1.5)
+
+
+def test_write_json_refuses_nan_before_writing(tmp_path):
+    path = tmp_path / "report.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"value": float("nan")})
+    assert not path.exists()
 
 
 def test_pik_outputs(tmp_path):
@@ -202,6 +233,18 @@ def test_env_seed_overrides_flag(toy_file, tmp_path, monkeypatch):
 def test_non_integer_env_seed_exits_2(toy_file, tmp_path, monkeypatch):
     monkeypatch.setenv(ch.SEED_ENV_VAR, "not-a-number")
     assert ch.main(["sample", "--params", toy_file, "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"],
+    ["--checkpoint-secs", "-1"],
+    ["--workers", "-5", "--checkpoint-secs", "-1"],
+])
+def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
+    rc = ch.main(["refute-679", "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert "must be >=" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_workers_flag_never_changes_output(toy_file, tmp_path):

@@ -2,6 +2,9 @@ import random
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughn_lab.errors import TableTooSmallError
 from roughn_lab.primes_core import (
@@ -38,9 +41,12 @@ def trial_factorize(n):
     return tuple(fs)
 
 
+TABLE = build_prime_table(2 * 10**5)
+
+
 @pytest.fixture(scope="module")
 def table():
-    return build_prime_table(2 * 10**5)
+    return TABLE
 
 
 def test_table_small_cases():
@@ -127,23 +133,28 @@ def test_factorization_methods():
     assert f.omega() == 3 and f.big_omega() == 6 and f.tau() == 24 and f.mobius() == 0
 
 
+def assert_window_matches(wf, lo, hi, factors_of):
+    """omega/Omega of every n in [lo, hi] against a per-n factorization oracle."""
+    assert (wf.lo, wf.hi) == (lo, hi)
+    assert len(wf.omega) == len(wf.big_omega) == hi - lo + 1
+    for n in range(lo, hi + 1):
+        fs = factors_of(n)
+        assert wf.omega_of(n) == len(fs), n
+        assert wf.big_omega_of(n) == sum(e for _, e in fs), n
+
+
 def test_factor_window_consistency(table):
-    wf = factor_window(10, 20, table)
-    assert wf.hi - wf.lo + 1 == 11
-    for n in range(10, 21):
-        assert wf.factorization(n) == factorize(n, table)
+    assert_window_matches(factor_window(10, 20, table), 10, 20,
+                          lambda n: factorize(n, table).factors)
     boundary = factor_window(2, 2, table)
-    assert boundary.factorization(2).factors == ((2, 1),)
+    assert (boundary.omega_of(2), boundary.big_omega_of(2)) == (1, 1)
+    with pytest.raises(ValueError):
+        boundary.omega_of(3)
 
 
 def test_factor_window_big_omega_oracle(table):
     lo, hi = 10**6, 10**6 + 10**3
-    wf = factor_window(lo, hi, table)
-    for n in range(lo, hi + 1):
-        fs = trial_factorize(n)
-        assert wf.big_omega_of(n) == sum(e for _, e in fs)
-        assert wf.omega_of(n) == len(fs)
-        assert wf.factorization(n).factors == fs
+    assert_window_matches(factor_window(lo, hi, table), lo, hi, trial_factorize)
 
 
 def test_factor_window_random_windows(table):
@@ -151,12 +162,43 @@ def test_factor_window_random_windows(table):
     for _ in range(40):
         lo = rng.randrange(2, 4 * 10**4)
         hi = lo + rng.randrange(0, 10**3)
-        wf = factor_window(lo, hi, table)
-        for _ in range(25):
-            n = rng.randrange(lo, hi + 1)
-            assert wf.factorization(n) == factorize(n, table)
-            assert wf.omega_of(n) == omega(n, table)
-            assert wf.big_omega_of(n) == big_omega(n, table)
+        assert_window_matches(factor_window(lo, hi, table), lo, hi,
+                              lambda n: factorize(n, table).factors)
+
+
+# TABLE primes square to 4e10; the window sieve must cover anything below that
+WINDOW_TOP = 4 * 10**10
+
+
+@st.composite
+def windows(draw):
+    """(lo, hi) windows, biased toward the sieve's edge cases: windows from 2,
+    width-1 windows, windows narrower than their primes, and prime powers on
+    either edge."""
+    width = draw(st.integers(0, 40))
+    kind = draw(st.sampled_from(["anywhere", "from_two", "power_at_lo", "power_at_hi"]))
+    if kind == "anywhere":
+        lo = draw(st.integers(2, WINDOW_TOP - width))
+    elif kind == "from_two":
+        lo = 2
+    else:
+        p = draw(st.sampled_from(TABLE.primes[:2000].tolist()))
+        e_max = 1
+        while p ** (e_max + 1) <= WINDOW_TOP - width:
+            e_max += 1
+        e = draw(st.integers(1, e_max))
+        lo = p**e if kind == "power_at_lo" else max(2, p**e - width)
+    return lo, lo + width
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(windows())
+def test_factor_window_matches_sympy_factorint(window):
+    lo, hi = window
+    wf = factor_window(lo, hi, TABLE)
+    factored = [sympy.factorint(n) for n in range(lo, hi + 1)]
+    assert wf.omega.tolist() == [len(f) for f in factored]
+    assert wf.big_omega.tolist() == [sum(f.values()) for f in factored]
 
 
 def test_factor_window_errors(table):
