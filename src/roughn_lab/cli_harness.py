@@ -27,16 +27,12 @@ import numpy as np
 
 from . import bump_functions, cramer_models, moments_concentration, sieve_measure
 from .errors import BudgetExceededError, ResumeMismatchError
-from .primes_core import build_prime_table, factor_window, factorize
-from .reporting import write_csv, write_json
+from .primes_core import build_prime_table, factor_window, factorize, primes_upto
+from .reporting import replace_on_success, write_csv, write_json
 
 CHECKPOINT_MAGIC = b"RLCK1"
 CHECKPOINT_NAME = "checkpoint.rlck"
 SEED_ENV_VAR = "ROUGHN_LAB_SEED"
-SUBCOMMANDS = (
-    "sieve-scan", "sample", "moments", "c0", "axioms",
-    "cramer-gaps", "pik", "window-search", "refute-679", "record-search",
-)
 CHECKPOINTABLE = ("sieve-scan", "record-search", "cramer-gaps")
 
 SAMPLE_COUNT = 10**5
@@ -80,8 +76,7 @@ def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     blob = pickle.dumps(ckpt.payload, protocol=4)
     sub = ckpt.subcommand.encode()
-    tmp = str(path) + ".tmp"
-    with open(tmp, "wb") as fh:
+    with replace_on_success(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<H", len(ckpt.fingerprint)))
         fh.write(ckpt.fingerprint)
@@ -90,28 +85,38 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(struct.pack("<Q", ckpt.cursor))
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-    os.replace(tmp, path)
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a short, garbled or foreign file raises ValueError."""
+
+    def read(n: int) -> bytes:
+        data = fh.read(n)
+        if len(data) != n:
+            raise ValueError(f"{path} is a truncated checkpoint")
+        return data
+
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ValueError(f"{path} is not a checkpoint file")
-        (fp_len,) = struct.unpack("<H", fh.read(2))
-        fingerprint = fh.read(fp_len)
-        (sub_len,) = struct.unpack("<H", fh.read(2))
-        subcommand = fh.read(sub_len).decode()
-        (cursor,) = struct.unpack("<Q", fh.read(8))
-        (blob_len,) = struct.unpack("<Q", fh.read(8))
-        payload = pickle.loads(fh.read(blob_len))
+        (fp_len,) = struct.unpack("<H", read(2))
+        fingerprint = read(fp_len)
+        (sub_len,) = struct.unpack("<H", read(2))
+        subcommand = read(sub_len).decode()  # bad UTF-8 raises a ValueError
+        cursor, blob_len = struct.unpack("<QQ", read(16))
+        blob = read(blob_len)
+    try:
+        payload = pickle.loads(blob)
+    except Exception as exc:  # garbled pickle bytes can raise nearly any type
+        raise ValueError(f"{path} holds a corrupt checkpoint payload") from exc
     return Checkpoint(subcommand=subcommand, fingerprint=fingerprint,
                       cursor=cursor, payload=payload)
 
 
 def _run_chunked(
     cfg: RunConfig,
-    fingerprint: bytes,
+    params_text: str,
     n_chunks: int,
     init_state: Callable[[], dict],
     run_chunk: Callable[[int, dict], None],
@@ -124,6 +129,7 @@ def _run_chunked(
     of interrupts and resumes accumulates the same state and finalize writes
     the same bytes.
     """
+    fingerprint = config_fingerprint(cfg.subcommand, cfg.seed, params_text)
     ckpt_path = Path(cfg.out_dir) / CHECKPOINT_NAME
     if cfg.resume_path:
         ckpt = load_checkpoint(cfg.resume_path)
@@ -172,12 +178,18 @@ def _table_setup(params_text: str):
     return params, spec, table
 
 
+def _chunks(size: int, most: int) -> tuple[int, list[tuple[int, int]]]:
+    """Split range(size) into min(most, size) near-equal [lo, hi) chunks."""
+    n = min(most, size)
+    return n, [(size * i // n, size * (i + 1) // n) for i in range(n)]
+
+
 def _sample_tuples(params: sieve_measure.SieveParams) -> list[tuple[int, int]]:
     """Ten deterministic (d_star, k_star) probes, preferring medium primes."""
     pool = list(params.medium_primes(1))
     if len(pool) < 4:
         cap = max(4 * params.w, 30)
-        pool = [p for p in sieve_measure._primes_upto(cap) if p > params.w][:6]
+        pool = [p for p in primes_upto(cap) if p > params.w][:6]
     probes = []
     for i in range(10):
         p = pool[i % len(pool)]
@@ -192,42 +204,30 @@ def _sample_tuples(params: sieve_measure.SieveParams) -> list[tuple[int, int]]:
 
 # --- subcommand bodies ---
 
-def _cmd_sieve_scan(cfg: RunConfig, params_text: str, fingerprint: bytes) -> int:
-    params, spec, table = _table_setup(params_text)
+def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
+    params = sieve_measure.parse_params(params_text)
+    spec = bump_functions.make_bump(**_FAST_BUMP)
+    support = sieve_measure.weight_support(params)
+    terms = sieve_measure.shift_terms(params, spec)
     out = Path(cfg.out_dir)
-    support = table.support
-    n_chunks = min(32, len(support))
-    bounds = [(len(support) * i // n_chunks, len(support) * (i + 1) // n_chunks)
-              for i in range(n_chunks)]
-    terms = {k: sieve_measure._admissible_divisors(params, spec, k)
-             for k in range(1, params.K + 1)}
+    n_chunks, bounds = _chunks(len(support), 32)
 
     def init_state():
         return {"nu_chunks": [None] * n_chunks}
 
     def run_chunk(i, state):
         lo, hi = bounds[i]
-        ns = support[lo:hi]
-        nu = np.ones(len(ns), dtype=np.float64)
-        for k in range(1, params.K + 1):
-            inner = np.ones(len(ns), dtype=np.float64)
-            shifted = ns + k
-            for d, coef in terms[k]:
-                inner[shifted % d == 0] += coef
-            nu *= inner * inner
-        state["nu_chunks"][i] = nu.tolist()
+        state["nu_chunks"][i] = sieve_measure.weights_at(support[lo:hi], terms).tolist()
 
     def finalize(state):
         nu = np.array([v for chunk in state["nu_chunks"] for v in chunk])
-        total = math.fsum(nu.tolist())
-        cum = np.cumsum(nu) / total
-        write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"],
-                  zip(support.tolist(), nu.tolist(), cum.tolist()))
+        table = sieve_measure.WeightTable(params, spec, support, nu)
+        sieve_measure.write_weights_csv(table, out / "weights.csv")
         write_json(out / "sieve_summary.json", {
             "params": params.as_dict(),
             "W": params.W,
             "support_size": len(support),
-            "total_mass": total,
+            "total_mass": table.total,
             "theta": params.theta,
             "empty_medium_shifts": list(table.empty_medium_shifts),
             "partial": False,
@@ -241,7 +241,7 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str, fingerprint: bytes) -> int
             "partial": True,
         })
 
-    return _run_chunked(cfg, fingerprint, n_chunks, init_state, run_chunk,
+    return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
                         finalize, partial_summary)
 
 
@@ -254,7 +254,7 @@ def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
     rows = []
     for d, k in _sample_tuples(params):
         exact = sieve_measure.prob_divides(d, k, table)
-        freq = float(((draws + k) % d == 0).mean())
+        freq = sieve_measure.draw_frequency(table, draws, d, k)
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / len(draws))
         rows.append((d, k, exact, freq, sigma))
     sieve_measure.write_probs_csv(rows, out / "probs.csv")
@@ -285,7 +285,7 @@ def _cmd_moments(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_c0(cfg: RunConfig) -> int:
+def _cmd_c0(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     spec = bump_functions.make_bump()
     res = bump_functions.c0_compute(spec)
@@ -331,7 +331,7 @@ def _jsonable(v):
     return v
 
 
-def _cmd_cramer_gaps(cfg: RunConfig, fingerprint: bytes) -> int:
+def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     base = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=GAP_TRIALS,
                                       seed=cfg.seed)
@@ -352,7 +352,7 @@ def _cmd_cramer_gaps(cfg: RunConfig, fingerprint: bytes) -> int:
 
     def finalize(state):
         rows = [row for chunk in state["rows"] for row in chunk]
-        write_csv(out / "gaps.csv", ["trial", "k", "S_k", "gap", "ratio"], rows)
+        write_csv(out / "gaps.csv", cramer_models.GAP_COLUMNS, rows)
         # an empty trial has no max ratio: NaN in the state, null in the report
         maxes = [None if math.isnan(m) else m for m in state["maxes"]]
         total_gaps = sum(state["gap_n"])
@@ -373,11 +373,11 @@ def _cmd_cramer_gaps(cfg: RunConfig, fingerprint: bytes) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(cfg, fingerprint, GAP_TRIALS, init_state, run_chunk,
+    return _run_chunked(cfg, params_text, GAP_TRIALS, init_state, run_chunk,
                         finalize, partial_summary)
 
 
-def _cmd_pik(cfg: RunConfig) -> int:
+def _cmd_pik(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     rows = []
     identities = {}
@@ -410,7 +410,7 @@ def _cmd_window_search(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_refute_679(cfg: RunConfig) -> int:
+def _cmd_refute_679(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     res = cramer_models.erdos_style_refuter(10**8 + 7, 0.01, budget=10**5,
                                             C0=2.0, d=1.5)
@@ -422,14 +422,12 @@ def _cmd_refute_679(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_record_search(cfg: RunConfig, params_text: str, fingerprint: bytes) -> int:
+def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
     out = Path(cfg.out_dir)
     support = table.support
     k_max = params.k_max
-    n_chunks = min(16, len(support))
-    bounds = [(len(support) * i // n_chunks, len(support) * (i + 1) // n_chunks)
-              for i in range(n_chunks)]
+    n_chunks, bounds = _chunks(len(support), 16)
     ptable = build_prime_table(math.isqrt(int(support[-1]) + k_max) + 1)
 
     def init_state():
@@ -441,11 +439,7 @@ def _cmd_record_search(cfg: RunConfig, params_text: str, fingerprint: bytes) -> 
         lo = int(ns[0]) + 2
         hi = int(ns[-1]) + k_max
         window = factor_window(lo, hi, ptable)
-        worst = np.zeros(len(ns), dtype=np.float64)
-        for k in range(2, k_max + 1):
-            idx = (ns + k) - lo
-            om = window.big_omega[idx]
-            np.maximum(worst, om / math.log(k), out=worst)
+        worst = moments_concentration.max_log_ratio(window, ns, k_max)
         state["ratio_chunks"][i] = worst.tolist()
 
     def finalize(state):
@@ -479,11 +473,28 @@ def _cmd_record_search(cfg: RunConfig, params_text: str, fingerprint: bytes) -> 
             "completed_chunks": cursor, "of_chunks": n_chunks, "partial": True,
         })
 
-    return _run_chunked(cfg, fingerprint, n_chunks, init_state, run_chunk,
+    return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
                         finalize, partial_summary)
 
 
 # --- entry point ---
+
+# every handler takes the run config and the parameter file text ("" without
+# --params); the order here is the order of the CLI's subcommand choices
+_HANDLERS: dict[str, Callable[[RunConfig, str], int]] = {
+    "sieve-scan": _cmd_sieve_scan,
+    "sample": _cmd_sample,
+    "moments": _cmd_moments,
+    "c0": _cmd_c0,
+    "axioms": _cmd_axioms,
+    "cramer-gaps": _cmd_cramer_gaps,
+    "pik": _cmd_pik,
+    "window-search": _cmd_window_search,
+    "refute-679": _cmd_refute_679,
+    "record-search": _cmd_record_search,
+}
+SUBCOMMANDS = tuple(_HANDLERS)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -513,6 +524,8 @@ def main(argv=None) -> int:
             parser.error(f"--workers must be >= 1, got {args.workers}")
         if args.checkpoint_secs < 0:
             parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
+        if args.max_chunks is not None and args.max_chunks < 0:
+            parser.error(f"--max-chunks must be >= 0, got {args.max_chunks}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     seed = args.seed
@@ -534,30 +547,7 @@ def main(argv=None) -> int:
     )
     try:
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        params_text = _load_params_text(cfg)
-        fingerprint = config_fingerprint(cfg.subcommand, cfg.seed, params_text)
-        if cfg.subcommand == "sieve-scan":
-            return _cmd_sieve_scan(cfg, params_text, fingerprint)
-        if cfg.subcommand == "sample":
-            return _cmd_sample(cfg, params_text)
-        if cfg.subcommand == "moments":
-            return _cmd_moments(cfg, params_text)
-        if cfg.subcommand == "c0":
-            return _cmd_c0(cfg)
-        if cfg.subcommand == "axioms":
-            return _cmd_axioms(cfg, params_text)
-        if cfg.subcommand == "cramer-gaps":
-            return _cmd_cramer_gaps(cfg, fingerprint)
-        if cfg.subcommand == "pik":
-            return _cmd_pik(cfg)
-        if cfg.subcommand == "window-search":
-            return _cmd_window_search(cfg, params_text)
-        if cfg.subcommand == "refute-679":
-            return _cmd_refute_679(cfg)
-        if cfg.subcommand == "record-search":
-            return _cmd_record_search(cfg, params_text, fingerprint)
-        print(f"unknown subcommand {cfg.subcommand}", file=sys.stderr)
-        return 2
+        return _HANDLERS[cfg.subcommand](cfg, _load_params_text(cfg))
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -23,6 +23,7 @@ from .reporting import write_csv
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
 COUNT_BUDGET_MAX = 10**7
+GAP_COLUMNS = ("trial", "k", "S_k", "gap", "ratio")  # gaps.csv, as in GapReport.gap_rows
 
 
 def loglog(v: float) -> float:
@@ -390,7 +391,7 @@ def erdos_style_refuter(
 def write_gaps_csv(report: GapReport, path) -> None:
     if report.gap_rows is None:
         raise ValueError("report was built without keep_gaps=True")
-    write_csv(path, ["trial", "k", "S_k", "gap", "ratio"], report.gap_rows)
+    write_csv(path, GAP_COLUMNS, report.gap_rows)
 
 
 def write_pik_csv(rows, path) -> None:

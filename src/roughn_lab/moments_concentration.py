@@ -18,9 +18,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, NumericFailureError
-from .primes_core import PrimeTable, big_omega, build_prime_table, factor_window, factorize
+from .primes_core import (
+    PrimeTable, WindowOmega, big_omega, build_prime_table, factor_window, factorize, primes_upto,
+)
 from .reporting import write_csv, write_json
-from .sieve_measure import SieveParams, WeightTable, _primes_upto
+from .sieve_measure import SieveParams, WeightTable, range_sum
 
 STIRLING_MAX_S = 64
 _SIMPLEX_PRIMES = (2, 3, 5, 7, 11, 13)
@@ -107,24 +109,19 @@ class MomentReport:
     flagged_empty: bool = False
 
 
-def _range_R(params: SieveParams, k: int) -> float:
-    # far shifts keep the clamped trivial level, so their medium range is empty
-    return params.R(k) if k <= params.K else float(params.w)
-
-
 def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]:
     """The divisor moduli entering the range's indicator sum."""
-    r_k = _range_R(params, k)
+    r_k = params.range_level(k)
     t_cut = params.T
     if range_tag == "tiny":
         return params.tiny_primes
     if range_tag == "medium":
-        return tuple(p for p in _primes_upto(int(r_k)) if params.w < p <= r_k)
+        return tuple(p for p in primes_upto(int(r_k)) if params.w < p <= r_k)
     if range_tag == "large":
-        return tuple(p for p in _primes_upto(int(t_cut)) if r_k < p <= t_cut)
+        return params.large_primes(k)
     if range_tag == "power":
         mods = []
-        for p in _primes_upto(int(t_cut)):
+        for p in primes_upto(int(t_cut)):
             j_min = params.a + 1 if p <= params.w else 2
             q = p**j_min
             while q <= t_cut:
@@ -172,12 +169,7 @@ def exact_centered_moment(
     bound = _display_bound(range_tag, params, k, s, C3, centered)
     if not moduli:
         return MomentReport(k, range_tag, s, 0.0, bound, 0.0, centered, flagged_empty=True)
-    acc = np.zeros(len(table.support), dtype=np.float64)
-    shifted = table.support + k
-    for m in moduli:
-        acc[shifted % m == 0] += 1.0
-    if centered:
-        acc -= math.fsum(1.0 / m for m in moduli)
+    acc = range_sum(table, k, moduli, centered)
     moment = math.fsum((table.nu * acc**s).tolist()) / table.total
     ratio = moment / bound if bound > 0 else 0.0
     return MomentReport(k, range_tag, s, moment, bound, ratio, centered)
@@ -200,12 +192,7 @@ def exact_tail(table: WeightTable, k: int, range_tag: str, r: float, centered: b
     moduli = range_moduli(params, k, range_tag)
     if not moduli:
         return 0.0
-    acc = np.zeros(len(table.support), dtype=np.float64)
-    shifted = table.support + k
-    for m in moduli:
-        acc[shifted % m == 0] += 1.0
-    if centered:
-        acc -= math.fsum(1.0 / m for m in moduli)
+    acc = range_sum(table, k, moduli, centered)
     mask = np.abs(acc) >= r
     return math.fsum(table.nu[mask].tolist()) / table.total
 
@@ -371,6 +358,16 @@ class UnionBoundReport:
     witness_value: float
 
 
+def max_log_ratio(window: WindowOmega, points: np.ndarray, k_max: int) -> np.ndarray:
+    """max over 2 <= k <= k_max of Omega(n+k)/log k at every point n, read
+    from a window that covers n + 2 .. n + k_max."""
+    worst = np.zeros(len(points), dtype=np.float64)
+    for k in range(2, k_max + 1):
+        om = window.big_omega[(points + k) - window.lo]
+        np.maximum(worst, om / math.log(k), out=worst)
+    return worst
+
+
 def union_bound_report(table: WeightTable, C: float, k_max: int) -> UnionBoundReport:
     """Exact tail masses P(Omega(n+k) > C log k) for k = 2..k_max.
 
@@ -386,18 +383,11 @@ def union_bound_report(table: WeightTable, C: float, k_max: int) -> UnionBoundRe
     hi = int(support[-1]) + k_max
     ptable = build_prime_table(math.isqrt(hi) + 1)
     window = factor_window(lo, hi, ptable)
-    omega_all = window.big_omega.astype(np.int64)
-
     terms = []
-    worst_ratio = np.zeros(len(support), dtype=np.float64)
-    base = lo
     for k in range(2, k_max + 1):
-        idx = (support + k) - base
-        om = omega_all[idx]
-        log_k = math.log(k)
-        mask = om > C * log_k
+        mask = window.big_omega[(support + k) - lo] > C * math.log(k)
         terms.append(math.fsum(table.nu[mask].tolist()) / table.total)
-        np.maximum(worst_ratio, om / log_k, out=worst_ratio)
+    worst_ratio = max_log_ratio(window, support, k_max)
     arg = int(np.argmin(worst_ratio))
     return UnionBoundReport(
         C=C,
@@ -444,7 +434,7 @@ def omega_decomposition(
     Omega(n+k) exactly."""
     m = n + k
     fac = factorize(m, table)
-    r_k = _range_R(params, k)
+    r_k = params.range_level(k)
     tiny = medium = large = very_large = higher = 0
     for p, e in fac.factors:
         if p <= params.w:

@@ -1,6 +1,7 @@
-"""Prime tables, exact factorization and the classical arithmetic functions
-(omega, Omega, tau, mu) of single integers, and windowed omega/Omega counts
-over contiguous windows via a strided prime-power sieve.
+"""The package's one prime sieve (primes_upto), prime tables, exact
+factorization and the classical arithmetic functions (omega, Omega, tau, mu)
+of single integers, and windowed omega/Omega counts over contiguous windows
+via a strided prime-power sieve.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import lru_cache
 from math import fsum, isqrt
 
 import numpy as np
@@ -67,19 +69,23 @@ class Factorization:
         return -1 if len(self.factors) % 2 else 1
 
 
-def _sieve_spf(limit: int) -> np.ndarray:
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in range(2, isqrt(limit) + 1):
-        if spf[p] == 0:
-            block = spf[p * p :: p]
-            block[block == 0] = p
-    # untouched entries >= 2 are prime
-    for lo in range(2, limit + 1, 1 << 22):
-        hi = min(lo + (1 << 22), limit + 1)
-        block = spf[lo:hi]
-        idx = np.flatnonzero(block == 0)
-        block[idx] = idx + lo
-    return spf
+def _prime_array(n: int) -> np.ndarray:
+    """The primes p <= n, ascending, from a bool sieve; the package's one
+    prime sieve."""
+    if n < 2:
+        return np.zeros(0, dtype=np.int64)
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = False
+    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+
+
+@lru_cache(maxsize=32)
+def primes_upto(n: int) -> tuple[int, ...]:
+    """The primes p <= n, ascending, as a cached tuple of ints."""
+    return tuple(_prime_array(n).tolist())
 
 
 def build_prime_table(limit: int) -> PrimeTable:
@@ -87,13 +93,13 @@ def build_prime_table(limit: int) -> PrimeTable:
         raise ValueError("prime table limit must be >= 2")
     if limit > TABLE_LIMIT_MAX:
         raise ValueError(f"prime table limit above memory budget ({TABLE_LIMIT_MAX})")
-    spf = _sieve_spf(limit)
-    chunks = []
-    for lo in range(2, limit + 1, 1 << 22):
-        hi = min(lo + (1 << 22), limit + 1)
-        block = spf[lo:hi]
-        chunks.append(np.flatnonzero(block == np.arange(lo, hi, dtype=np.int64)) + lo)
-    primes = np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64)
+    primes = _prime_array(limit)
+    # mark composites with their smallest prime factor: smaller primes mark first
+    spf = np.zeros(limit + 1, dtype=np.int64)
+    for p in primes[: np.searchsorted(primes, isqrt(limit), side="right")].tolist():
+        block = spf[p * p :: p]
+        block[block == 0] = p
+    spf[primes] = primes
     spf.setflags(write=False)
     primes.setflags(write=False)
     return PrimeTable(limit=limit, primes=primes, spf=spf)
@@ -142,32 +148,19 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
 
 
 def omega(n: int, table: PrimeTable) -> int:
-    _check_n(n)
-    return sum(1 for _ in _prime_powers(n, table))
+    return factorize(n, table).omega()
 
 
 def big_omega(n: int, table: PrimeTable) -> int:
-    _check_n(n)
-    return sum(e for _, e in _prime_powers(n, table))
+    return factorize(n, table).big_omega()
 
 
 def tau(n: int, table: PrimeTable) -> int:
-    _check_n(n)
-    t = 1
-    for _, e in _prime_powers(n, table):
-        t *= e + 1
-    return t
+    return factorize(n, table).tau()
 
 
 def mobius(n: int, table: PrimeTable) -> int:
-    # short-circuits on the first squared prime, the dominant case in sieve sums
-    _check_n(n)
-    count = 0
-    for _, e in _prime_powers(n, table):
-        if e > 1:
-            return 0
-        count += 1
-    return -1 if count % 2 else 1
+    return factorize(n, table).mobius()
 
 
 @dataclass(frozen=True)
@@ -256,24 +249,18 @@ def dump_prime_table(table: PrimeTable, path) -> None:
 
 
 def load_prime_table(path) -> PrimeTable:
+    """Rebuild the table a dump describes; a dump whose prime list differs
+    from the rebuilt one is refused."""
     with open(path, "rb") as fh:
         magic = fh.read(len(PRIME_TABLE_MAGIC))
         if magic != PRIME_TABLE_MAGIC:
             raise ValueError("not a prime table dump (bad magic)")
-        limit, count = struct.unpack("<QQ", fh.read(16))
-        primes = np.frombuffer(fh.read(8 * count), dtype="<u8").astype(np.int64)
-    if len(primes) != count or (count and primes[-1] > limit):
+        head = fh.read(16)
+        if len(head) != 16:
+            raise ValueError("prime table dump is corrupt")
+        limit, count = struct.unpack("<QQ", head)
+        primes = np.frombuffer(fh.read(8 * count), dtype="<u8")
+    table = build_prime_table(limit)
+    if not np.array_equal(primes, table.primes):
         raise ValueError("prime table dump is corrupt")
-    # rebuild spf by marking with the known primes (no rediscovery pass)
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in primes:
-        p = int(p)
-        if p * p > limit:
-            break
-        block = spf[p * p :: p]
-        block[block == 0] = p
-    idx = np.flatnonzero(spf[2:] == 0) + 2
-    spf[idx] = idx
-    spf.setflags(write=False)
-    primes.setflags(write=False)
-    return PrimeTable(limit=int(limit), primes=primes, spf=spf)
+    return table

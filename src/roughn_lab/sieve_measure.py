@@ -14,16 +14,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
 from .errors import BudgetExceededError, EmptySupportError, TableTooSmallError
-from .primes_core import PrimeTable
+from .primes_core import PrimeTable, primes_upto
 from .reporting import write_csv
 
 PARAM_DEFAULTS = {
@@ -41,26 +40,6 @@ _INT_KEYS = ("x", "K", "w", "a", "k_max")
 
 EXACT_MODE_MAX_X = 10**4
 ETA_QUANT_BITS = 40
-
-
-@lru_cache(maxsize=32)
-def _primes_upto(n: int) -> tuple[int, ...]:
-    if n < 2:
-        return ()
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
-    return tuple(int(p) for p in np.flatnonzero(sieve))
-
-
-def _next_prime_above(n: int) -> int:
-    m = n + 1
-    while True:
-        if m >= 2 and all(m % q for q in range(2, math.isqrt(m) + 1)):
-            return m
-        m += 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +88,7 @@ class SieveParams:
             raise ValueError("constant A must be positive")
         if self.k_max < 2:
             raise ValueError("k_max must be >= 2")
-        tiny = tuple(p for p in _primes_upto(self.w))
+        tiny = primes_upto(self.w)
         W = 1
         for p in tiny:
             W *= p**self.a
@@ -130,11 +109,9 @@ class SieveParams:
         # feasibility mirrors the crude modulus bound W * prod R_k^2 <= x^theta,
         # theta < 1.  A shift whose medium range (w, R_k] holds no prime admits
         # no divisor besides d=1 and contributes level 1, not R_k.
-        next_p = _next_prime_above(self.w)
         log_prod = math.log(W)
-        for r in rs:
-            eff = r if r >= next_p else 1.0
-            log_prod += 2.0 * math.log(eff)
+        for k, r in enumerate(rs, start=1):
+            log_prod += 2.0 * math.log(r if self.medium_primes(k) else 1.0)
         theta = log_prod / math.log(self.x)
         object.__setattr__(self, "theta", theta)
         if theta >= 1.0:
@@ -147,9 +124,19 @@ class SieveParams:
             raise ValueError(f"shift index k={k} outside [1, {self.K}]")
         return self.R_values[k - 1]
 
+    def range_level(self, k: int) -> float:
+        """R_k for a sieved shift k <= K; a shift beyond K keeps the trivial
+        level w, so its medium range is empty."""
+        return self.R(k) if k <= self.K else float(self.w)
+
     def medium_primes(self, k: int) -> tuple[int, ...]:
         r = self.R(k)
-        return tuple(p for p in _primes_upto(int(r)) if self.w < p <= r)
+        return tuple(p for p in primes_upto(int(r)) if self.w < p <= r)
+
+    def large_primes(self, k: int) -> tuple[int, ...]:
+        """The primes in (R_k, T], with R_k read from range_level."""
+        r = self.range_level(k)
+        return tuple(p for p in primes_upto(int(self.T)) if r < p <= self.T)
 
     def as_dict(self) -> dict:
         return {
@@ -242,16 +229,26 @@ def nu_exact(n: int, params: SieveParams, spec: BumpSpec) -> float:
 
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Immutable weight table over the support {n in [x,2x] : W | n}."""
+    """Immutable weight table over the support {n in [x,2x] : W | n}, built
+    from nu there; the total mass (refused when zero) and the shifts with an
+    empty medium range are derived at construction."""
 
     params: SieveParams
     spec: BumpSpec
     support: np.ndarray
     nu: np.ndarray
-    total: float
-    empty_medium_shifts: tuple[int, ...]
+    total: float = field(init=False)
+    empty_medium_shifts: tuple[int, ...] = field(init=False)
     exact_nu: Optional[dict] = None
     exact_total: Optional[Fraction] = None
+
+    def __post_init__(self):
+        total = math.fsum(self.nu.tolist())
+        if total <= 0:
+            raise EmptySupportError("weight table total mass is zero")
+        object.__setattr__(self, "total", total)
+        object.__setattr__(self, "empty_medium_shifts", tuple(
+            k for k in range(1, self.params.K + 1) if not self.params.medium_primes(k)))
 
     def nu_of(self, n: int) -> float:
         p = self.params
@@ -266,67 +263,69 @@ class WeightTable:
         return len(self.support)
 
 
-def build_weight_table(
-    params: SieveParams, spec: BumpSpec, exact: bool = False
-) -> WeightTable:
+def _hits(points: np.ndarray, k: int, m: int):
+    """Indexer of the points n with m | n + k, read as arr[ix] or added to as
+    arr[ix] += v.  n % m == -k % m is that test without forming n + k."""
+    return points % m == -k % m
+
+
+def weight_support(params: SieveParams) -> np.ndarray:
+    """The support {n in [x, 2x] : W | n}, ascending."""
     x, W = params.x, params.W
     n0 = x + (-x) % W
     if n0 > 2 * x:
         raise EmptySupportError(
             f"no multiple of W={W} lies in [{x}, {2 * x}]; refusing to widen the window"
         )
-    support = np.arange(n0, 2 * x + 1, W, dtype=np.int64)
-    nu = np.ones(len(support), dtype=np.float64)
-    empty = []
-    term_lists = {}
-    for k in range(1, params.K + 1):
-        terms = _admissible_divisors(params, spec, k)
-        term_lists[k] = terms
-        if not params.medium_primes(k):
-            empty.append(k)
-        inner = np.ones(len(support), dtype=np.float64)
-        shifted = support + k
-        for d, coef in terms:
-            inner[shifted % d == 0] += coef
+    return np.arange(n0, 2 * x + 1, W, dtype=np.int64)
+
+
+def shift_terms(params: SieveParams, spec: BumpSpec) -> dict:
+    """k -> _admissible_divisors(params, spec, k) for every sieved shift."""
+    return {k: _admissible_divisors(params, spec, k) for k in range(1, params.K + 1)}
+
+
+def weights_at(points: np.ndarray, terms: dict) -> np.ndarray:
+    """nu at the given support points (any slice of the support), from the
+    shift_terms of the measure."""
+    nu = np.ones(len(points), dtype=np.float64)
+    for k, k_terms in terms.items():
+        inner = np.ones(len(points), dtype=np.float64)
+        for d, coef in k_terms:
+            inner[_hits(points, k, d)] += coef
         nu *= inner * inner
-    total = math.fsum(nu.tolist())
-    if total <= 0:
-        raise EmptySupportError("weight table total mass is zero")
+    return nu
 
-    exact_map = None
-    exact_total = None
-    if exact:
-        if x > EXACT_MODE_MAX_X:
-            raise ValueError(
-                f"exact-rational mode only supports windows with x <= {EXACT_MODE_MAX_X}"
-            )
-        scale = 1 << ETA_QUANT_BITS
-        quant = {
-            k: [(d, Fraction(round(coef * scale), scale)) for d, coef in term_lists[k]]
-            for k in range(1, params.K + 1)
-        }
-        exact_map = {}
-        for n in support.tolist():
-            val = Fraction(1)
-            for k in range(1, params.K + 1):
-                inner = Fraction(1)
-                for d, coef in quant[k]:
-                    if (n + k) % d == 0:
-                        inner += coef
-                val *= inner * inner
-            exact_map[n] = val
-        exact_total = sum(exact_map.values(), Fraction(0))
 
-    return WeightTable(
-        params=params,
-        spec=spec,
-        support=support,
-        nu=nu,
-        total=total,
-        empty_medium_shifts=tuple(empty),
-        exact_nu=exact_map,
-        exact_total=exact_total,
-    )
+def build_weight_table(
+    params: SieveParams, spec: BumpSpec, exact: bool = False
+) -> WeightTable:
+    support = weight_support(params)
+    terms = shift_terms(params, spec)
+    table = WeightTable(params, spec, support, weights_at(support, terms))
+    if not exact:
+        return table
+    if params.x > EXACT_MODE_MAX_X:
+        raise ValueError(
+            f"exact-rational mode only supports windows with x <= {EXACT_MODE_MAX_X}"
+        )
+    scale = 1 << ETA_QUANT_BITS
+    quant = {
+        k: [(d, Fraction(round(coef * scale), scale)) for d, coef in k_terms]
+        for k, k_terms in terms.items()
+    }
+    exact_map = {}
+    for n in support.tolist():
+        val = Fraction(1)
+        for k in range(1, params.K + 1):
+            inner = Fraction(1)
+            for d, coef in quant[k]:
+                if (n + k) % d == 0:
+                    inner += coef
+            val *= inner * inner
+        exact_map[n] = val
+    return replace(table, exact_nu=exact_map,
+                   exact_total=sum(exact_map.values(), Fraction(0)))
 
 
 def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
@@ -341,9 +340,25 @@ def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
         raise ValueError("k_star must be >= 1")
     if d_star == 1:
         return 1.0
-    mask = (table.support + k_star) % d_star == 0
-    num = math.fsum(table.nu[mask].tolist())
+    num = math.fsum(table.nu[_hits(table.support, k_star, d_star)].tolist())
     return num / table.total
+
+
+def range_sum(table: WeightTable, k: int, moduli, centered: bool) -> np.ndarray:
+    """sum over m in moduli of 1_{m | n+k} - [centered]/m at every support point n."""
+    acc = np.zeros(len(table.support), dtype=np.float64)
+    for m in moduli:
+        acc[_hits(table.support, k, m)] += 1.0
+    if centered:
+        acc -= math.fsum(1.0 / m for m in moduli)
+    return acc
+
+
+def draw_frequency(table: WeightTable, draws: np.ndarray, d_star: int, k_star: int) -> float:
+    """Share of the draws (support points) n with d_star | n + k_star."""
+    counts = np.bincount((draws - table.support[0]) // table.params.W,
+                         minlength=len(table.support))
+    return int(counts[_hits(table.support, k_star, d_star)].sum()) / len(draws)
 
 
 def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
@@ -505,11 +520,6 @@ class AxiomReport:
     truncated: bool = False
 
 
-def _large_primes(params: SieveParams, k: int) -> tuple[int, ...]:
-    r = params.R(k) if k <= params.K else float(params.w)
-    return tuple(p for p in _primes_upto(int(params.T)) if r < p <= params.T)
-
-
 def axiom_check(
     which: str,
     table: WeightTable,
@@ -536,7 +546,7 @@ def axiom_check(
             raise ValueError("tuple size s must be >= 0")
         if s == 0:
             return AxiomReport("B", True, {"sup_ratio": 1.0, "tuples": 1, "s": 0})
-        pool = _large_primes(params, k_star)
+        pool = params.large_primes(k_star)
         if len(pool) < s:
             return AxiomReport("B", True, {"sup_ratio": 0.0, "tuples": 0, "s": s}, truncated=True)
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -583,7 +593,7 @@ def axiom_check(
         )
 
     if which == "D":
-        pool = [p for p in _primes_upto(int(params.T)) if p > params.w]
+        pool = [p for p in primes_upto(int(params.T)) if p > params.w]
         triples = []
         for p in pool:
             for a in (2, 3):

@@ -7,7 +7,7 @@ import pytest
 
 from roughn_lab import cli_harness as ch
 from roughn_lab import cramer_models
-from roughn_lab.reporting import write_json
+from roughn_lab.reporting import write_csv, write_json
 
 TOY_PARAMS = """\
 # toy bundle sized for fast scans
@@ -239,6 +239,7 @@ def test_non_integer_env_seed_exits_2(toy_file, tmp_path, monkeypatch):
     ["--workers", "0"],
     ["--checkpoint-secs", "-1"],
     ["--workers", "-5", "--checkpoint-secs", "-1"],
+    ["--max-chunks", "-1"],
 ])
 def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
     rc = ch.main(["refute-679", "--out", str(tmp_path)] + flags)
@@ -320,6 +321,69 @@ def test_corrupt_checkpoint_exits_2(toy_file, tmp_path, capsys):
                   "--resume", str(bogus)])
     assert rc == 2
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(toy_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("ckpt")
+    assert ch.main(["sieve-scan", "--params", toy_file, "--out", str(out),
+                    "--seed", "3", "--max-chunks", "2"]) == 3
+    return (out / ch.CHECKPOINT_NAME).read_bytes()
+
+
+# the header of a sieve-scan checkpoint: magic, fingerprint and subcommand
+# with their u16 lengths, then the u64 cursor and payload length
+HEADER_LEN = 5 + 2 + 32 + 2 + len("sieve-scan") + 8 + 8
+
+
+@pytest.mark.parametrize("cut", [3, 6, 20, 40, 60, HEADER_LEN - 1, HEADER_LEN,
+                                 HEADER_LEN + 1, HEADER_LEN + 100, -1])
+def test_truncated_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, capsys, cut):
+    path = tmp_path / "cut.rlck"
+    path.write_bytes(checkpoint_bytes[:cut])
+    with pytest.raises(ValueError):
+        ch.load_checkpoint(path)
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--seed", "3", "--resume", str(path)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["subcommand", "payload"])
+def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where):
+    raw = bytearray(checkpoint_bytes)
+    if where == "subcommand":
+        raw[5 + 2 + 32 + 2] = 0xFF  # not UTF-8
+    else:
+        raw[HEADER_LEN:] = bytes(b ^ 0x5A for b in raw[HEADER_LEN:])
+    path = tmp_path / "garbled.rlck"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        ch.load_checkpoint(path)
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--seed", "3", "--resume", str(path)])
+    assert rc == 2
+
+
+def test_failed_write_leaves_no_report(tmp_path):
+    def rows():
+        yield (1,)
+        yield (2,)
+        yield (float("nan"),)
+
+    path = tmp_path / "report.csv"
+    with pytest.raises(ValueError):
+        write_csv(path, ["a"], rows())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_keeps_previous_report(tmp_path):
+    path = tmp_path / "report.csv"
+    write_csv(path, ["a"], [(1,)])
+    with pytest.raises(ValueError):
+        write_csv(path, ["a"], [(2,), (float("inf"),)])
+    assert path.read_text() == "a\n1\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_roundtrip_rejects_non_checkpointable(tmp_path):

@@ -19,6 +19,7 @@ from roughn_lab.primes_core import (
     mertens_partial_sum,
     mobius,
     omega,
+    primes_upto,
     tau,
 )
 
@@ -60,6 +61,16 @@ def test_table_prime_count_100():
     # frozen from the trial-division oracle
     assert len([p for p in range(2, 101) if trial_factorize(p) == ((p, 1),)]) == 25
     assert len(build_prime_table(100).primes) == 25
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.integers(-2, 20000))
+def test_primes_upto_matches_sympy(n):
+    assert primes_upto(n) == tuple(sympy.primerange(max(n + 1, 0)))
+
+
+def test_primes_upto_matches_sympy_at_1e6():
+    assert primes_upto(10**6) == tuple(sympy.primerange(10**6 + 1))
 
 
 def test_table_invariants(table):
@@ -241,3 +252,25 @@ def test_dump_load_roundtrip(tmp_path, table):
     bad.write_bytes(b"NOPE!" + b"\x00" * 16)
     with pytest.raises(ValueError):
         load_prime_table(bad)
+
+
+@pytest.mark.parametrize("index", [0, 1, 500, -1])
+@pytest.mark.parametrize("delta", [-1, 1, 2])
+def test_load_refuses_dump_with_one_prime_altered(tmp_path, index, delta):
+    small = build_prime_table(10**4)
+    path = tmp_path / "table.bin"
+    dump_prime_table(small, path)
+    raw = bytearray(path.read_bytes())
+    at = 5 + 16 + 8 * (index % len(small.primes))
+    prime = int.from_bytes(raw[at:at + 8], "little")
+    raw[at:at + 8] = (prime + delta).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        load_prime_table(path)
+
+
+def test_load_refuses_truncated_header(tmp_path):
+    path = tmp_path / "table.bin"
+    path.write_bytes(PRIME_TABLE_MAGIC + b"\x00" * 7)
+    with pytest.raises(ValueError):
+        load_prime_table(path)

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughn_lab.bump_functions import eta_tilde, make_bump
 from roughn_lab.errors import EmptySupportError, TableTooSmallError
@@ -22,9 +24,11 @@ from roughn_lab.sieve_measure import (
     parse_params,
     prob_divides,
     sample,
+    shift_terms,
     tiny_prime_rigidity,
     uniqueness_of_k_star_p,
     write_probs_csv,
+    weights_at,
     write_weights_csv,
 )
 
@@ -165,6 +169,29 @@ def test_pruned_vs_unpruned_on_random_support_points(toy_table, toy_params, spec
 def test_normalization_drift_below_1e12(toy_table):
     drift = abs(math.fsum((toy_table.nu / toy_table.total).tolist()) - 1.0)
     assert drift <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def kernel_tables(toy_table, spec):
+    # a second bundle with two sieved shifts: R_1 ~ 15.8 (medium {7, 11, 13}),
+    # R_2 ~ 11.08 (medium {7, 11}, where d = 7 carries weight ~1e-3)
+    two = SieveParams(x=10**6, K=2, w=5, a=1, c=0.2, gamma=0.2,
+                      T_exponent=0.5, A=2.0, k_max=20)
+    return [toy_table, build_weight_table(two, spec)]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_weight_kernel_on_support_slices(kernel_tables, data):
+    table = data.draw(st.sampled_from(kernel_tables))
+    size = len(table.support)
+    lo = data.draw(st.integers(0, size - 1))
+    hi = data.draw(st.integers(lo + 1, min(size, lo + 150)))
+    got = weights_at(table.support[lo:hi], shift_terms(table.params, table.spec))
+    assert got.tobytes() == table.nu[lo:hi].tobytes()
+    for n, v in zip(table.support[lo:hi].tolist(), got.tolist()):
+        ref = nu_exact(n, table.params, table.spec)
+        assert abs(v - ref) <= 1e-12 * abs(ref)
 
 
 def test_total_is_sum_of_pointwise_weights(toy_table, toy_params, spec):
