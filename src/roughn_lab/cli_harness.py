@@ -139,6 +139,19 @@ def _run_chunked(
             )
         state = ckpt.payload
         start = ckpt.cursor
+        # the payload must have the shape of a fresh state (same keys, each
+        # list one entry per chunk), a cursor inside the chunk sequence, and
+        # no None placeholder left in the chunks before the cursor
+        fresh = init_state()
+        if not (isinstance(state, dict) and state.keys() == fresh.keys()
+                and all(isinstance(state[key], list) and len(state[key]) == len(value)
+                        for key, value in fresh.items())
+                and 0 <= start <= n_chunks
+                and all(None not in value[:start] for value in state.values())):
+            raise ValueError(
+                f"checkpoint state does not fit this run ({n_chunks} chunks, "
+                f"cursor {start}); refusing to resume"
+            )
     else:
         state = init_state()
         start = 0
@@ -217,7 +230,8 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
 
     def run_chunk(i, state):
         lo, hi = bounds[i]
-        state["nu_chunks"][i] = sieve_measure.weights_at(support[lo:hi], terms).tolist()
+        nu = sieve_measure.weights_at(support[lo:hi], params.W, terms)
+        state["nu_chunks"][i] = nu.tolist()
 
     def finalize(state):
         nu = np.array([v for chunk in state["nu_chunks"] for v in chunk])

@@ -157,7 +157,9 @@ def exact_centered_moment(
 ) -> MomentReport:
     """s-th weighted moment of sum_{m in range} (1_{m | n+k} - [centered]/m).
 
-    Full enumeration over the support; the bound column is display-only
+    Exact over the whole support: range_sum adds each modulus m on its
+    strided slice of the support, O(N/m) work, and the moment is a weighted
+    fsum over every support point.  The bound column is display-only
     (the configured-constant shape of the corresponding asymptotic bound).
     """
     if k < 1:

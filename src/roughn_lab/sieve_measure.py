@@ -263,10 +263,22 @@ class WeightTable:
         return len(self.support)
 
 
-def _hits(points: np.ndarray, k: int, m: int):
-    """Indexer of the points n with m | n + k, read as arr[ix] or added to as
-    arr[ix] += v.  n % m == -k % m is that test without forming n + k."""
-    return points % m == -k % m
+def _hits(n0: int, step: int, k: int, m: int) -> slice:
+    """Indexer of the points n_i = n0 + i*step with m | n_i + k, read as
+    arr[ix] or added to as arr[ix] += v, for an arr indexed by i.
+
+    With g = gcd(m, step) the condition is i*(step/g) = -(n0+k)/g mod m/g
+    when g | n0 + k, and holds for no i otherwise.  So the hits are one
+    residue class of i mod m/g: a strided basic slice, O(N/m) work per
+    modulus where a mask over the points would be O(N), picking the same
+    elements in the same ascending order.
+    """
+    g = math.gcd(m, step)
+    r = int(n0) + k
+    if r % g:
+        return slice(0, 0)
+    mg = m // g
+    return slice(-(r // g) * pow(step // g, -1, mg) % mg, None, mg)
 
 
 def weight_support(params: SieveParams) -> np.ndarray:
@@ -285,14 +297,17 @@ def shift_terms(params: SieveParams, spec: BumpSpec) -> dict:
     return {k: _admissible_divisors(params, spec, k) for k in range(1, params.K + 1)}
 
 
-def weights_at(points: np.ndarray, terms: dict) -> np.ndarray:
-    """nu at the given support points (any slice of the support), from the
-    shift_terms of the measure."""
+def weights_at(points: np.ndarray, step: int, terms: dict) -> np.ndarray:
+    """nu at the given support points (any slice of the support, whose
+    consecutive points lie step = W apart), from the shift_terms of the
+    measure."""
     nu = np.ones(len(points), dtype=np.float64)
+    if not len(points):
+        return nu
     for k, k_terms in terms.items():
         inner = np.ones(len(points), dtype=np.float64)
         for d, coef in k_terms:
-            inner[_hits(points, k, d)] += coef
+            inner[_hits(points[0], step, k, d)] += coef
         nu *= inner * inner
     return nu
 
@@ -302,7 +317,7 @@ def build_weight_table(
 ) -> WeightTable:
     support = weight_support(params)
     terms = shift_terms(params, spec)
-    table = WeightTable(params, spec, support, weights_at(support, terms))
+    table = WeightTable(params, spec, support, weights_at(support, params.W, terms))
     if not exact:
         return table
     if params.x > EXACT_MODE_MAX_X:
@@ -340,7 +355,8 @@ def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
         raise ValueError("k_star must be >= 1")
     if d_star == 1:
         return 1.0
-    num = math.fsum(table.nu[_hits(table.support, k_star, d_star)].tolist())
+    ix = _hits(table.support[0], table.params.W, k_star, d_star)
+    num = math.fsum(table.nu[ix].tolist())
     return num / table.total
 
 
@@ -348,7 +364,7 @@ def range_sum(table: WeightTable, k: int, moduli, centered: bool) -> np.ndarray:
     """sum over m in moduli of 1_{m | n+k} - [centered]/m at every support point n."""
     acc = np.zeros(len(table.support), dtype=np.float64)
     for m in moduli:
-        acc[_hits(table.support, k, m)] += 1.0
+        acc[_hits(table.support[0], table.params.W, k, m)] += 1.0
     if centered:
         acc -= math.fsum(1.0 / m for m in moduli)
     return acc
@@ -358,7 +374,8 @@ def draw_frequency(table: WeightTable, draws: np.ndarray, d_star: int, k_star: i
     """Share of the draws (support points) n with d_star | n + k_star."""
     counts = np.bincount((draws - table.support[0]) // table.params.W,
                          minlength=len(table.support))
-    return int(counts[_hits(table.support, k_star, d_star)].sum()) / len(draws)
+    ix = _hits(table.support[0], table.params.W, k_star, d_star)
+    return int(counts[ix].sum()) / len(draws)
 
 
 def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:

@@ -365,6 +365,49 @@ def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where)
     assert rc == 2
 
 
+@pytest.mark.parametrize("case", ["empty payload", "cursor past the end", "short list",
+                                  "unrun chunks before the cursor"])
+def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_path,
+                                              capsys, case):
+    # a well-formed file with a matching fingerprint, holding a state that
+    # does not fit the run
+    good = tmp_path / "good.rlck"
+    good.write_bytes(checkpoint_bytes)
+    ckpt = ch.load_checkpoint(good)
+    payload, cursor = ckpt.payload, ckpt.cursor
+    if case == "empty payload":
+        payload = {}
+    elif case == "cursor past the end":
+        cursor = 10**6
+    elif case == "unrun chunks before the cursor":
+        cursor = len(payload["nu_chunks"])
+    else:
+        payload = {"nu_chunks": payload["nu_chunks"][:2]}
+    path = tmp_path / "bad.rlck"
+    ch.save_checkpoint(path, ch.Checkpoint("sieve-scan", ckpt.fingerprint, cursor, payload))
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--seed", "3", "--resume", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "refusing to resume" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "weights.csv").exists()
+
+
+def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
+    # a zero-chunk budget checkpoints the fresh state; move its cursor past
+    # the last trial
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "0"]) == 3
+    ckpt = ch.load_checkpoint(tmp_path / ch.CHECKPOINT_NAME)
+    path = tmp_path / "bad.rlck"
+    ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint,
+                                           ch.GAP_TRIALS + 1, ckpt.payload))
+    rc = ch.main(["cramer-gaps", "--out", str(tmp_path / "out"), "--resume", str(path)])
+    assert rc == 2
+    assert "refusing to resume" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "gap_report.json").exists()
+
+
 def test_failed_write_leaves_no_report(tmp_path):
     def rows():
         yield (1,)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughn_lab.bump_functions import eta_tilde, make_bump
@@ -15,6 +15,7 @@ from roughn_lab.primes_core import build_prime_table
 from roughn_lab.sieve_measure import (
     LocalFactorQuery,
     SieveParams,
+    _hits,
     axiom_check,
     build_weight_table,
     euler_product_F,
@@ -187,11 +188,42 @@ def test_weight_kernel_on_support_slices(kernel_tables, data):
     size = len(table.support)
     lo = data.draw(st.integers(0, size - 1))
     hi = data.draw(st.integers(lo + 1, min(size, lo + 150)))
-    got = weights_at(table.support[lo:hi], shift_terms(table.params, table.spec))
+    got = weights_at(table.support[lo:hi], table.params.W,
+                     shift_terms(table.params, table.spec))
     assert got.tobytes() == table.nu[lo:hi].tobytes()
     for n, v in zip(table.support[lo:hi].tolist(), got.tolist()):
         ref = nu_exact(n, table.params, table.spec)
         assert abs(v - ref) <= 1e-12 * abs(ref)
+
+
+# a modulus m = p^j * cofactor with p <= 7 shares p^min(j, a) with W, as the
+# tiny range and the power range's p^(a+1), p^(a+2), ... do
+moduli = st.one_of(
+    st.builds(lambda p, j, c: p**j * c, st.sampled_from([2, 3, 5, 7]),
+              st.integers(0, 6), st.integers(1, 200)),
+    st.integers(1, 10**6),
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(primorial=st.sampled_from([1, 2, 6, 30, 210]), a=st.integers(1, 3),
+       q=st.integers(0, 10**6), offset=st.one_of(st.just(0), st.integers(0, 10**4)),
+       length=st.one_of(st.sampled_from([0, 1]), st.integers(2, 600)),
+       k=st.integers(1, 3000), m=moduli)
+@example(primorial=210, a=1, q=5, offset=0, length=0, k=1, m=11)
+@example(primorial=210, a=1, q=5, offset=0, length=1, k=1, m=11)
+@example(primorial=30, a=2, q=3, offset=0, length=50, k=1, m=8)  # 8 | n+1: no n
+@example(primorial=6, a=1, q=9, offset=0, length=80, k=3, m=9)  # power range 3^2
+@example(primorial=2, a=3, q=1, offset=0, length=200, k=40, m=7)  # k >= m
+@example(primorial=1, a=1, q=100, offset=0, length=300, k=1, m=1)
+def test_hits_match_the_mask(primorial, a, q, offset, length, k, m):
+    # the strided slice picks exactly the points the mask picks, in order
+    W = primorial**a
+    points = np.arange(length, dtype=np.int64) * W + (q * W + offset)
+    ix = _hits(q * W + offset, W, k, m)
+    assert isinstance(ix, slice)
+    want = np.flatnonzero(points % m == -k % m)
+    assert np.array_equal(np.arange(length)[ix], want)
 
 
 def test_total_is_sum_of_pointwise_weights(toy_table, toy_params, spec):
