@@ -370,15 +370,9 @@ def fourier_inverse_check(spec: BumpSpec, us) -> tuple[float, float]:
 
 
 def write_eta_profile_csv(spec: BumpSpec, path) -> None:
-    rows = zip(
-        spec.u_grid.tolist(),
-        spec.eta.tolist(),
-        spec.eta_tilde.tolist(),
-        spec.eta_tilde_prime.tolist(),
-    )
-    write_csv(path, ["u", "eta", "eta_tilde", "eta_tilde_prime"], rows)
+    write_csv(path, ["u", "eta", "eta_tilde", "eta_tilde_prime"],
+              [spec.u_grid, spec.eta, spec.eta_tilde, spec.eta_tilde_prime])
 
 
 def write_eta_hat_profile_csv(spec: BumpSpec, path) -> None:
-    rows = zip(spec.t_grid.tolist(), spec.eta_hat_grid.tolist())
-    write_csv(path, ["t", "eta_hat"], rows)
+    write_csv(path, ["t", "eta_hat"], [spec.t_grid, spec.eta_hat_grid])

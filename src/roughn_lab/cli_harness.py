@@ -28,7 +28,7 @@ import numpy as np
 from . import bump_functions, cramer_models, moments_concentration, sieve_measure
 from .errors import BudgetExceededError, ResumeMismatchError
 from .primes_core import build_prime_table, factor_window, factorize, primes_upto
-from .reporting import replace_on_success, write_csv, write_json
+from .reporting import columns_of, replace_on_success, write_csv, write_json
 
 CHECKPOINT_MAGIC = b"RLCK1"
 CHECKPOINT_NAME = "checkpoint.rlck"
@@ -114,12 +114,19 @@ def load_checkpoint(path) -> Checkpoint:
                       cursor=cursor, payload=payload)
 
 
+def _is_column(value, dtype, length: Optional[int] = None) -> bool:
+    """Whether value is a 1-D array of exactly this dtype (and length)."""
+    return (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1
+            and (length is None or len(value) == length))
+
+
 def _run_chunked(
     cfg: RunConfig,
     params_text: str,
     n_chunks: int,
     init_state: Callable[[], dict],
     run_chunk: Callable[[int, dict], None],
+    chunk_done: Callable[[dict, int], bool],
     finalize: Callable[[dict], None],
     partial_summary: Callable[[dict, int], None],
 ) -> int:
@@ -127,7 +134,9 @@ def _run_chunked(
 
     Chunk boundaries depend only on the configuration, so any interleaving
     of interrupts and resumes accumulates the same state and finalize writes
-    the same bytes.
+    the same bytes.  chunk_done(state, i) tells whether chunk i of a state
+    holds a completed result of the types and sizes run_chunk stores; a
+    resumed state must pass it for every chunk before its cursor.
     """
     fingerprint = config_fingerprint(cfg.subcommand, cfg.seed, params_text)
     ckpt_path = Path(cfg.out_dir) / CHECKPOINT_NAME
@@ -141,13 +150,13 @@ def _run_chunked(
         start = ckpt.cursor
         # the payload must have the shape of a fresh state (same keys, each
         # list one entry per chunk), a cursor inside the chunk sequence, and
-        # no None placeholder left in the chunks before the cursor
+        # a completed result in every chunk before the cursor
         fresh = init_state()
         if not (isinstance(state, dict) and state.keys() == fresh.keys()
                 and all(isinstance(state[key], list) and len(state[key]) == len(value)
                         for key, value in fresh.items())
                 and 0 <= start <= n_chunks
-                and all(None not in value[:start] for value in state.values())):
+                and all(chunk_done(state, i) for i in range(start))):
             raise ValueError(
                 f"checkpoint state does not fit this run ({n_chunks} chunks, "
                 f"cursor {start}); refusing to resume"
@@ -230,11 +239,14 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
 
     def run_chunk(i, state):
         lo, hi = bounds[i]
-        nu = sieve_measure.weights_at(support[lo:hi], params.W, terms)
-        state["nu_chunks"][i] = nu.tolist()
+        state["nu_chunks"][i] = sieve_measure.weights_at(support[lo:hi], params.W, terms)
+
+    def chunk_done(state, i):
+        lo, hi = bounds[i]
+        return _is_column(state["nu_chunks"][i], np.float64, hi - lo)
 
     def finalize(state):
-        nu = np.array([v for chunk in state["nu_chunks"] for v in chunk])
+        nu = np.concatenate(state["nu_chunks"])
         table = sieve_measure.WeightTable(params, spec, support, nu)
         sieve_measure.write_weights_csv(table, out / "weights.csv")
         write_json(out / "sieve_summary.json", {
@@ -256,15 +268,14 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
         })
 
     return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
-                        finalize, partial_summary)
+                        chunk_done, finalize, partial_summary)
 
 
 def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
     out = Path(cfg.out_dir)
     draws = sieve_measure.sample(table, cfg.seed, SAMPLE_COUNT)
-    write_csv(out / "samples.csv", ["draw", "n"],
-              ((i, int(n)) for i, n in enumerate(draws)))
+    write_csv(out / "samples.csv", ["draw", "n"], [np.arange(len(draws)), draws])
     rows = []
     for d, k in _sample_tuples(params):
         exact = sieve_measure.prob_divides(d, k, table)
@@ -352,24 +363,34 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
     warmup = base.warmup_index()
 
     def init_state():
-        return {"rows": [None] * GAP_TRIALS, "maxes": [None] * GAP_TRIALS,
-                "gap_sum": [0.0] * GAP_TRIALS, "gap_n": [0] * GAP_TRIALS}
+        return {"kept": [None] * GAP_TRIALS, "maxes": [None] * GAP_TRIALS,
+                "gap_sum": [None] * GAP_TRIALS}
 
     def run_chunk(t, state):
         one = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=1,
                                          seed=cfg.seed ^ t, warmup=warmup)
         rep = cramer_models.simulate_gaps(one, keep_gaps=True)
-        state["rows"][t] = [(t,) + row[1:] for row in rep.gap_rows]
+        # the trial's (S_k, gap, ratio) columns; trial and k are rebuilt at
+        # finalize from the trial's position and the column length
+        state["kept"][t] = rep.gap_rows[2:]
         state["maxes"][t] = rep.max_ratios[0]
         state["gap_sum"][t] = rep.mean_gap * rep.gap_count if rep.gap_count else 0.0
-        state["gap_n"][t] = rep.gap_count
+
+    def chunk_done(state, t):
+        kept = state["kept"][t]
+        return (isinstance(kept, tuple) and len(kept) == 3
+                and _is_column(kept[0], np.int64)
+                and _is_column(kept[1], np.int64, len(kept[0]))
+                and _is_column(kept[2], np.float64, len(kept[0]))
+                and isinstance(state["maxes"][t], float)
+                and isinstance(state["gap_sum"][t], float))
 
     def finalize(state):
-        rows = [row for chunk in state["rows"] for row in chunk]
-        write_csv(out / "gaps.csv", cramer_models.GAP_COLUMNS, rows)
+        cramer_models.write_gaps_csv(cramer_models.gap_columns(state["kept"]),
+                                     out / "gaps.csv")
         # an empty trial has no max ratio: NaN in the state, null in the report
         maxes = [None if math.isnan(m) else m for m in state["maxes"]]
-        total_gaps = sum(state["gap_n"])
+        total_gaps = sum(len(ratio) for _, _, ratio in state["kept"])
         write_json(out / "gap_report.json", {
             "trials": GAP_TRIALS,
             "N": GAP_N,
@@ -388,7 +409,7 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
         })
 
     return _run_chunked(cfg, params_text, GAP_TRIALS, init_state, run_chunk,
-                        finalize, partial_summary)
+                        chunk_done, finalize, partial_summary)
 
 
 def _cmd_pik(cfg: RunConfig, params_text: str) -> int:
@@ -453,11 +474,14 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
         lo = int(ns[0]) + 2
         hi = int(ns[-1]) + k_max
         window = factor_window(lo, hi, ptable)
-        worst = moments_concentration.max_log_ratio(window, ns, k_max)
-        state["ratio_chunks"][i] = worst.tolist()
+        state["ratio_chunks"][i] = moments_concentration.max_log_ratio(window, ns, k_max)
+
+    def chunk_done(state, i):
+        lo_i, hi_i = bounds[i]
+        return _is_column(state["ratio_chunks"][i], np.float64, hi_i - lo_i)
 
     def finalize(state):
-        ratios = np.array([v for chunk in state["ratio_chunks"] for v in chunk])
+        ratios = np.concatenate(state["ratio_chunks"])
         best_idx = int(np.argmin(ratios))
         draws = sieve_measure.sample(table, cfg.seed, SAMPLE_COUNT)
         drawn_idx = np.unique((draws - support[0]) // params.W).astype(np.int64)
@@ -468,7 +492,7 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
             om = factorize(witness + k, ptable).big_omega()
             profile_rows.append((k, om, math.log(k), om / math.log(k)))
         write_csv(out / "omega_profile.csv", ["k", "Omega", "log_k", "ratio"],
-                  profile_rows)
+                  columns_of(profile_rows, 4))
         write_json(out / "record_search.json", {
             "exhaustive": {"witness": int(support[best_idx]),
                            "value": float(ratios[best_idx])},
@@ -488,7 +512,7 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
         })
 
     return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
-                        finalize, partial_summary)
+                        chunk_done, finalize, partial_summary)
 
 
 # --- entry point ---

@@ -18,12 +18,12 @@ import numpy as np
 
 from .errors import BudgetExceededError
 from .primes_core import build_prime_table, factor_window
-from .reporting import write_csv
+from .reporting import columns_of, write_csv
 
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
 COUNT_BUDGET_MAX = 10**7
-GAP_COLUMNS = ("trial", "k", "S_k", "gap", "ratio")  # gaps.csv, as in GapReport.gap_rows
+GAP_COLUMNS = ("trial", "k", "S_k", "gap", "ratio")  # gaps.csv and GapReport.gap_rows
 
 
 def loglog(v: float) -> float:
@@ -101,7 +101,7 @@ class GapReport:
     hist_edges: tuple[float, ...]
     hist_counts: tuple[int, ...]
     empty_trials: tuple[int, ...]
-    gap_rows: Optional[tuple] = None
+    gap_rows: Optional[tuple[np.ndarray, ...]] = None
 
     def empty(self) -> bool:
         return self.gap_count == 0
@@ -113,57 +113,54 @@ class GapReport:
         return sum(1 for r in vals if r <= cutoff) / len(vals)
 
 
+def gap_columns(kept) -> tuple[np.ndarray, ...]:
+    """gaps.csv's columns, in GAP_COLUMNS order, from each trial's kept
+    (S_k, gap, ratio) arrays: trial t is the t-th entry of kept, and k counts
+    that trial's gaps from 1."""
+    lengths = [len(s_k) for s_k, _, _ in kept]
+    trial = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
+    k = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in lengths])
+    return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
+
+
 def simulate_gaps(config: CramerConfig, keep_gaps: bool = False) -> GapReport:
     """Run the Bernoulli model and measure normalized success gaps.
 
     Each trial draws from its own generator seeded with seed XOR trial-index,
     so trial results never depend on execution order.  Gaps are recorded only
-    from successes at or beyond the warmup index.
+    from successes at or beyond the warmup index.  With keep_gaps, gap_rows
+    holds the kept gaps as the GAP_COLUMNS arrays: trial, k and S_k and the
+    gap S_{k+1} - S_k as int64, the ratio as float64.
     """
     ns = np.arange(3, config.N + 1, dtype=np.int64)
     fvals = config.rate_values(ns)
     warmup = config.warmup_index()
     max_ratios = []
-    all_ratios = []
-    all_gaps = []
     empty = []
-    rows = [] if keep_gaps else None
+    kept = []
     for trial in range(config.trials):
         rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
         hits = rng.random(len(ns)) < 1.0 / fvals
         S = ns[hits]
-        if len(S) < 2:
-            empty.append(trial)
-            max_ratios.append(float("nan"))
-            continue
-        f_at = fvals[hits][:-1]
-        gaps = np.diff(S).astype(np.float64)
-        ratios = gaps / (f_at * np.log(S[:-1]))
+        gaps = np.diff(S)
+        ratios = gaps / (fvals[hits][:-1] * np.log(S[:-1]))
         mask = S[:-1] >= warmup
-        if not mask.any():
+        kept.append((S[:-1][mask], gaps[mask], ratios[mask]))
+        if mask.any():
+            max_ratios.append(float(ratios[mask].max()))
+        else:  # fewer than two successes, or none past the warmup
             empty.append(trial)
             max_ratios.append(float("nan"))
-            continue
-        kept_ratios = ratios[mask]
-        max_ratios.append(float(kept_ratios.max()))
-        all_ratios.append(kept_ratios)
-        all_gaps.append(gaps[mask])
-        if keep_gaps:
-            s_kept = S[:-1][mask]
-            g_kept = gaps[mask]
-            for idx in range(len(s_kept)):
-                rows.append((trial, idx + 1, int(s_kept[idx]),
-                             float(g_kept[idx]), float(kept_ratios[idx])))
-    if all_ratios:
-        pooled = np.concatenate(all_ratios)
-        pooled_gaps = np.concatenate(all_gaps)
+    columns = gap_columns(kept)
+    pooled_gaps, pooled = columns[3], columns[4]
+    gap_count = len(pooled)
+    if gap_count:
         counts, edges = np.histogram(pooled, bins=60)
+        # int64 gaps sum exactly in float64, so no summation order moves the mean
         mean_gap = float(pooled_gaps.mean())
-        gap_count = int(len(pooled))
     else:
         counts, edges = np.array([], dtype=np.int64), np.array([0.0, 1.0])
         mean_gap = float("nan")
-        gap_count = 0
     return GapReport(
         seed=config.seed,
         trials=config.trials,
@@ -174,7 +171,7 @@ def simulate_gaps(config: CramerConfig, keep_gaps: bool = False) -> GapReport:
         hist_edges=tuple(float(e) for e in edges),
         hist_counts=tuple(int(c) for c in counts),
         empty_trials=tuple(empty),
-        gap_rows=tuple(rows) if keep_gaps else None,
+        gap_rows=columns if keep_gaps else None,
     )
 
 
@@ -388,14 +385,16 @@ def erdos_style_refuter(
 
 # --- emitters ---
 
-def write_gaps_csv(report: GapReport, path) -> None:
-    if report.gap_rows is None:
+def write_gaps_csv(gap_rows, path) -> None:
+    """gaps.csv from GAP_COLUMNS arrays: a report's gap_rows, or gap_columns
+    of per-trial arrays.  None (a report built without keep_gaps) raises."""
+    if gap_rows is None:
         raise ValueError("report was built without keep_gaps=True")
-    write_csv(path, GAP_COLUMNS, report.gap_rows)
+    write_csv(path, GAP_COLUMNS, gap_rows)
 
 
 def write_pik_csv(rows, path) -> None:
-    write_csv(path, ["x", "k", "count", "lower_bound", "ratio"], rows)
+    write_csv(path, ["x", "k", "count", "lower_bound", "ratio"], columns_of(rows, 5))
 
 
 def write_witness_csv(witnesses, path) -> None:
@@ -404,4 +403,4 @@ def write_witness_csv(witnesses, path) -> None:
         params = ";".join(f"{key}={val}" for key, val in sorted(w.params.items()))
         rows.append((w.x, w.variant, params,
                      w.witness if w.witness is not None else "none"))
-    write_csv(path, ["x", "variant", "params", "witness_or_none"], rows)
+    write_csv(path, ["x", "variant", "params", "witness_or_none"], columns_of(rows, 4))

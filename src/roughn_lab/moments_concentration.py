@@ -21,7 +21,7 @@ from .errors import BudgetExceededError, NumericFailureError
 from .primes_core import (
     PrimeTable, WindowOmega, big_omega, build_prime_table, factor_window, factorize, primes_upto,
 )
-from .reporting import write_csv, write_json
+from .reporting import columns_of, write_csv, write_json
 from .sieve_measure import SieveParams, WeightTable, range_sum
 
 STIRLING_MAX_S = 64
@@ -483,15 +483,14 @@ def write_moments_csv(reports: Sequence[MomentReport], path) -> None:
         (rep.k, rep.range_tag, rep.s, rep.exact_moment, rep.paper_bound, rep.ratio)
         for rep in reports
     ]
-    write_csv(path, ["k", "range", "s", "exact_moment", "paper_bound", "ratio"], rows)
+    write_csv(path, ["k", "range", "s", "exact_moment", "paper_bound", "ratio"],
+              columns_of(rows, 6))
 
 
 def write_union_bound_csv(report: UnionBoundReport, path) -> None:
-    rows = [
-        (k, report.C, term)
-        for k, term in enumerate(report.terms, start=2)
-    ]
-    write_csv(path, ["k", "C", "tail_prob"], rows)
+    n = len(report.terms)
+    write_csv(path, ["k", "C", "tail_prob"],
+              [range(2, n + 2), [report.C] * n, report.terms])
 
 
 def write_constants_json(path, kappa: float, c3_fit: Optional[float], constants: dict) -> None:

@@ -23,7 +23,7 @@ import numpy as np
 from .bump_functions import BumpSpec, eta_tilde
 from .errors import BudgetExceededError, EmptySupportError, TableTooSmallError
 from .primes_core import PrimeTable, primes_upto
-from .reporting import write_csv
+from .reporting import columns_of, write_csv
 
 PARAM_DEFAULTS = {
     "x": 10**7,
@@ -644,9 +644,9 @@ def axiom_check(
 
 def write_weights_csv(table: WeightTable, path) -> None:
     cum = np.cumsum(table.nu) / table.total
-    rows = zip(table.support.tolist(), table.nu.tolist(), cum.tolist())
-    write_csv(path, ["n", "nu(n)", "cumulative-mass"], rows)
+    write_csv(path, ["n", "nu(n)", "cumulative-mass"], [table.support, table.nu, cum])
 
 
 def write_probs_csv(rows, path) -> None:
-    write_csv(path, ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"], rows)
+    write_csv(path, ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"],
+              columns_of(rows, 5))

@@ -3,6 +3,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from roughn_lab import cli_harness as ch
@@ -366,7 +367,9 @@ def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where)
 
 
 @pytest.mark.parametrize("case", ["empty payload", "cursor past the end", "short list",
-                                  "unrun chunks before the cursor"])
+                                  "unrun chunks before the cursor",
+                                  "strings in place of weights", "weights as a list",
+                                  "chunk of the wrong length"])
 def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_path,
                                               capsys, case):
     # a well-formed file with a matching fingerprint, holding a state that
@@ -381,6 +384,13 @@ def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_pa
         cursor = 10**6
     elif case == "unrun chunks before the cursor":
         cursor = len(payload["nu_chunks"])
+    elif case == "strings in place of weights":
+        payload = {"nu_chunks": ["0.5"] * len(payload["nu_chunks"])}
+        cursor = len(payload["nu_chunks"])
+    elif case == "weights as a list":
+        payload["nu_chunks"][0] = payload["nu_chunks"][0].tolist()
+    elif case == "chunk of the wrong length":
+        payload["nu_chunks"][1] = payload["nu_chunks"][1][:-1]
     else:
         payload = {"nu_chunks": payload["nu_chunks"][:2]}
     path = tmp_path / "bad.rlck"
@@ -395,36 +405,52 @@ def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_pa
 
 
 def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
-    # a zero-chunk budget checkpoints the fresh state; move its cursor past
-    # the last trial
-    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "0"]) == 3
-    ckpt = ch.load_checkpoint(tmp_path / ch.CHECKPOINT_NAME)
-    path = tmp_path / "bad.rlck"
-    ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint,
-                                           ch.GAP_TRIALS + 1, ckpt.payload))
-    rc = ch.main(["cramer-gaps", "--out", str(tmp_path / "out"), "--resume", str(path)])
-    assert rc == 2
-    assert "refusing to resume" in capsys.readouterr().err
-    assert not (tmp_path / "out" / "gap_report.json").exists()
+    # a two-trial budget checkpoints a state with trials 0 and 1 complete;
+    # each case spoils it in one way
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
+    good = tmp_path / ch.CHECKPOINT_NAME
+    s_k, gap, ratio = ch.load_checkpoint(good).payload["kept"][1]
+    cases = {
+        "cursor past the last trial": ("cursor", ch.GAP_TRIALS + 1),
+        "gap column of the wrong dtype": ("kept", (s_k, gap.astype(np.float64), ratio)),
+        "columns of unequal lengths": ("kept", (s_k, gap, ratio[:-1])),
+        "rows in place of columns": ("kept", list(zip(s_k.tolist(), gap.tolist(),
+                                                      ratio.tolist()))),
+        "a string in place of a max ratio": ("maxes", "1.2"),
+    }
+    for case, (key, value) in cases.items():
+        ckpt = ch.load_checkpoint(good)
+        cursor = ckpt.cursor
+        if key == "cursor":
+            cursor = value
+        else:
+            ckpt.payload[key][1] = value
+        path = tmp_path / "bad.rlck"
+        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, cursor,
+                                               ckpt.payload))
+        rc = ch.main(["cramer-gaps", "--out", str(tmp_path / "out"), "--resume", str(path)])
+        assert rc == 2, case
+        err = capsys.readouterr().err
+        assert "refusing to resume" in err, case
+        assert "Traceback" not in err, case
+        assert not (tmp_path / "out" / "gap_report.json").exists(), case
 
 
 def test_failed_write_leaves_no_report(tmp_path):
-    def rows():
-        yield (1,)
-        yield (2,)
-        yield (float("nan"),)
-
     path = tmp_path / "report.csv"
-    with pytest.raises(ValueError):
-        write_csv(path, ["a"], rows())
-    assert list(tmp_path.iterdir()) == []
+    # a float array, a list of floats and a mixed list, NaN in row 3
+    for column in (np.array([1.0, 2.0, float("nan")]), [1.0, 2.0, float("nan")],
+                   [1, 2, float("nan")]):
+        with pytest.raises(ValueError):
+            write_csv(path, ["i", "a"], [np.arange(3), column])
+        assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_previous_report(tmp_path):
     path = tmp_path / "report.csv"
-    write_csv(path, ["a"], [(1,)])
+    write_csv(path, ["a"], [[1]])
     with pytest.raises(ValueError):
-        write_csv(path, ["a"], [(2,), (float("inf"),)])
+        write_csv(path, ["a"], [np.array([2.0, float("inf")])])
     assert path.read_text() == "a\n1\n"
     assert list(tmp_path.iterdir()) == [path]
 

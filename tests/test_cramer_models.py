@@ -288,12 +288,12 @@ def test_gaps_csv_layout(tmp_path):
     cfg = CramerConfig(rate="log", N=5000, trials=2, seed=7)
     rep = simulate_gaps(cfg, keep_gaps=True)
     path = tmp_path / "gaps.csv"
-    write_gaps_csv(rep, path)
+    write_gaps_csv(rep.gap_rows, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,k,S_k,gap,ratio"
     assert len(lines) == 1 + rep.gap_count
     with pytest.raises(ValueError):
-        write_gaps_csv(simulate_gaps(cfg), path)
+        write_gaps_csv(simulate_gaps(cfg).gap_rows, path)
 
 
 def test_pik_csv_layout(tmp_path):
