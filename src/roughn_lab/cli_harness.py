@@ -3,9 +3,11 @@
 Subcommands cover every module: weight-table scans, sampling, moments,
 the normalization constant, axiom reports, gap simulations, omega-level
 counts, window searches, the downward-shift refuter, and record searches.
-Long scans run as fixed chunk sequences with binary checkpoints, so an
-interrupted run resumed from its checkpoint produces byte-identical output
-to an uninterrupted one.  Exit codes: 0 success, 2 invalid configuration,
+Long scans run as fixed chunk sequences: each chunk's result is a tuple of
+equal-length int64 or float64 arrays, and a checkpoint holds the completed
+chunks as raw arrays under a JSON header and a sha256, so no checkpoint can
+run code.  An interrupted run resumed from its checkpoint produces
+byte-identical output to an uninterrupted one.  Exit codes: 0 success, 2 invalid configuration,
 3 chunk budget exhausted (checkpoint written, summary flagged partial).
 """
 
@@ -13,9 +15,10 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
+import json
 import math
 import os
-import pickle
 import struct
 import sys
 import time
@@ -30,10 +33,9 @@ from .errors import BudgetExceededError, ResumeMismatchError
 from .primes_core import build_prime_table, factor_window, factorize, primes_upto
 from .reporting import columns_of, replace_on_success, write_csv, write_json
 
-CHECKPOINT_MAGIC = b"RLCK1"
+CHECKPOINT_MAGIC = b"RLCK2"
 CHECKPOINT_NAME = "checkpoint.rlck"
 SEED_ENV_VAR = "ROUGHN_LAB_SEED"
-CHECKPOINTABLE = ("sieve-scan", "record-search", "cramer-gaps")
 
 SAMPLE_COUNT = 10**5
 GAP_N = 10**5
@@ -51,7 +53,6 @@ class RunConfig:
     params_path: Optional[str]
     out_dir: str
     seed: int
-    workers: int
     checkpoint_secs: int
     resume_path: Optional[str]
     max_chunks: Optional[int]
@@ -59,10 +60,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """A run's completed chunks, each a tuple of 1-D arrays; their count is the cursor."""
     subcommand: str
     fingerprint: bytes
-    cursor: int
-    payload: dict
+    chunks: list[tuple[np.ndarray, ...]]
 
 
 def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
@@ -74,111 +75,115 @@ def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    blob = pickle.dumps(ckpt.payload, protocol=4)
-    sub = ckpt.subcommand.encode()
+    """Write magic, u64 header length, JSON header, the sha256 of header and
+    body, then the body: every array's raw bytes in chunk order."""
+    header = json.dumps({
+        "subcommand": ckpt.subcommand,
+        "fingerprint": ckpt.fingerprint.hex(),
+        "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in ckpt.chunks],
+    }).encode()
+    body = [col.tobytes() for chunk in ckpt.chunks for col in chunk]
+    digest = hashlib.sha256(header)
+    for block in body:
+        digest.update(block)
     with replace_on_success(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<H", len(ckpt.fingerprint)))
-        fh.write(ckpt.fingerprint)
-        fh.write(struct.pack("<H", len(sub)))
-        fh.write(sub)
-        fh.write(struct.pack("<Q", ckpt.cursor))
-        fh.write(struct.pack("<Q", len(blob)))
-        fh.write(blob)
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header + digest.digest())
+        fh.writelines(body)
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a short, garbled or foreign file raises ValueError."""
+    """Read a checkpoint; a short, garbled or foreign file raises ValueError.
 
-    def read(n: int) -> bytes:
-        data = fh.read(n)
-        if len(data) != n:
-            raise ValueError(f"{path} is a truncated checkpoint")
-        return data
-
-    with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"{path} is not a checkpoint file")
-        (fp_len,) = struct.unpack("<H", read(2))
-        fingerprint = read(fp_len)
-        (sub_len,) = struct.unpack("<H", read(2))
-        subcommand = read(sub_len).decode()  # bad UTF-8 raises a ValueError
-        cursor, blob_len = struct.unpack("<QQ", read(16))
-        blob = read(blob_len)
+    The header is JSON and every array an int64 or float64 view of the body,
+    so no byte of the file is run as code.
+    """
+    raw = Path(path).read_bytes()
+    if not raw.startswith(CHECKPOINT_MAGIC):
+        raise ValueError(f"{path} is not a checkpoint file")
+    at = len(CHECKPOINT_MAGIC) + 8
+    body_at = at + int.from_bytes(raw[at - 8:at], "little") + 32
+    header, body = raw[at:body_at - 32], memoryview(raw)[body_at:]
+    digest = hashlib.sha256(header)
+    digest.update(body)
+    # a file cut anywhere leaves a changed body or fewer than 32 digest bytes
+    if digest.digest() != raw[body_at - 32:body_at]:
+        raise ValueError(f"{path} is truncated or garbled: its sha256 does not match")
     try:
-        payload = pickle.loads(blob)
-    except Exception as exc:  # garbled pickle bytes can raise nearly any type
-        raise ValueError(f"{path} holds a corrupt checkpoint payload") from exc
-    return Checkpoint(subcommand=subcommand, fingerprint=fingerprint,
-                      cursor=cursor, payload=payload)
-
-
-def _is_column(value, dtype, length: Optional[int] = None) -> bool:
-    """Whether value is a 1-D array of exactly this dtype (and length)."""
-    return (isinstance(value, np.ndarray) and value.dtype == dtype and value.ndim == 1
-            and (length is None or len(value) == length))
+        meta = json.loads(header)  # bad UTF-8 or JSON raises a ValueError
+    except RecursionError as exc:  # nesting deeper than the interpreter allows
+        raise ValueError(f"{path} has a malformed checkpoint header") from exc
+    if not (isinstance(meta, dict) and meta.keys() == {"subcommand", "fingerprint", "chunks"}
+            and isinstance(meta["subcommand"], str) and isinstance(meta["fingerprint"], str)
+            and isinstance(meta["chunks"], list)
+            and all(isinstance(chunk, list) and all(
+                isinstance(spec, list) and len(spec) == 2 and spec[0] in ("<i8", "<f8")
+                and type(spec[1]) is int and spec[1] >= 0 for spec in chunk)
+                for chunk in meta["chunks"])):
+        raise ValueError(f"{path} has a malformed checkpoint header")
+    sizes = [8 * n for chunk in meta["chunks"] for _, n in chunk]
+    if sum(sizes) != len(body):
+        raise ValueError(f"{path} has a body that does not match its header")
+    offsets = itertools.accumulate(sizes, initial=0)
+    chunks = [tuple(np.frombuffer(body, dtype=dtype, count=n, offset=next(offsets))
+                    for dtype, n in chunk) for chunk in meta["chunks"]]
+    return Checkpoint(meta["subcommand"], bytes.fromhex(meta["fingerprint"]), chunks)
 
 
 def _run_chunked(
     cfg: RunConfig,
     params_text: str,
-    n_chunks: int,
-    init_state: Callable[[], dict],
-    run_chunk: Callable[[int, dict], None],
-    chunk_done: Callable[[dict, int], bool],
-    finalize: Callable[[dict], None],
-    partial_summary: Callable[[dict, int], None],
+    dtypes: tuple,
+    lengths: list[Optional[int]],
+    run_chunk: Callable[[int], tuple],
+    finalize: Callable[[list], None],
+    partial_summary: Callable[[int], None],
 ) -> int:
     """Drive a fixed chunk sequence with checkpoint support.
 
-    Chunk boundaries depend only on the configuration, so any interleaving
-    of interrupts and resumes accumulates the same state and finalize writes
-    the same bytes.  chunk_done(state, i) tells whether chunk i of a state
-    holds a completed result of the types and sizes run_chunk stores; a
-    resumed state must pass it for every chunk before its cursor.
+    run_chunk(i) returns chunk i's result: one 1-D array per entry of
+    dtypes, all of length lengths[i] (of one free length where that is
+    None).  Chunk boundaries depend only on the configuration, so any
+    interleaving of interrupts and resumes collects the same results and
+    finalize writes the same bytes.  A resumed run takes the checkpoint's
+    chunks only if each has exactly that shape.
     """
     fingerprint = config_fingerprint(cfg.subcommand, cfg.seed, params_text)
     ckpt_path = Path(cfg.out_dir) / CHECKPOINT_NAME
+    chunks = []
     if cfg.resume_path:
-        ckpt = load_checkpoint(cfg.resume_path)
+        try:
+            ckpt = load_checkpoint(cfg.resume_path)
+        except (OSError, ValueError) as exc:  # a directory or unreadable path too
+            raise ValueError(f"{exc}; refusing to resume") from exc
         if ckpt.fingerprint != fingerprint or ckpt.subcommand != cfg.subcommand:
             raise ResumeMismatchError(
                 "checkpoint does not match this configuration; refusing to resume"
             )
-        state = ckpt.payload
-        start = ckpt.cursor
-        # the payload must have the shape of a fresh state (same keys, each
-        # list one entry per chunk), a cursor inside the chunk sequence, and
-        # a completed result in every chunk before the cursor
-        fresh = init_state()
-        if not (isinstance(state, dict) and state.keys() == fresh.keys()
-                and all(isinstance(state[key], list) and len(state[key]) == len(value)
-                        for key, value in fresh.items())
-                and 0 <= start <= n_chunks
-                and all(chunk_done(state, i) for i in range(start))):
+        chunks = ckpt.chunks
+        if not (len(chunks) <= len(lengths) and all(
+                len(chunk) == len(dtypes)
+                and all(column.dtype == dtype and len(column) == len(chunk[0])
+                        for column, dtype in zip(chunk, dtypes))
+                and lengths[i] in (None, len(chunk[0]))
+                for i, chunk in enumerate(chunks))):
             raise ValueError(
-                f"checkpoint state does not fit this run ({n_chunks} chunks, "
-                f"cursor {start}); refusing to resume"
+                f"checkpoint state does not fit this run ({len(lengths)} chunks, "
+                f"cursor {len(chunks)}); refusing to resume"
             )
-    else:
-        state = init_state()
-        start = 0
-    done_this_run = 0
+    start = len(chunks)
     last_save = time.monotonic()
-    for i in range(start, n_chunks):
-        if cfg.max_chunks is not None and done_this_run >= cfg.max_chunks:
-            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, i, state))
-            partial_summary(state, i)
-            print(f"chunk budget reached at {i}/{n_chunks}; checkpoint: {ckpt_path}",
+    for i in range(start, len(lengths)):
+        if cfg.max_chunks is not None and i - start >= cfg.max_chunks:
+            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, chunks))
+            partial_summary(i)
+            print(f"chunk budget reached at {i}/{len(lengths)}; checkpoint: {ckpt_path}",
                   file=sys.stderr)
             return 3
-        run_chunk(i, state)
-        done_this_run += 1
+        chunks.append(run_chunk(i))
         if cfg.checkpoint_secs > 0 and time.monotonic() - last_save >= cfg.checkpoint_secs:
-            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, i + 1, state))
+            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, chunks))
             last_save = time.monotonic()
-    finalize(state)
+    finalize(chunks)
     return 0
 
 
@@ -234,19 +239,12 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     n_chunks, bounds = _chunks(len(support), 32)
 
-    def init_state():
-        return {"nu_chunks": [None] * n_chunks}
-
-    def run_chunk(i, state):
+    def run_chunk(i):
         lo, hi = bounds[i]
-        state["nu_chunks"][i] = sieve_measure.weights_at(support[lo:hi], params.W, terms)
+        return (sieve_measure.weights_at(support[lo:hi], params.W, terms),)
 
-    def chunk_done(state, i):
-        lo, hi = bounds[i]
-        return _is_column(state["nu_chunks"][i], np.float64, hi - lo)
-
-    def finalize(state):
-        nu = np.concatenate(state["nu_chunks"])
+    def finalize(chunks):
+        nu = np.concatenate([nu for nu, in chunks])
         table = sieve_measure.WeightTable(params, spec, support, nu)
         sieve_measure.write_weights_csv(table, out / "weights.csv")
         write_json(out / "sieve_summary.json", {
@@ -259,7 +257,7 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
             "partial": False,
         })
 
-    def partial_summary(state, cursor):
+    def partial_summary(cursor):
         write_json(out / "sieve_summary.json", {
             "params": params.as_dict(),
             "completed_chunks": cursor,
@@ -267,8 +265,8 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
             "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
-                        chunk_done, finalize, partial_summary)
+    return _run_chunked(cfg, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+                        run_chunk, finalize, partial_summary)
 
 
 def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
@@ -362,35 +360,19 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
                                       seed=cfg.seed)
     warmup = base.warmup_index()
 
-    def init_state():
-        return {"kept": [None] * GAP_TRIALS, "maxes": [None] * GAP_TRIALS,
-                "gap_sum": [None] * GAP_TRIALS}
-
-    def run_chunk(t, state):
+    def run_chunk(t):
         one = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=1,
                                          seed=cfg.seed ^ t, warmup=warmup)
-        rep = cramer_models.simulate_gaps(one, keep_gaps=True)
         # the trial's (S_k, gap, ratio) columns; trial and k are rebuilt at
         # finalize from the trial's position and the column length
-        state["kept"][t] = rep.gap_rows[2:]
-        state["maxes"][t] = rep.max_ratios[0]
-        state["gap_sum"][t] = rep.mean_gap * rep.gap_count if rep.gap_count else 0.0
+        return cramer_models.simulate_gaps(one, keep_gaps=True).gap_rows[2:]
 
-    def chunk_done(state, t):
-        kept = state["kept"][t]
-        return (isinstance(kept, tuple) and len(kept) == 3
-                and _is_column(kept[0], np.int64)
-                and _is_column(kept[1], np.int64, len(kept[0]))
-                and _is_column(kept[2], np.float64, len(kept[0]))
-                and isinstance(state["maxes"][t], float)
-                and isinstance(state["gap_sum"][t], float))
-
-    def finalize(state):
-        cramer_models.write_gaps_csv(cramer_models.gap_columns(state["kept"]),
-                                     out / "gaps.csv")
-        # an empty trial has no max ratio: NaN in the state, null in the report
-        maxes = [None if math.isnan(m) else m for m in state["maxes"]]
-        total_gaps = sum(len(ratio) for _, _, ratio in state["kept"])
+    def finalize(chunks):
+        cramer_models.write_gaps_csv(cramer_models.gap_columns(chunks), out / "gaps.csv")
+        # an empty trial has no max ratio (null in the report) and gap sum 0.0
+        maxes = [float(ratio.max()) if len(ratio) else None for _, _, ratio in chunks]
+        gap_sums = [float(gap.mean()) * len(gap) if len(gap) else 0.0 for _, gap, _ in chunks]
+        total_gaps = sum(len(ratio) for _, _, ratio in chunks)
         write_json(out / "gap_report.json", {
             "trials": GAP_TRIALS,
             "N": GAP_N,
@@ -398,18 +380,18 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
             "seed": cfg.seed,
             "max_ratios": maxes,
             "trials_with_max_ratio_le_1.5": sum(1 for m in maxes if m is not None and m <= 1.5),
-            "mean_gap": (sum(state["gap_sum"]) / total_gaps) if total_gaps else None,
+            "mean_gap": (sum(gap_sums) / total_gaps) if total_gaps else None,
             "gap_count": total_gaps,
             "partial": False,
         })
 
-    def partial_summary(state, cursor):
+    def partial_summary(cursor):
         write_json(out / "gap_report.json", {
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, GAP_TRIALS, init_state, run_chunk,
-                        chunk_done, finalize, partial_summary)
+    return _run_chunked(cfg, params_text, (np.int64, np.int64, np.float64),
+                        [None] * GAP_TRIALS, run_chunk, finalize, partial_summary)
 
 
 def _cmd_pik(cfg: RunConfig, params_text: str) -> int:
@@ -465,23 +447,16 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
     n_chunks, bounds = _chunks(len(support), 16)
     ptable = build_prime_table(math.isqrt(int(support[-1]) + k_max) + 1)
 
-    def init_state():
-        return {"ratio_chunks": [None] * n_chunks}
-
-    def run_chunk(i, state):
+    def run_chunk(i):
         lo_i, hi_i = bounds[i]
         ns = support[lo_i:hi_i]
         lo = int(ns[0]) + 2
         hi = int(ns[-1]) + k_max
         window = factor_window(lo, hi, ptable)
-        state["ratio_chunks"][i] = moments_concentration.max_log_ratio(window, ns, k_max)
+        return (moments_concentration.max_log_ratio(window, ns, k_max),)
 
-    def chunk_done(state, i):
-        lo_i, hi_i = bounds[i]
-        return _is_column(state["ratio_chunks"][i], np.float64, hi_i - lo_i)
-
-    def finalize(state):
-        ratios = np.concatenate(state["ratio_chunks"])
+    def finalize(chunks):
+        ratios = np.concatenate([ratios for ratios, in chunks])
         best_idx = int(np.argmin(ratios))
         draws = sieve_measure.sample(table, cfg.seed, SAMPLE_COUNT)
         drawn_idx = np.unique((draws - support[0]) // params.W).astype(np.int64)
@@ -506,13 +481,13 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
             "partial": False,
         })
 
-    def partial_summary(state, cursor):
+    def partial_summary(cursor):
         write_json(out / "record_search.json", {
             "completed_chunks": cursor, "of_chunks": n_chunks, "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, n_chunks, init_state, run_chunk,
-                        chunk_done, finalize, partial_summary)
+    return _run_chunked(cfg, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+                        run_chunk, finalize, partial_summary)
 
 
 # --- entry point ---
@@ -545,7 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0,
                         help=f"base seed (env {SEED_ENV_VAR} overrides)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker hint; results never depend on it")
+                        help="accepted and checked (>= 1), then ignored: runs are "
+                             "single-process")
     parser.add_argument("--checkpoint-secs", type=int, default=300,
                         help="write a checkpoint after this many seconds (0 disables)")
     parser.add_argument("--resume", help="resume from a checkpoint file")
@@ -578,7 +554,6 @@ def main(argv=None) -> int:
         params_path=args.params,
         out_dir=args.out,
         seed=seed,
-        workers=args.workers,
         checkpoint_secs=args.checkpoint_secs,
         resume_path=args.resume,
         max_chunks=args.max_chunks,
@@ -592,59 +567,6 @@ def main(argv=None) -> int:
     except (ValueError, FileNotFoundError, ResumeMismatchError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
-
-
-def checkpoint_roundtrip(
-    subcommand: str,
-    out_root,
-    interrupt_points: list[int],
-    params_path: Optional[str] = None,
-    seed: int = 0,
-) -> dict:
-    """Run once uninterrupted and once with forced interrupts, then compare.
-
-    interrupt_points are per-invocation chunk budgets; the final invocation
-    runs unbudgeted to completion.  Returns the per-file byte equality map.
-    """
-    if subcommand not in CHECKPOINTABLE:
-        raise ValueError(f"{subcommand} does not support checkpoints")
-    root = Path(out_root)
-    dir_a = root / "uninterrupted"
-    dir_b = root / "interrupted"
-    dir_a.mkdir(parents=True, exist_ok=True)
-    dir_b.mkdir(parents=True, exist_ok=True)
-    base = [subcommand, "--seed", str(seed), "--checkpoint-secs", "0"]
-    if params_path:
-        base += ["--params", str(params_path)]
-    rc = main(base + ["--out", str(dir_a)])
-    if rc != 0:
-        raise RuntimeError(f"uninterrupted run failed with exit {rc}")
-    resume = None
-    for budget in interrupt_points:
-        argv = base + ["--out", str(dir_b), "--max-chunks", str(budget)]
-        if resume:
-            argv += ["--resume", str(resume)]
-        rc = main(argv)
-        if rc == 0:
-            break
-        if rc != 3:
-            raise RuntimeError(f"interrupted run failed with exit {rc}")
-        resume = dir_b / CHECKPOINT_NAME
-    else:
-        argv = base + ["--out", str(dir_b)]
-        if resume:
-            argv += ["--resume", str(resume)]
-        rc = main(argv)
-        if rc != 0:
-            raise RuntimeError(f"final resume failed with exit {rc}")
-    files = {}
-    for path_a in sorted(dir_a.iterdir()):
-        if path_a.name == CHECKPOINT_NAME:
-            continue
-        path_b = dir_b / path_a.name
-        files[path_a.name] = path_b.is_file() and (
-            path_a.read_bytes() == path_b.read_bytes())
-    return {"identical": all(files.values()) and bool(files), "files": files}
 
 
 if __name__ == "__main__":

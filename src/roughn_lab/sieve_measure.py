@@ -171,11 +171,6 @@ def parse_params(text: str) -> SieveParams:
     return SieveParams(**values)
 
 
-def load_params(path) -> SieveParams:
-    with open(path) as fh:
-        return parse_params(fh.read())
-
-
 # --- the weight itself ---
 
 def _admissible_divisors(params: SieveParams, spec: BumpSpec, k: int):

@@ -11,6 +11,7 @@ import time
 
 import numpy as np
 import pytest
+from checkpoint_helpers import checkpoint_roundtrip
 
 from roughn_lab import cli_harness as ch
 from roughn_lab.bump_functions import c0_compute, make_bump
@@ -227,8 +228,8 @@ def test_criterion_12_deterministic_reports(tmp_path):
                         "--out", str(d), "--seed", "5"]) == 0
     for name in ("samples.csv", "probs.csv", "sample_summary.json"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
-    roundtrip = ch.checkpoint_roundtrip("sieve-scan", tmp_path / "rt",
-                                        [5, 5, 5],
-                                        params_path=str(params_file), seed=3)
+    roundtrip = checkpoint_roundtrip("sieve-scan", tmp_path / "rt",
+                                     [5, 5, 5],
+                                     params_path=str(params_file), seed=3)
     assert roundtrip["identical"] is True
     print("criterion 12 PASS: repeated runs and interrupt/resume byte-identical")

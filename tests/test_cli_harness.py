@@ -1,10 +1,16 @@
 import csv
+import hashlib
 import json
 import math
+import pickle
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
+from checkpoint_helpers import checkpoint_roundtrip
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roughn_lab import cli_harness as ch
 from roughn_lab import cramer_models
@@ -275,25 +281,31 @@ def test_checkpoint_file_layout(toy_file, tmp_path):
     assert raw.startswith(ch.CHECKPOINT_MAGIC)
     ckpt = ch.load_checkpoint(tmp_path / ch.CHECKPOINT_NAME)
     assert ckpt.subcommand == "sieve-scan"
-    assert ckpt.cursor == 2
+    assert len(ckpt.chunks) == 2
     assert len(ckpt.fingerprint) == 32
+    # magic, u64 header length, JSON header, sha256 of header and body, body
+    at = body_start(raw)
+    header = json.loads(raw[len(ch.CHECKPOINT_MAGIC) + 8:at - 32])
+    assert header["fingerprint"] == ckpt.fingerprint.hex()
+    assert header["chunks"] == [[["<f8", len(nu)]] for nu, in ckpt.chunks]
+    assert raw[at:] == b"".join(nu.tobytes() for nu, in ckpt.chunks)
 
 
 def test_sieve_scan_roundtrip_three_interrupts(toy_file, tmp_path):
-    rep = ch.checkpoint_roundtrip("sieve-scan", tmp_path, [5, 5, 5],
-                                  params_path=toy_file, seed=3)
+    rep = checkpoint_roundtrip("sieve-scan", tmp_path, [5, 5, 5],
+                               params_path=toy_file, seed=3)
     assert rep["identical"] is True
     assert set(rep["files"]) == {"weights.csv", "sieve_summary.json"}
 
 
 def test_record_search_roundtrip(toy_file, tmp_path):
-    rep = ch.checkpoint_roundtrip("record-search", tmp_path, [8],
-                                  params_path=toy_file, seed=7)
+    rep = checkpoint_roundtrip("record-search", tmp_path, [8],
+                               params_path=toy_file, seed=7)
     assert rep["identical"] is True
 
 
 def test_cramer_gaps_roundtrip(tmp_path):
-    rep = ch.checkpoint_roundtrip("cramer-gaps", tmp_path, [50], seed=1)
+    rep = checkpoint_roundtrip("cramer-gaps", tmp_path, [50], seed=1)
     assert rep["identical"] is True
     assert rep["files"]["gaps.csv"] is True
 
@@ -324,6 +336,13 @@ def test_corrupt_checkpoint_exits_2(toy_file, tmp_path, capsys):
     assert "not a checkpoint" in capsys.readouterr().err
 
 
+def test_resume_from_a_directory_exits_2(toy_file, tmp_path, capsys):
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--resume", str(tmp_path)])
+    assert rc == 2
+    assert "refusing to resume" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(toy_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("ckpt")
@@ -332,14 +351,21 @@ def checkpoint_bytes(toy_file, tmp_path_factory):
     return (out / ch.CHECKPOINT_NAME).read_bytes()
 
 
-# the header of a sieve-scan checkpoint: magic, fingerprint and subcommand
-# with their u16 lengths, then the u64 cursor and payload length
-HEADER_LEN = 5 + 2 + 32 + 2 + len("sieve-scan") + 8 + 8
+def body_start(raw: bytes) -> int:
+    """Offset of a checkpoint's body: after the magic, the u64 header length,
+    the JSON header and the 32-byte sha256."""
+    at = len(ch.CHECKPOINT_MAGIC) + 8
+    return at + int.from_bytes(raw[at - 8:at], "little") + 32
 
 
-@pytest.mark.parametrize("cut", [3, 6, 20, 40, 60, HEADER_LEN - 1, HEADER_LEN,
-                                 HEADER_LEN + 1, HEADER_LEN + 100, -1])
+# cuts inside the magic, the header length, the JSON header (60-68 in its
+# fingerprint) and the digest (167), then around the start of the body
+# ("body" plus an offset), and before the last byte
+@pytest.mark.parametrize("cut", [3, 6, 20, 40, 60, 66, 67, 68, 167,
+                                 "body-1", "body+0", "body+1", "body+100", -1])
 def test_truncated_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, capsys, cut):
+    if isinstance(cut, str):
+        cut = body_start(checkpoint_bytes) + int(cut[4:])
     path = tmp_path / "cut.rlck"
     path.write_bytes(checkpoint_bytes[:cut])
     with pytest.raises(ValueError):
@@ -350,13 +376,28 @@ def test_truncated_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, caps
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["subcommand", "payload"])
+def framed(header: bytes, body: bytes) -> bytes:
+    """A checkpoint file around header and body, with a matching digest."""
+    return (ch.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header
+            + hashlib.sha256(header + body).digest() + body)
+
+
+@pytest.mark.parametrize("where", ["subcommand", "payload", "nested header",
+                                   "header not an object", "extra body bytes"])
 def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where):
     raw = bytearray(checkpoint_bytes)
+    at = body_start(checkpoint_bytes)
+    header = checkpoint_bytes[len(ch.CHECKPOINT_MAGIC) + 8:at - 32]
     if where == "subcommand":
-        raw[5 + 2 + 32 + 2] = 0xFF  # not UTF-8
-    else:
-        raw[HEADER_LEN:] = bytes(b ^ 0x5A for b in raw[HEADER_LEN:])
+        raw[checkpoint_bytes.index(b"sieve-scan")] = 0xFF  # not UTF-8, in the header
+    elif where == "payload":
+        raw[at:] = bytes(b ^ 0x5A for b in raw[at:])
+    elif where == "nested header":  # JSON nested past the recursion limit
+        raw = framed(b"[" * 10**5 + b"]" * 10**5, checkpoint_bytes[at:])
+    elif where == "header not an object":
+        raw = framed(b"[1, 2]", checkpoint_bytes[at:])
+    else:  # one float more than the header declares
+        raw = framed(header, checkpoint_bytes[at:] + bytes(8))
     path = tmp_path / "garbled.rlck"
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
@@ -366,35 +407,53 @@ def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where)
     assert rc == 2
 
 
-@pytest.mark.parametrize("case", ["empty payload", "cursor past the end", "short list",
-                                  "unrun chunks before the cursor",
-                                  "strings in place of weights", "weights as a list",
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_every_cut_or_flipped_byte_exits_2(checkpoint_bytes, toy_file, tmp_path_factory,
+                                           data):
+    raw = checkpoint_bytes
+    pos = data.draw(st.integers(0, len(raw) - 1), label="position")
+    if data.draw(st.booleans(), label="flip"):
+        spoiled = bytearray(raw)
+        spoiled[pos] ^= data.draw(st.integers(1, 255), label="xor mask")
+    else:
+        spoiled = raw[:pos]
+    root = tmp_path_factory.mktemp("spoiled")
+    path = root / "spoiled.rlck"
+    path.write_bytes(bytes(spoiled))
+    assert ch.main(["sieve-scan", "--params", toy_file, "--out", str(root / "out"),
+                    "--seed", "3", "--resume", str(path)]) == 2
+
+
+@pytest.mark.parametrize("case", ["empty payload", "cursor past the end",
+                                  "strings in place of weights", "object column",
+                                  "big-endian weights", "an extra column",
                                   "chunk of the wrong length"])
 def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_path,
                                               capsys, case):
-    # a well-formed file with a matching fingerprint, holding a state that
-    # does not fit the run
+    # a well-formed file with a matching fingerprint, holding chunks that do
+    # not fit the run
     good = tmp_path / "good.rlck"
     good.write_bytes(checkpoint_bytes)
     ckpt = ch.load_checkpoint(good)
-    payload, cursor = ckpt.payload, ckpt.cursor
-    if case == "empty payload":
-        payload = {}
-    elif case == "cursor past the end":
-        cursor = 10**6
-    elif case == "unrun chunks before the cursor":
-        cursor = len(payload["nu_chunks"])
+    chunks = ckpt.chunks
+    nu = chunks[1][0]
+    if case == "empty payload":  # a chunk with no column
+        chunks[1] = ()
+    elif case == "cursor past the end":  # sieve-scan runs at most 32 chunks
+        chunks = chunks[:1] * 33
     elif case == "strings in place of weights":
-        payload = {"nu_chunks": ["0.5"] * len(payload["nu_chunks"])}
-        cursor = len(payload["nu_chunks"])
-    elif case == "weights as a list":
-        payload["nu_chunks"][0] = payload["nu_chunks"][0].tolist()
-    elif case == "chunk of the wrong length":
-        payload["nu_chunks"][1] = payload["nu_chunks"][1][:-1]
+        chunks[1] = (np.full(len(nu), "0.5"),)
+    elif case == "object column":
+        chunks[1] = (nu.astype(object),)
+    elif case == "big-endian weights":
+        chunks[1] = (nu.astype(">f8"),)
+    elif case == "an extra column":
+        chunks[1] = (nu, nu)
     else:
-        payload = {"nu_chunks": payload["nu_chunks"][:2]}
+        chunks[1] = (nu[:-1],)
     path = tmp_path / "bad.rlck"
-    ch.save_checkpoint(path, ch.Checkpoint("sieve-scan", ckpt.fingerprint, cursor, payload))
+    ch.save_checkpoint(path, ch.Checkpoint("sieve-scan", ckpt.fingerprint, chunks))
     rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
                   "--seed", "3", "--resume", str(path)])
     assert rc == 2
@@ -405,35 +464,81 @@ def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_pa
 
 
 def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
-    # a two-trial budget checkpoints a state with trials 0 and 1 complete;
-    # each case spoils it in one way
+    # a two-trial budget checkpoints trials 0 and 1; each case spoils them in
+    # one way
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     good = tmp_path / ch.CHECKPOINT_NAME
-    s_k, gap, ratio = ch.load_checkpoint(good).payload["kept"][1]
+    trial = ch.load_checkpoint(good).chunks[1]
+    s_k, gap, ratio = trial
     cases = {
-        "cursor past the last trial": ("cursor", ch.GAP_TRIALS + 1),
-        "gap column of the wrong dtype": ("kept", (s_k, gap.astype(np.float64), ratio)),
-        "columns of unequal lengths": ("kept", (s_k, gap, ratio[:-1])),
-        "rows in place of columns": ("kept", list(zip(s_k.tolist(), gap.tolist(),
-                                                      ratio.tolist()))),
-        "a string in place of a max ratio": ("maxes", "1.2"),
+        "cursor past the last trial": [trial] * (ch.GAP_TRIALS + 1),
+        "gap column of the wrong dtype": (s_k, gap.astype(np.float64), ratio),
+        "columns of unequal lengths": (s_k, gap, ratio[:-1]),
+        "two columns in place of three": (s_k, gap),
+        "a string ratio column": (s_k, gap, ratio.astype(str)),
     }
-    for case, (key, value) in cases.items():
+    for case, value in cases.items():
         ckpt = ch.load_checkpoint(good)
-        cursor = ckpt.cursor
-        if key == "cursor":
-            cursor = value
+        chunks = ckpt.chunks
+        if isinstance(value, list):
+            chunks = value
         else:
-            ckpt.payload[key][1] = value
+            chunks[1] = value
         path = tmp_path / "bad.rlck"
-        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, cursor,
-                                               ckpt.payload))
+        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, chunks))
         rc = ch.main(["cramer-gaps", "--out", str(tmp_path / "out"), "--resume", str(path)])
         assert rc == 2, case
         err = capsys.readouterr().err
         assert "refusing to resume" in err, case
         assert "Traceback" not in err, case
         assert not (tmp_path / "out" / "gap_report.json").exists(), case
+
+
+def pickle_format_checkpoint(subcommand: str, seed: int, params_text: str, cursor: int,
+                             payload) -> bytes:
+    """A checkpoint in the earlier pickle layout (magic RLCK1): fingerprint
+    and subcommand with u16 lengths, u64 cursor, u64 payload length, pickle."""
+    fingerprint = ch.config_fingerprint(subcommand, seed, params_text)
+    blob = pickle.dumps(payload, protocol=4)
+    return (b"RLCK1" + struct.pack("<H", len(fingerprint)) + fingerprint
+            + struct.pack("<H", len(subcommand)) + subcommand.encode()
+            + struct.pack("<QQ", cursor, len(blob)) + blob)
+
+
+class TouchOnLoad:
+    """Unpickling this object creates the file at path."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (Path.touch, (Path(self.path),))
+
+
+def test_pickle_format_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, capsys):
+    # the two chunks of the fixture's run, stored as that layout stored them
+    good = tmp_path / "good.rlck"
+    good.write_bytes(checkpoint_bytes)
+    nu_chunks = [nu for nu, in ch.load_checkpoint(good).chunks]
+    path = tmp_path / "old.rlck"
+    path.write_bytes(pickle_format_checkpoint(
+        "sieve-scan", 3, TOY_PARAMS, 2, {"nu_chunks": nu_chunks + [None] * 30}))
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--seed", "3", "--resume", str(path)])
+    assert rc == 2
+    assert "not a checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "weights.csv").exists()
+
+
+def test_checkpoint_payload_cannot_run_code(toy_file, tmp_path):
+    marker = tmp_path / "marker"
+    path = tmp_path / "evil.rlck"
+    path.write_bytes(pickle_format_checkpoint(
+        "sieve-scan", 3, TOY_PARAMS, 0, {"nu_chunks": [TouchOnLoad(marker)]}))
+    rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
+                  "--seed", "3", "--resume", str(path)])
+    assert rc == 2
+    assert not marker.exists()
 
 
 def test_failed_write_leaves_no_report(tmp_path):
@@ -457,7 +562,7 @@ def test_failed_write_keeps_previous_report(tmp_path):
 
 def test_roundtrip_rejects_non_checkpointable(tmp_path):
     with pytest.raises(ValueError):
-        ch.checkpoint_roundtrip("sample", tmp_path, [1])
+        checkpoint_roundtrip("sample", tmp_path, [1])
 
 
 def test_fingerprint_separates_configs():
