@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import bump_functions, cramer_models, moments_concentration, sieve_measure
+from . import __version__, bump_functions, cramer_models, moments_concentration, sieve_measure
 from .errors import BudgetExceededError, ResumeMismatchError
 from .primes_core import build_prime_table, factor_window, factorize, primes_upto
 from .reporting import columns_of, replace_on_success, write_csv, write_json
@@ -40,6 +40,8 @@ SEED_ENV_VAR = "ROUGHN_LAB_SEED"
 SAMPLE_COUNT = 10**5
 GAP_N = 10**5
 GAP_TRIALS = 100
+SCAN_CHUNKS = 32  # sieve-scan chunks at most
+RECORD_CHUNKS = 16  # record-search chunks at most
 PIK_GRID = (10**3, 10**4, 10**5, 10**6)
 
 # table-building subcommands use a reduced quadrature grid; the c0 command
@@ -67,10 +69,15 @@ class Checkpoint:
 
 
 def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
+    """The sha256 of the run's configuration and of the code that shapes its
+    chunks: the package version and this module's size constants, read at
+    call time, so a checkpoint from other code is refused."""
     h = hashlib.sha256()
     h.update(subcommand.encode())
     h.update(struct.pack("<q", seed))
     h.update(params_text.encode())
+    h.update(json.dumps([__version__, SAMPLE_COUNT, GAP_N, GAP_TRIALS, _FAST_BUMP,
+                         SCAN_CHUNKS, RECORD_CHUNKS], sort_keys=True).encode())
     return h.digest()
 
 
@@ -237,7 +244,7 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
     support = sieve_measure.weight_support(params)
     terms = sieve_measure.shift_terms(params, spec)
     out = Path(cfg.out_dir)
-    n_chunks, bounds = _chunks(len(support), 32)
+    n_chunks, bounds = _chunks(len(support), SCAN_CHUNKS)
 
     def run_chunk(i):
         lo, hi = bounds[i]
@@ -335,53 +342,34 @@ def _cmd_axioms(cfg: RunConfig, params_text: str) -> int:
         try:
             rep = sieve_measure.axiom_check(which, table, seed=cfg.seed, **kwargs)
             payload[which] = {"passed": rep.passed, "truncated": rep.truncated,
-                              "detail": _jsonable(rep.detail)}
+                              "detail": rep.detail}
         except ValueError as exc:
             payload[which] = {"passed": False, "error": str(exc)}
     write_json(out / "axioms.json", payload)
     return 0
 
 
-def _jsonable(v):
-    if isinstance(v, dict):
-        return {str(k): _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
-
-
 def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
-    base = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=GAP_TRIALS,
-                                      seed=cfg.seed)
-    warmup = base.warmup_index()
+    config = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=GAP_TRIALS,
+                                        seed=cfg.seed)
 
     def run_chunk(t):
-        one = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=1,
-                                         seed=cfg.seed ^ t, warmup=warmup)
-        # the trial's (S_k, gap, ratio) columns; trial and k are rebuilt at
-        # finalize from the trial's position and the column length
-        return cramer_models.simulate_gaps(one, keep_gaps=True).gap_rows[2:]
+        return cramer_models.trial_gaps(config, t)
 
     def finalize(chunks):
-        cramer_models.write_gaps_csv(cramer_models.gap_columns(chunks), out / "gaps.csv")
-        # an empty trial has no max ratio (null in the report) and gap sum 0.0
-        maxes = [float(ratio.max()) if len(ratio) else None for _, _, ratio in chunks]
-        gap_sums = [float(gap.mean()) * len(gap) if len(gap) else 0.0 for _, gap, _ in chunks]
-        total_gaps = sum(len(ratio) for _, _, ratio in chunks)
+        rep = cramer_models.gap_report(config, chunks)
+        cramer_models.write_gaps_csv(rep.gap_rows, out / "gaps.csv")
         write_json(out / "gap_report.json", {
-            "trials": GAP_TRIALS,
-            "N": GAP_N,
-            "warmup": warmup,
-            "seed": cfg.seed,
-            "max_ratios": maxes,
-            "trials_with_max_ratio_le_1.5": sum(1 for m in maxes if m is not None and m <= 1.5),
-            "mean_gap": (sum(gap_sums) / total_gaps) if total_gaps else None,
-            "gap_count": total_gaps,
+            "trials": rep.trials,
+            "N": config.N,
+            "warmup": rep.warmup,
+            "seed": rep.seed,
+            # an empty trial has no max ratio, and a run without gaps no mean
+            "max_ratios": [None if math.isnan(m) else m for m in rep.max_ratios],
+            "trials_with_max_ratio_le_1.5": rep.count_below(1.5),
+            "mean_gap": None if rep.empty() else rep.mean_gap,
+            "gap_count": rep.gap_count,
             "partial": False,
         })
 
@@ -434,7 +422,7 @@ def _cmd_refute_679(cfg: RunConfig, params_text: str) -> int:
     write_json(out / "refute679.json", {
         "n": res.n, "delta": res.delta, "k": res.k,
         "omega_value": res.omega_value, "threshold": res.threshold,
-        "searched_up_to": res.searched_up_to, "chain": _jsonable(res.chain),
+        "searched_up_to": res.searched_up_to, "chain": res.chain,
     })
     return 0
 
@@ -444,7 +432,7 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
     out = Path(cfg.out_dir)
     support = table.support
     k_max = params.k_max
-    n_chunks, bounds = _chunks(len(support), 16)
+    n_chunks, bounds = _chunks(len(support), RECORD_CHUNKS)
     ptable = build_prime_table(math.isqrt(int(support[-1]) + k_max) + 1)
 
     def run_chunk(i):

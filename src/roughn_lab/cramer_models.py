@@ -10,8 +10,8 @@ integers with unusually many prime factors, recording hits and misses alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -89,28 +89,44 @@ class CramerConfig:
             vals = np.interp(ns, knots_n, knots_f)
         return vals * self.scale
 
+    @cached_property
+    def sites(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sites n = 3..N as int64 and their rates f(n), built once per
+        config and shared, read-only, by its trials."""
+        ns = np.arange(3, self.N + 1, dtype=np.int64)
+        fvals = self.rate_values(ns)
+        ns.setflags(write=False)
+        fvals.setflags(write=False)
+        return ns, fvals
+
 
 @dataclass(frozen=True)
 class GapReport:
+    """A run's gap statistics.  max_ratios holds each trial's largest kept
+    ratio, NaN for an empty trial (listed in empty_trials); mean_gap is the
+    mean of every kept gap, pooled over trials, NaN when there is none; and
+    gap_rows holds the kept gaps as the GAP_COLUMNS arrays: trial, k, S_k and
+    the gap S_{k+1} - S_k as int64, the ratio as float64."""
+
     seed: int
     trials: int
     warmup: int
     max_ratios: tuple[float, ...]
     mean_gap: float
     gap_count: int
-    hist_edges: tuple[float, ...]
-    hist_counts: tuple[int, ...]
     empty_trials: tuple[int, ...]
-    gap_rows: Optional[tuple[np.ndarray, ...]] = None
+    gap_rows: tuple[np.ndarray, ...]
 
     def empty(self) -> bool:
         return self.gap_count == 0
 
+    def count_below(self, cutoff: float) -> int:
+        """Trials whose max ratio is at most cutoff; an empty trial never is."""
+        return sum(1 for r in self.max_ratios if r <= cutoff)
+
     def fraction_below(self, cutoff: float) -> float:
-        vals = [r for r in self.max_ratios if not math.isnan(r)]
-        if not vals:
-            return 0.0
-        return sum(1 for r in vals if r <= cutoff) / len(vals)
+        filled = len(self.max_ratios) - len(self.empty_trials)
+        return self.count_below(cutoff) / filled if filled else 0.0
 
 
 def gap_columns(kept) -> tuple[np.ndarray, ...]:
@@ -123,56 +139,46 @@ def gap_columns(kept) -> tuple[np.ndarray, ...]:
     return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
 
 
-def simulate_gaps(config: CramerConfig, keep_gaps: bool = False) -> GapReport:
-    """Run the Bernoulli model and measure normalized success gaps.
+def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray, ...]:
+    """One trial of the Bernoulli model: its kept (S_k, gap, ratio) arrays.
 
-    Each trial draws from its own generator seeded with seed XOR trial-index,
-    so trial results never depend on execution order.  Gaps are recorded only
-    from successes at or beyond the warmup index.  With keep_gaps, gap_rows
-    holds the kept gaps as the GAP_COLUMNS arrays: trial, k and S_k and the
-    gap S_{k+1} - S_k as int64, the ratio as float64.
+    The trial draws from its own generator seeded with seed XOR trial, so its
+    gaps never depend on which other trials ran, or in what order.  Gaps are
+    kept only from successes at or beyond the warmup index.
     """
-    ns = np.arange(3, config.N + 1, dtype=np.int64)
-    fvals = config.rate_values(ns)
-    warmup = config.warmup_index()
-    max_ratios = []
-    empty = []
-    kept = []
-    for trial in range(config.trials):
-        rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
-        hits = rng.random(len(ns)) < 1.0 / fvals
-        S = ns[hits]
-        gaps = np.diff(S)
-        ratios = gaps / (fvals[hits][:-1] * np.log(S[:-1]))
-        mask = S[:-1] >= warmup
-        kept.append((S[:-1][mask], gaps[mask], ratios[mask]))
-        if mask.any():
-            max_ratios.append(float(ratios[mask].max()))
-        else:  # fewer than two successes, or none past the warmup
-            empty.append(trial)
-            max_ratios.append(float("nan"))
+    ns, fvals = config.sites
+    rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
+    hits = rng.random(len(ns)) < 1.0 / fvals
+    S = ns[hits]
+    gaps = np.diff(S)
+    ratios = gaps / (fvals[hits][:-1] * np.log(S[:-1]))
+    mask = S[:-1] >= config.warmup_index()
+    return S[:-1][mask], gaps[mask], ratios[mask]
+
+
+def gap_report(config: CramerConfig, kept) -> GapReport:
+    """The report of a run whose t-th trial kept the arrays kept[t]."""
+    max_ratios = tuple(float(ratio.max()) if len(ratio) else float("nan")
+                       for _, _, ratio in kept)
     columns = gap_columns(kept)
-    pooled_gaps, pooled = columns[3], columns[4]
-    gap_count = len(pooled)
-    if gap_count:
-        counts, edges = np.histogram(pooled, bins=60)
-        # int64 gaps sum exactly in float64, so no summation order moves the mean
-        mean_gap = float(pooled_gaps.mean())
-    else:
-        counts, edges = np.array([], dtype=np.int64), np.array([0.0, 1.0])
-        mean_gap = float("nan")
+    gap_count = len(columns[3])
     return GapReport(
         seed=config.seed,
         trials=config.trials,
-        warmup=warmup,
-        max_ratios=tuple(max_ratios),
-        mean_gap=mean_gap,
+        warmup=config.warmup_index(),
+        max_ratios=max_ratios,
+        # int64 gaps sum exactly in float64, so no summation order moves the mean
+        mean_gap=float(columns[3].mean()) if gap_count else float("nan"),
         gap_count=gap_count,
-        hist_edges=tuple(float(e) for e in edges),
-        hist_counts=tuple(int(c) for c in counts),
-        empty_trials=tuple(empty),
-        gap_rows=columns if keep_gaps else None,
+        empty_trials=tuple(t for t, r in enumerate(max_ratios) if math.isnan(r)),
+        gap_rows=columns,
     )
+
+
+def simulate_gaps(config: CramerConfig) -> GapReport:
+    """Run every trial of the Bernoulli model and report the normalized
+    success gaps (see trial_gaps and GapReport)."""
+    return gap_report(config, [trial_gaps(config, t) for t in range(config.trials)])
 
 
 # --- exact omega-level counts ---
@@ -386,10 +392,7 @@ def erdos_style_refuter(
 # --- emitters ---
 
 def write_gaps_csv(gap_rows, path) -> None:
-    """gaps.csv from GAP_COLUMNS arrays: a report's gap_rows, or gap_columns
-    of per-trial arrays.  None (a report built without keep_gaps) raises."""
-    if gap_rows is None:
-        raise ValueError("report was built without keep_gaps=True")
+    """gaps.csv from GAP_COLUMNS arrays, such as a report's gap_rows."""
     write_csv(path, GAP_COLUMNS, gap_rows)
 
 

@@ -111,12 +111,11 @@ class MomentReport:
 
 def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]:
     """The divisor moduli entering the range's indicator sum."""
-    r_k = params.range_level(k)
     t_cut = params.T
     if range_tag == "tiny":
         return params.tiny_primes
     if range_tag == "medium":
-        return tuple(p for p in primes_upto(int(r_k)) if params.w < p <= r_k)
+        return params.medium_primes(k)
     if range_tag == "large":
         return params.large_primes(k)
     if range_tag == "power":

@@ -40,11 +40,6 @@ class PrimeTable:
     primes: np.ndarray
     spf: np.ndarray
 
-    def is_prime(self, n: int) -> bool:
-        if not 2 <= n <= self.limit:
-            raise ValueError("is_prime query outside table limit")
-        return int(self.spf[n]) == n
-
 
 @dataclass(frozen=True)
 class Factorization:

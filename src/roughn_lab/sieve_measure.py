@@ -62,7 +62,6 @@ class SieveParams:
     k_max: int
     tiny_primes: tuple[int, ...] = field(init=False, repr=False)
     W: int = field(init=False, repr=False)
-    primorial_w: int = field(init=False, repr=False)
     R_values: tuple[float, ...] = field(init=False, repr=False)
     T: float = field(init=False, repr=False)
     theta: float = field(init=False, repr=False)
@@ -92,12 +91,8 @@ class SieveParams:
         W = 1
         for p in tiny:
             W *= p**self.a
-        primorial = 1
-        for p in tiny:
-            primorial *= p
         object.__setattr__(self, "tiny_primes", tiny)
         object.__setattr__(self, "W", W)
-        object.__setattr__(self, "primorial_w", primorial)
         rs = tuple(
             max(float(self.w), float(self.x) ** (self.c / float(k) ** self.gamma))
             for k in range(1, self.K + 1)
@@ -130,7 +125,8 @@ class SieveParams:
         return self.R(k) if k <= self.K else float(self.w)
 
     def medium_primes(self, k: int) -> tuple[int, ...]:
-        r = self.R(k)
+        """The primes in (w, R_k], with R_k read from range_level."""
+        r = self.range_level(k)
         return tuple(p for p in primes_upto(int(r)) if self.w < p <= r)
 
     def large_primes(self, k: int) -> tuple[int, ...]:

@@ -140,6 +140,22 @@ def test_gap_report_writes_null_for_empty_trials(tmp_path, monkeypatch):
         1 for m in rep["max_ratios"] if m is not None and m <= 1.5)
 
 
+def test_cramer_gaps_report_is_the_library_report(tmp_path, monkeypatch):
+    monkeypatch.setattr(ch, "GAP_N", 2000)
+    monkeypatch.setattr(ch, "GAP_TRIALS", 20)
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path / "cli"), "--seed", "7",
+                    "--checkpoint-secs", "0"]) == 0
+    rep = cramer_models.simulate_gaps(
+        cramer_models.CramerConfig(rate="log", N=2000, trials=20, seed=7))
+    got = read_strict_json(tmp_path / "cli" / "gap_report.json")
+    assert got["max_ratios"] == [None if math.isnan(m) else m for m in rep.max_ratios]
+    assert got["mean_gap"] == rep.mean_gap
+    assert got["gap_count"] == rep.gap_count
+    assert got["warmup"] == rep.warmup
+    cramer_models.write_gaps_csv(rep.gap_rows, tmp_path / "lib.csv")
+    assert (tmp_path / "cli" / "gaps.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 def test_write_json_refuses_nan_before_writing(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError):
@@ -317,6 +333,19 @@ def test_resume_with_altered_seed_refuses(toy_file, tmp_path, capsys):
                   "--seed", "4", "--resume", str(tmp_path / ch.CHECKPOINT_NAME)])
     assert rc == 2
     assert "refusing to resume" in capsys.readouterr().err
+
+
+def test_resume_under_other_gap_size_refuses(tmp_path, monkeypatch, capsys):
+    # trial lengths are free, so only the fingerprint tells the two sizes apart
+    monkeypatch.setattr(ch, "GAP_N", 1000)
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
+    monkeypatch.setattr(ch, "GAP_N", 2000)
+    rc = ch.main(["cramer-gaps", "--out", str(tmp_path), "--resume",
+                  str(tmp_path / ch.CHECKPOINT_NAME)])
+    assert rc == 2
+    assert "refusing to resume" in capsys.readouterr().err
+    assert read_strict_json(tmp_path / "gap_report.json")["partial"] is True
+    assert not (tmp_path / "gaps.csv").exists()
 
 
 def test_resume_under_other_subcommand_refuses(toy_file, tmp_path):
@@ -565,12 +594,24 @@ def test_roundtrip_rejects_non_checkpointable(tmp_path):
         checkpoint_roundtrip("sample", tmp_path, [1])
 
 
-def test_fingerprint_separates_configs():
-    a = ch.config_fingerprint("sieve-scan", 0, "x = 100")
-    b = ch.config_fingerprint("sieve-scan", 1, "x = 100")
-    c = ch.config_fingerprint("record-search", 0, "x = 100")
-    d = ch.config_fingerprint("sieve-scan", 0, "x = 200")
-    assert len({a, b, c, d}) == 4
+def test_fingerprint_separates_configs(monkeypatch):
+    def fingerprint():
+        return ch.config_fingerprint("sieve-scan", 0, "x = 100")
+
+    prints = [fingerprint(),
+              ch.config_fingerprint("sieve-scan", 1, "x = 100"),
+              ch.config_fingerprint("record-search", 0, "x = 100"),
+              ch.config_fingerprint("sieve-scan", 0, "x = 200")]
+    # the code version and every constant that sizes a run's chunks
+    for name, value in (("__version__", "0.0.0"), ("SAMPLE_COUNT", 10**4),
+                        ("GAP_N", 10**4), ("GAP_TRIALS", 10),
+                        ("_FAST_BUMP", dict(ch._FAST_BUMP, t_points=401)),
+                        ("SCAN_CHUNKS", 8), ("RECORD_CHUNKS", 8)):
+        with monkeypatch.context() as patch:
+            patch.setattr(ch, name, value)
+            prints.append(fingerprint())
+    assert fingerprint() == prints[0]
+    assert len(set(prints)) == len(prints) == 11
 
 
 def test_two_full_runs_byte_identical(toy_file, tmp_path):
