@@ -246,15 +246,17 @@ def partition_sum_G(s3: int, R: float) -> float:
         raise ValueError("s3 must be >= 1")
     if s3 > 10:
         raise BudgetExceededError("partition enumeration is capped at s3 <= 10")
-    if not R > 2:
-        raise ValueError("R must exceed 2")
+    if not (R > 2 and math.isfinite(R)):
+        raise ValueError("R must be finite and exceed 2")
     R_frac = Fraction(R)
+    # the factor of a block of size b, 2^(2b+1) / R^(2b-1), built once per size
+    factor = [None] + [Fraction(2 ** (2 * b + 1)) / R_frac ** (2 * b - 1)
+                       for b in range(1, s3 + 1)]
     direct = Fraction(0)
     for part in _set_partitions(s3):
         term = Fraction(1)
         for block in part:
-            b = len(block)
-            term *= Fraction(2 ** (2 * b + 1)) / R_frac ** (2 * b - 1)
+            term *= factor[len(block)]
         direct += term
     # EGF route: exp of the block series, truncated at degree s3
     f = [Fraction(0)] * (s3 + 1)
@@ -298,21 +300,10 @@ def rho_r(alphas: Sequence[float]) -> float:
         raise ValueError(f"at most {len(_SIMPLEX_PRIMES)} coordinates supported")
     log_val = 0.0
     for a, q in zip(alphas, _SIMPLEX_PRIMES):
-        if a <= 0:
+        if not a > 0:
             raise ValueError("simplex coordinates must be positive")
         log_val += a * math.log(32.0 / (a * q**5))
     return math.exp(log_val)
-
-
-def _ordered_compositions(total: int, parts: int, minimum: int):
-    """Nondecreasing positive integer tuples of the given length and sum."""
-    if parts == 1:
-        if total >= minimum:
-            yield (total,)
-        return
-    for first in range(minimum, total // parts + 1):
-        for rest in _ordered_compositions(total - first, parts - 1, first):
-            yield (first,) + rest
 
 
 def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
@@ -320,6 +311,12 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
 
     The ordering constraint matters: without it the product is maximized at
     lopsided points that load mass on the smallest prime.
+
+    Points are the nondecreasing compositions of `grid` into r parts, in
+    lexicographic order, and a tie goes to the first point with the largest
+    math.exp(log rho_r).  The last two coordinates are one numpy vector per
+    prefix, summed term by term in rho_r's order, so every log is rho_r's
+    float; only logs within 1e-9 of a vector's largest can tie its exp.
     """
     if not 1 <= r <= 6:
         raise ValueError("r must lie in [1, 6]")
@@ -328,14 +325,33 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
     if r == 1:
         val = rho_r((1.0,))
         return SimplexReport(1, grid, (1.0,), val, val, 0.0)
+    # terms[i][c]: the summand rho_r adds for alpha_i = c / grid (index 0 unused)
+    terms = [[0.0] + [(c / grid) * math.log(32.0 / ((c / grid) * q**5))
+                      for c in range(1, grid + 1)]
+             for q in _SIMPLEX_PRIMES[:r]]
+    second, last = np.array(terms[r - 2]), np.array(terms[r - 1])
     best_val = -math.inf
-    best_alpha = None
-    for comp in _ordered_compositions(grid, r, 1):
-        alphas = tuple(c / grid for c in comp)
-        val = rho_r(alphas)
-        if val > best_val:
-            best_val = val
-            best_alpha = alphas
+    best_comp = None
+
+    def walk(i: int, rest: int, minimum: int, acc: float, prefix: tuple) -> None:
+        nonlocal best_val, best_comp
+        if i < r - 2:
+            for first in range(minimum, rest // (r - i) + 1):
+                walk(i + 1, rest - first, first, acc + terms[i][first], prefix + (first,))
+            return
+        # c runs over minimum..rest//2 and the last coordinate is rest - c
+        top = rest // 2
+        if top < minimum:
+            return
+        logs = (acc + second[minimum:top + 1]) + last[rest - top:rest - minimum + 1][::-1]
+        for j in np.flatnonzero(logs >= logs.max() - 1e-9).tolist():
+            val = math.exp(logs[j])
+            if val > best_val:
+                best_val = val
+                best_comp = prefix + (minimum + j, rest - minimum - j)
+
+    walk(0, grid, 1, 0.0, ())
+    best_alpha = tuple(c / grid for c in best_comp)
     uniform = tuple(1.0 / r for _ in range(r))
     return SimplexReport(
         r=r,

@@ -2,14 +2,19 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from roughn_lab import moments_concentration
 from roughn_lab.bump_functions import make_bump
 from roughn_lab.errors import BudgetExceededError, NumericFailureError
 from roughn_lab.moments_concentration import (
     MomentReport,
+    SimplexReport,
     build_stirling_table,
     chebyshev_tail,
     exact_centered_moment,
@@ -80,6 +85,34 @@ def partitions_by_growth_string(n: int):
 
 def stirling_by_enumeration(s: int, t: int) -> int:
     return sum(1 for part in partitions_by_growth_string(s) if len(part) == t)
+
+
+def ordered_compositions(total: int, parts: int, minimum: int):
+    """Nondecreasing positive integer tuples of the given length and sum,
+    in lexicographic order."""
+    if parts == 1:
+        if total >= minimum:
+            yield (total,)
+        return
+    for first in range(minimum, total // parts + 1):
+        for rest in ordered_compositions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def simplex_search_by_enumeration(r: int, grid: int) -> SimplexReport:
+    """rho_r at every grid point of the ordered simplex, one call per point;
+    the first point with the largest value wins."""
+    best_val = -math.inf
+    best_alpha = None
+    for comp in ordered_compositions(grid, r, 1):
+        alphas = tuple(c / grid for c in comp)
+        val = rho_r(alphas)
+        if val > best_val:
+            best_val = val
+            best_alpha = alphas
+    uniform = tuple(1.0 / r for _ in range(r))
+    return SimplexReport(r, grid, best_alpha, best_val, rho_r(uniform),
+                         max(abs(a - 1.0 / r) for a in best_alpha))
 
 
 def trial_big_omega(m: int) -> int:
@@ -180,6 +213,8 @@ def test_partition_sum_budget_and_domain():
         partition_sum_G(2, 2.0)
     with pytest.raises(ValueError):
         partition_sum_G(0, 10.0)
+    with pytest.raises(ValueError):
+        partition_sum_G(2, math.inf)
 
 
 # --- simplex maximization ---
@@ -217,6 +252,33 @@ def test_rho_domain_checks():
         rho_r_maximize(7)
     with pytest.raises(ValueError):
         rho_r((0.0, 1.0))
+    with pytest.raises(ValueError):
+        rho_r((math.nan, 1.0))
+
+
+@settings(deadline=None, derandomize=True, database=None)
+@given(st.integers(2, 6).flatmap(lambda r: st.tuples(st.just(r), st.integers(r, 80))))
+def test_simplex_search_matches_enumeration(case):
+    r, grid = case
+    rep = rho_r_maximize(r, grid)
+    want = simplex_search_by_enumeration(r, grid)
+    assert rep.argmax == want.argmax
+    assert rep.max_value == want.max_value
+    assert repr(rep) == repr(want)
+
+
+def test_simplex_tie_goes_to_the_first_point(monkeypatch):
+    # no real grid has two points whose rho_r round to the same float, so the
+    # tie rule is checked on a flat rho_r: with log patched to 0 every point
+    # ties, and the first composition in enumeration order must win
+    flat = SimpleNamespace(**vars(math))
+    flat.log = lambda x: 0.0
+    monkeypatch.setattr(moments_concentration, "math", flat)
+    for r in range(2, 7):
+        for grid in (r, r + 1, 17, 40):
+            rep = rho_r_maximize(r, grid)
+            assert rep.argmax == tuple(c / grid for c in (1,) * (r - 1) + (grid - r + 1,))
+            assert rep == simplex_search_by_enumeration(r, grid)
 
 
 # --- moments over the toy table ---
