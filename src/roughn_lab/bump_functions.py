@@ -10,6 +10,13 @@ All integrals are composite Simpson on uniform grids.  The base bump is flat
 to every order at the edge of its support, so these quadratures converge
 faster than any power of the step; the self-checks below measure that rather
 than assume it.
+
+c0's two routes are diagonal sums, not full matrices.  The time route samples
+the base once per residue of its refinement.  The frequency route uses that
+the kernel 1 - (2+2tt')/(4+(t+t')^2) equals (2+t^2+t'^2)/(4+(t+t')^2) and that
+on the uniform t grid t_i + t_j depends on i+j only.  Their sums run through
+correlate_fixed and 1-D einsum, never BLAS, so c0's bytes do not move with the
+BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -176,12 +183,31 @@ def make_bump(
     return spec
 
 
+def correlate_fixed(seq, w, count):
+    """out[i] = sum_k seq[i+k] * w[k] for i < count.
+
+    numpy's own sum-of-products loop over a sliding-window view, with no BLAS
+    call, so the bytes do not depend on the BLAS build, its thread count or
+    the arrays' alignment.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(seq, len(w))[:count]
+    return np.einsum("ij,j->i", windows, np.ascontiguousarray(w))
+
+
 def _eta_hat_from_samples(ts, u_grid, eta_samples, h, chunk=256):
+    """(1/2pi) * Simpson sum of eta(u) cos(tu) over u_grid.
+
+    eta is even and u_grid symmetric about its middle point, so the u < 0
+    half is folded onto u > 0 and the cosines are taken over u >= 0 only.
+    """
     wu = simpson_weights(len(u_grid), h) * eta_samples
+    mid = len(u_grid) // 2
+    folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
+    u_pos = u_grid[mid:]
     out = np.empty(len(ts))
     for a in range(0, len(ts), chunk):
         block = np.asarray(ts[a : a + chunk])
-        out[a : a + chunk] = np.cos(np.outer(block, u_grid)) @ wu
+        out[a : a + chunk] = np.einsum("ij,j->i", np.cos(np.outer(block, u_pos)), folded)
     return out / (2.0 * np.pi)
 
 
@@ -251,21 +277,42 @@ class C0Result:
 
 
 def _time_route(spec: BumpSpec, refine: int) -> float:
-    """integral over [0,1] of eta_tilde'(u)^2 with step h/refine."""
+    """integral over [0,1] of eta_tilde'(u)^2 with step h/refine.
+
+    For u_j = j*h/refine with j = q*refine + r, u_j + b_k lies on the base
+    grid shifted by u_r: u_r - 1/2 + (q+k)*h.  So each residue r samples the
+    base and its derivative once on that shifted grid, and eta, eta' at its
+    u's are correlations with the base weights.
+    """
     n = (spec.grid_points - 1) // 2 * refine + 1
     us = np.linspace(0.0, 1.0, n)
-    vals = eta_tilde_prime(us, spec)
-    return float(simpson_weights(n, us[1] - us[0]) @ (vals * vals))
+    diff = np.empty(n)  # eta' - eta
+    for r in range(refine):
+        count = len(range(r, n, refine))
+        xs = us[r] - BASE_HALF_WIDTH + spec.h * np.arange(count + len(spec.base_weights) - 1)
+        eta_r = correlate_fixed(spec.base(xs), spec.base_weights, count) / spec.norm
+        eta_p = correlate_fixed(spec.base_prime(xs), spec.base_weights, count) / spec.norm
+        diff[r::refine] = eta_p - eta_r
+    diff[us >= 1.0] = 0.0  # as eta_value: eta vanishes at |u| >= 1
+    vals = np.exp(-us) * diff
+    return float(np.einsum("i,i->", simpson_weights(n, us[1] - us[0]), vals * vals))
 
 
-def _freq_route(ts, hs, ht, chunk=512) -> float:
-    wh = simpson_weights(len(ts), ht) * hs
-    total = 0.0
-    for a in range(0, len(ts), chunk):
-        ta = ts[a : a + chunk][:, None]
-        fac = 1.0 - (2.0 + 2.0 * ta * ts[None, :]) / (4.0 + (ta + ts[None, :]) ** 2)
-        total += float(wh[a : a + chunk] @ (fac @ wh))
-    return total
+def _freq_route(ts, hs, ht) -> float:
+    """The double Simpson sum of (1 - (2+2tt')/(4+(t+t')^2)) eta_hat(t) eta_hat(t').
+
+    The kernel equals (2+t^2+t'^2)/(4+(t+t')^2), and (2+t^2+t'^2) =
+    (1+t^2) + (1+t'^2), so by the t <-> t' symmetry the sum is
+    2 * sum_{i,j} (1+t_i^2) wh_i wh_j g(t_i + t_j) with g(s) = 1/(4+s^2).
+    On the uniform t grid t_i + t_j = 2*t_0 + (i+j)*ht depends on i+j only:
+    the sum is 2 * sum_k g(s_k) c_k with c = conv((1+t^2) wh, wh).
+    """
+    n = len(ts)
+    wh = simpson_weights(n, ht) * hs
+    pad = np.zeros(n - 1)
+    c = correlate_fixed(np.concatenate([pad, (1.0 + ts * ts) * wh, pad]), wh[::-1], 2 * n - 1)
+    s = 2.0 * ts[0] + ht * np.arange(2 * n - 1)
+    return 2.0 * float(np.einsum("i,i->", 1.0 / (4.0 + s * s), c))
 
 
 def c0_compute(spec: BumpSpec) -> C0Result:

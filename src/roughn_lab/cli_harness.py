@@ -495,6 +495,8 @@ _HANDLERS: dict[str, Callable[[RunConfig, str], int]] = {
     "record-search": _cmd_record_search,
 }
 SUBCOMMANDS = tuple(_HANDLERS)
+# the subcommands that run as chunk sequences and so take --resume and --max-chunks
+CHUNKED_SUBCOMMANDS = ("sieve-scan", "record-search", "cramer-gaps")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -512,9 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "single-process")
     parser.add_argument("--checkpoint-secs", type=int, default=300,
                         help="write a checkpoint after this many seconds (0 disables)")
-    parser.add_argument("--resume", help="resume from a checkpoint file")
+    parser.add_argument("--resume", help="resume from a checkpoint file (chunked subcommands)")
     parser.add_argument("--max-chunks", type=int, default=None,
-                        help="stop after N chunks with a checkpoint (exit 3)")
+                        help="stop after N chunks with a checkpoint (exit 3; chunked subcommands)")
     return parser
 
 
@@ -528,6 +530,10 @@ def main(argv=None) -> int:
             parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
         if args.max_chunks is not None and args.max_chunks < 0:
             parser.error(f"--max-chunks must be >= 0, got {args.max_chunks}")
+        if args.subcommand not in CHUNKED_SUBCOMMANDS:
+            for flag, value in (("--resume", args.resume), ("--max-chunks", args.max_chunks)):
+                if value is not None:
+                    parser.error(f"{flag} applies only to {', '.join(CHUNKED_SUBCOMMANDS)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     seed = args.seed

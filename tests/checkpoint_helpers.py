@@ -10,7 +10,7 @@ from typing import Optional
 
 from roughn_lab import cli_harness as ch
 
-CHECKPOINTABLE = ("sieve-scan", "record-search", "cramer-gaps")
+CHECKPOINTABLE = ch.CHUNKED_SUBCOMMANDS
 
 
 def checkpoint_roundtrip(

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
+from roughn_lab import cli_harness as ch
 from roughn_lab.bump_functions import (
+    _eta_hat_from_samples,
+    _freq_route,
+    _symmetric_t_grid,
+    _time_route,
     c0_compute,
     decay_profile,
     eta_hat,
@@ -47,6 +52,43 @@ def filon_cos_oracle(f, a, b, t, n_half):
     ce = fx[::2] @ np.cos(t * x[::2]) - 0.5 * (fx[-1] * np.cos(t * b) + fx[0] * np.cos(t * a))
     co = fx[1::2] @ np.cos(t * x[1::2])
     return h * (alpha * (fx[-1] * np.sin(t * b) - fx[0] * np.sin(t * a)) + beta * ce + gamma * co)
+
+
+def time_route_oracle(spec, refine):
+    """integral over [0,1] of eta_tilde'(u)^2 with step h/refine, through
+    eta_tilde_prime at every point: the full u x base-grid matrix."""
+    n = (spec.grid_points - 1) // 2 * refine + 1
+    us = np.linspace(0.0, 1.0, n)
+    vals = eta_tilde_prime(us, spec)
+    return float(simpson_weights(n, us[1] - us[0]) @ (vals * vals))
+
+
+def freq_route_oracle(ts, hs, ht, chunk=512):
+    """The frequency-side double sum with the kernel evaluated on the full
+    t x t' matrix, block by block."""
+    wh = simpson_weights(len(ts), ht) * hs
+    total = 0.0
+    for a in range(0, len(ts), chunk):
+        ta = ts[a : a + chunk][:, None]
+        fac = 1.0 - (2.0 + 2.0 * ta * ts[None, :]) / (4.0 + (ta + ts[None, :]) ** 2)
+        total += float(wh[a : a + chunk] @ (fac @ wh))
+    return total
+
+
+def eta_hat_oracle(ts, u_grid, eta_samples, h, chunk=256):
+    """(1/2pi) * Simpson sum of eta(u) cos(tu) over the whole u grid."""
+    wu = simpson_weights(len(u_grid), h) * eta_samples
+    out = np.empty(len(ts))
+    for a in range(0, len(ts), chunk):
+        block = np.asarray(ts[a : a + chunk])
+        out[a : a + chunk] = np.cos(np.outer(block, u_grid)) @ wu
+    return out / (2.0 * np.pi)
+
+
+@pytest.fixture(scope="module", params=["default", "fast"])
+def any_spec(request, bump_spec):
+    """The full default bump and the reduced one the table builders use."""
+    return bump_spec if request.param == "default" else make_bump(**ch._FAST_BUMP)
 
 
 def test_eta_basic_values(bump_spec):
@@ -148,6 +190,31 @@ def test_c0_dual_routes(bump_spec):
     assert res.c0_time >= 1.0 - 1e-9
     assert abs(res.c0_time - res.c0_freq) <= res.combined_error()
     assert abs(res.c0_time - res.c0_freq) / res.c0_time <= 1e-6
+
+
+@pytest.mark.parametrize("refine", [1, 2, 3])
+def test_time_route_matches_full_grid_oracle(any_spec, refine):
+    got = _time_route(any_spec, refine)
+    want = time_route_oracle(any_spec, refine)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("grid", ["base", "coarse", "extended"])
+def test_freq_route_matches_full_matrix_oracle(any_spec, grid):
+    extend_to = 1.25 * any_spec.t_max if grid == "extended" else 0.0
+    ts, hs, ht = _symmetric_t_grid(any_spec, extend_to=extend_to)
+    if grid == "coarse":
+        ts, hs, ht = ts[::2], hs[::2], 2 * ht
+    got = _freq_route(ts, hs, ht)
+    want = freq_route_oracle(ts, hs, ht)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_eta_hat_fold_matches_full_grid_oracle(any_spec):
+    want = eta_hat_oracle(any_spec.t_grid, any_spec.u_grid, any_spec.eta, any_spec.h)
+    assert np.max(np.abs(any_spec.eta_hat_grid - want)) <= 1e-14
+    got = _eta_hat_from_samples(any_spec.t_grid, any_spec.u_grid, any_spec.eta, any_spec.h)
+    assert np.array_equal(got, any_spec.eta_hat_grid)
 
 
 def test_c0_freq_integrand_nonnegative(bump_spec):

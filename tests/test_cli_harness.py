@@ -271,6 +271,17 @@ def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", [s for s in ch.SUBCOMMANDS
+                                        if s not in ch.CHUNKED_SUBCOMMANDS])
+@pytest.mark.parametrize("flags", [["--resume", "/nonexistent/checkpoint.rlck"],
+                                   ["--max-chunks", "3"]], ids=["resume", "max-chunks"])
+def test_chunk_flags_outside_chunked_subcommands_exit_2(subcommand, flags, tmp_path, capsys):
+    rc = ch.main([subcommand, "--out", str(tmp_path)] + flags)
+    assert rc == 2
+    assert f"{flags[0]} applies only to" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_workers_flag_never_changes_output(toy_file, tmp_path):
     d1, d2 = tmp_path / "w1", tmp_path / "w4"
     for d, n in ((d1, "1"), (d2, "4")):

@@ -1,17 +1,26 @@
 """Golden bytes of the subcommands' outputs.
 
 Each case runs one subcommand on a fixed bundle and seed and compares the
-sha256 of every file it writes with a committed hash.  `c0` has no case: its
-eta_hat_profile.csv depends on the BLAS thread count.  Run-to-run identity
+sha256 of every file it writes with a committed hash.  Run-to-run identity
 cannot see drift between versions of the code; these hashes can.  A change
 that alters the bytes on purpose regenerates the hashes and says why in
 CHANGES.md.
+
+`c0` sums its quadratures with numpy's own loops, never through BLAS, so its
+bytes must not move with the BLAS thread count or kernel; the cross-environment
+test runs it in fresh processes under other BLAS settings, another hash seed
+and a longer output path, and holds each run to the same golden.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import roughn_lab
 from roughn_lab import cli_harness as ch
 
 BUNDLES = {
@@ -106,6 +115,11 @@ GOLDEN = {
         "gap_report.json": "e9ec7dfdef19e92f78db6f086816d1d63912c8fe4d83db266490a34d0da93fe4",
         "gaps.csv": "3315900064e9dc66d86299ff5c9bed14557a3ea04865fce95d076e107087d6cd",
     },
+    ("c0", None): {
+        "c0_report.json": "c806838fd5044b1e8e1a2ecbbd47b425cfe16ade7c3ab1a38f9de32066d518fc",
+        "eta_hat_profile.csv": "10debc465286af1fc9de831a61b4b094f5aba4f4599880e5b9ab6b99b1501c8a",
+        "eta_profile.csv": "f5f2e5c43456c59213d32e02bc4bb304aa437db83a1dc4af3dbf25266e8e0aba",
+    },
 }
 
 
@@ -123,3 +137,22 @@ def test_output_bytes_match_golden(subcommand, bundle, tmp_path, monkeypatch):
     assert ch.main(argv) == 0
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == GOLDEN[(subcommand, bundle)]
+
+
+@pytest.mark.parametrize("env, out_name", [
+    ({"OPENBLAS_NUM_THREADS": "2"}, "out"),
+    ({"OPENBLAS_CORETYPE": "Nehalem"}, "out"),
+    ({"PYTHONHASHSEED": "7"}, "a-much-longer-output-directory-name/" * 4 + "out"),
+], ids=["blas-2-threads", "blas-nehalem", "hashseed-long-out"])
+def test_c0_bytes_hold_across_environments(env, out_name, tmp_path):
+    src = str(Path(roughn_lab.__file__).resolve().parents[1])
+    child_env = {k: v for k, v in os.environ.items()
+                 if not k.startswith("OPENBLAS_") and k != ch.SEED_ENV_VAR}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
+    child_env.update(env)
+    out = tmp_path / out_name
+    subprocess.run([sys.executable, "-m", "roughn_lab", "c0", "--out", str(out)],
+                   env=child_env, check=True, timeout=300)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN[("c0", None)]
