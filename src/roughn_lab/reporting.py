@@ -3,21 +3,46 @@
 All real numbers are written with 17 significant digits and a '.' decimal
 separator so that repeated runs produce byte-identical files.  A CSV is
 written column by column: each column is classified and checked once, so a
-non-finite value is refused before the file is opened, and the rows are then
-formatted a block at a time.  Every file is written through a sibling
-temporary file and renamed into place, so a crash mid-write never leaves a
-half-written report.
+non-finite value is refused before the file is opened.  The rows are then
+written a block at a time, and numpy makes each block's bytes.  Each column
+of the block becomes a byte matrix with one column per cell: row i holds
+byte i of every cell, and 0xFF, a byte UTF-8 never uses, stands where a cell
+has no byte i.  The matrices are laid side by side, transposed, with a
+separator after each, and the block's bytes are the others in row order.
+
+Integer cells get their digits from repeated division by 10.  Float cells
+get '%.17g''s digits exactly: the decade k of |x| from a log10 estimate
+corrected by exact comparison with a double-double table of powers of ten,
+then D = round(|x| * 10^(16-k)) from Dekker's exact product of x with the
+table entry for 10^(16-k), whose error is far below the distance of D from a
+rounding tie.  Cells close to a tie, and magnitudes outside the table's
+range, are formatted by Python one by one.  Any other column (bools,
+strings, mixed cells, Python sequences) is format_cell's strings.  Every
+file is written through a sibling temporary file and renamed into place, so
+a crash mid-write never leaves a half-written report.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 from contextlib import contextmanager
 
 import numpy as np
 
-CSV_BLOCK_ROWS = 1 << 14
+CSV_BLOCK_ROWS = 1 << 13
+
+# The float kernel handles the doubles 1e-150 <= |x| < 1e150, whose decades k
+# lie in [-151, 150]; its table holds 10^e for e in POW10_RANGE, inclusive,
+# which covers the decade checks at floor(log10 |x|) and one above, and the
+# scales 10^(16-k).
+FAST_DECADES = (-150, 150)
+POW10_RANGE = (FAST_DECADES[0] - 1, 17 - FAST_DECADES[0])
+TIE_MARGIN = 2.0**-30  # fall back within this distance of a 17th-digit tie
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's splitter for 53-bit doubles
+_ZERO, _POINT, _MINUS, _PLUS, _E = b"0.-+e"
+_SKIP = 0xFF  # marks a byte position a cell does not use; UTF-8 never has it
 
 
 @contextmanager
@@ -52,29 +77,208 @@ def format_cell(v) -> str:
     return str(v)
 
 
-def _csv_column(column):
-    """The %-format of one CSV column and the cells it applies to.
+def _veltkamp(v):
+    """v split into two halves of at most 26 significant bits each."""
+    c = _SPLIT * v
+    high = c - (c - v)
+    return high, v - high
 
-    Integers take '%d' and finite floats '%.17g', which print what
-    format_cell prints for each cell; any other column (bools, strings,
-    mixed types) becomes format_cell's strings under '%s'.
+
+@functools.cache
+def pow10_table():
+    """10^e for e in POW10_RANGE as double-doubles: hi, the double nearest
+    10^e, and lo, the double nearest 10^e - hi; then hi's Veltkamp halves.
+
+    int/int true division is correctly rounded, so each entry is exact
+    Python-int arithmetic followed by one rounding."""
+    his, los = [], []
+    for e in range(POW10_RANGE[0], POW10_RANGE[1] + 1):
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        hi = num / den
+        p, q = hi.as_integer_ratio()
+        his.append(hi)
+        los.append((num * q - p * den) / (den * q))
+    hi, lo = np.array(his), np.array(los)
+    table = (hi, lo, *_veltkamp(hi))
+    for a in table:
+        a.flags.writeable = False
+    return table
+
+
+def _at_least_pow10(a, e):
+    """a >= 10^e, exactly, for doubles a > 0 and table exponents e."""
+    hi, lo = pow10_table()[:2]
+    h = hi[e - POW10_RANGE[0]]
+    return (a > h) | ((a == h) & (lo[e - POW10_RANGE[0]] <= 0))
+
+
+def float_digits(a):
+    """The 17 significant digits of doubles a >= 0, as '%.17g' rounds them.
+
+    Returns (D, k, slow): D is a * 10^(16-k) rounded half-even to an integer
+    with 10^16 <= D < 10^17 (D = 0 and k = 0 for a = 0), and slow marks the
+    cells this kernel cannot settle: those outside FAST_DECADES and those
+    within TIE_MARGIN of a tie.  D and k of slow cells are meaningless."""
+    hi, lo, hi_high, hi_low = pow10_table()
+    fast = (a >= 10.0 ** FAST_DECADES[0]) & (a < 10.0 ** FAST_DECADES[1])
+    x = np.where(fast, a, 1.0)
+    # floor(log10) is off by at most one next to a power of ten
+    k0 = np.floor(np.log10(x)).astype(np.intp)
+    k = k0 - 1 + _at_least_pow10(x, k0) + _at_least_pow10(x, k0 + 1)
+    i = 16 - k - POW10_RANGE[0]
+    # Dekker's TwoProduct: p + err == x * hi[i] exactly
+    p = x * hi[i]
+    x_high, x_low = _veltkamp(x)
+    err = ((x_high * hi_high[i] - p) + x_high * hi_low[i] + x_low * hi_high[i]) \
+        + x_low * hi_low[i]
+    # x * 10^(16-k) - p, with an error below 2^-47; p is an integer >= 2^53
+    rest = err + x * lo[i]
+    up = np.rint(rest)
+    slow = ~fast & (a != 0)
+    slow |= np.abs(np.abs(rest - up) - 0.5) < TIE_MARGIN
+    d = p.astype(np.int64) + up.astype(np.int64)
+    carry = d == 10**17
+    d[carry] = 10**16
+    k += carry
+    zero = a == 0
+    d[zero] = 0
+    k[zero] = 0
+    return d, k, slow
+
+
+def _float_cells(x):
+    """'%.17g' of finite float64 cells as a byte matrix, one column per cell.
+
+    Rows 1-22 hold 21 digits, four zeros and then D's 17, with a point
+    inserted after digit q; a cell prints digits first..last.  Fixed notation
+    (-4 <= k < 17) puts the point after the units digit, q = 4 + k, and
+    starts at D's first digit or at the zero before the point; exponential
+    notation puts it after D's first digit and writes the exponent after the
+    last digit.  Trailing zeros and a bare point are left out.  Row 0 holds
+    a sign; rows 23-27 take the longest exponents."""
+    n = len(x)
+    d, k, slow = float_digits(np.abs(x))
+    # digits[1 + i] is digit i; a spare row at each end serves the shift
+    digits = np.zeros((23, n), np.uint8)
+    significant = np.full(n, 17, np.uint8)  # D's 17 less its trailing zeros
+    trailing = np.ones(n, bool)
+    for row in range(21, 4, -1):
+        quotient = d // 10
+        digits[row] = d - 10 * quotient
+        trailing &= digits[row] == 0
+        significant -= trailing
+        d = quotient
+    digits += _ZERO
+    fixed = (k >= -4) & (k < 17)
+    q = np.where(fixed, 4 + k, 4).astype(np.uint8)
+    first = np.minimum(q, 4)
+    last = np.maximum(np.maximum(significant, 1) + 3, q)  # a zero prints one digit
+    point = last > q
+    out = np.empty((28, n), np.uint8)
+    out[0] = out[23:] = _SKIP
+    i = np.arange(22, dtype=np.uint8)[:, None]  # digit or point position
+    straight, shifted = digits[1:], digits[:-1]
+    body = out[1:23]
+    np.add(shifted, (i <= q) * (straight - shifted), out=body)
+    body += (i == q + 1) * (np.uint8(_POINT) - body)
+    body |= ((i < first) | (i > last + point)) * np.uint8(_SKIP)
+    minus = np.flatnonzero(np.signbit(x))
+    out[first[minus], minus] = _MINUS
+    sci = np.flatnonzero(~fixed)
+    if len(sci):
+        at = last[sci].astype(np.intp) + point[sci] + 2
+        e = k[sci]
+        mag = np.abs(e)
+        three = mag >= 100
+        out[at, sci] = _E
+        out[at + 1, sci] = np.where(e < 0, _MINUS, _PLUS)
+        out[at + 2, sci] = _ZERO + np.where(three, mag // 100, mag // 10 % 10)
+        out[at + 3, sci] = _ZERO + np.where(three, mag // 10 % 10, mag % 10)
+        out[at[three] + 4, sci[three]] = _ZERO + mag[three] % 10
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        text = _text_matrix([format_real(v).encode() for v in x[slow].tolist()])
+        out[:, slow] = _SKIP
+        out[:text.shape[1], slow] = text.T
+    return out
+
+
+def _int_cells(x):
+    """'%d' of integer cells as a byte matrix, one column per cell.
+
+    The digits of |x| are right-aligned below a sign row; uint64 holds the
+    magnitude of every int64 and uint64 value."""
+    n = len(x)
+    neg = x < 0
+    mag = x.astype(np.uint64)
+    np.negative(mag, out=mag, where=neg)
+    width = len(str(int(mag.max()))) if n else 1
+    out = np.empty((width + 1, n), np.uint8)
+    out[0] = _SKIP
+    length = np.ones(n, np.intp)
+    for row in range(width, 0, -1):
+        quotient = mag // 10
+        out[row] = mag - 10 * quotient
+        out[row] += _ZERO
+        if row < width:  # above the units, nothing left of |x| is a leading zero
+            out[row] |= (mag == 0) * np.uint8(_SKIP)
+            length += mag != 0
+        mag = quotient
+    minus = np.flatnonzero(neg)
+    out[width - length[minus], minus] = _MINUS
+    return out
+
+
+def _text_matrix(cells):
+    """Byte strings as rows of a byte matrix, padded with _SKIP."""
+    lengths = np.fromiter(map(len, cells), np.intp, len(cells))
+    width = max(int(lengths.max()) if len(cells) else 0, 1)
+    text = np.array(cells, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
+    text[np.arange(width) >= lengths[:, None]] = _SKIP
+    return text
+
+
+def _csv_column(column):
+    """Check one CSV column; return its length and a function from a row
+    range [lo, hi) to those cells' byte matrix (see _block_bytes).
+
+    Integer arrays take '%d' and float16/32/64 arrays '%.17g', which print
+    what format_cell prints for each tolist() cell; any other column (bools,
+    strings, mixed cells, Python sequences) is format_cell's strings.
     """
     if isinstance(column, np.ndarray):
         if column.ndim != 1:
             raise ValueError("a CSV column must be one-dimensional")
         if column.dtype.kind in "iu":
-            return "%d", column
+            return len(column), lambda lo, hi: _int_cells(column[lo:hi])
         if column.dtype.kind == "f":
+            if column.dtype.type not in (np.float16, np.float32, np.float64):
+                raise ValueError(f"refusing a {column.dtype} column: only float16, "
+                                 "float32 and float64 print as format_cell does")
             if not np.isfinite(column).all():
                 raise ValueError("refusing to write a non-finite value")
-            return "%.17g", column
+            return len(column), lambda lo, hi: _float_cells(
+                np.asarray(column[lo:hi], dtype=np.float64))
         column = column.tolist()
-    kinds = set(map(type, column))
-    if kinds <= {int}:
-        return "%d", column
-    if kinds == {float}:
-        return _csv_column(np.array(column, dtype=np.float64))
-    return "%s", [format_cell(v) for v in column]
+    text = _text_matrix([format_cell(v).encode() for v in column])
+    return len(text), lambda lo, hi: text[lo:hi].T
+
+
+def _block_bytes(cells) -> bytes:
+    """One block of CSV rows from its columns' byte matrices.
+
+    Row i of a column's matrix holds byte i of each of its cells, and _SKIP
+    where a cell has no byte i; each cell's bytes are contiguous.  UTF-8
+    never uses the byte _SKIP, so the kept bytes are the others."""
+    n = cells[0].shape[1]
+    block = np.empty((n, sum(len(m) + 1 for m in cells)), np.uint8)
+    at = 0
+    for j, matrix in enumerate(cells):
+        block[:, at:at + len(matrix)] = matrix.T
+        at += len(matrix)
+        block[:, at] = ord("\n" if j == len(cells) - 1 else ",")
+        at += 1
+    return block[block != _SKIP].tobytes()
 
 
 def write_csv(path, header, columns) -> None:
@@ -82,27 +286,21 @@ def write_csv(path, header, columns) -> None:
 
     A column is a numpy array or a sequence of cells; an array's cells are
     its tolist() values.  The bytes are those of format_cell applied to
-    every cell.  Every column is checked before the file is opened, and the
-    rows are written CSV_BLOCK_ROWS at a time.
+    every cell, in UTF-8.  Every column is checked before the file is
+    opened, and the rows are written CSV_BLOCK_ROWS at a time.
     """
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names but {len(columns)} columns")
     checked = [_csv_column(column) for column in columns]
-    lengths = {len(cells) for _, cells in checked}
+    lengths = {n for n, _ in checked}
     if len(lengths) > 1:
         raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
     n_rows = lengths.pop() if lengths else 0
-    width = len(checked)
-    row = ",".join(fmt for fmt, _ in checked) + "\n"
-    with replace_on_success(path) as fh:
-        fh.write(",".join(header) + "\n")
+    with replace_on_success(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
         for lo in range(0, n_rows, CSV_BLOCK_ROWS):
             hi = min(lo + CSV_BLOCK_ROWS, n_rows)
-            flat = [None] * ((hi - lo) * width)
-            for j, (_, cells) in enumerate(checked):
-                part = cells[lo:hi]
-                flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
-            fh.write(row * (hi - lo) % tuple(flat))
+            fh.write(_block_bytes([cells(lo, hi) for _, cells in checked]))
 
 
 def columns_of(rows, width: int) -> list:

@@ -1,6 +1,9 @@
-"""The column-wise CSV writer against a per-cell oracle."""
+"""The column-wise CSV writer against a per-cell oracle, the earlier
+one-'%'-per-block writer, and '%.17g' on the float kernel's hard cases."""
 
+import random
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -9,8 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from roughn_lab import cli_harness as ch
 from roughn_lab import reporting
-from roughn_lab.reporting import columns_of, format_cell, write_csv
+from roughn_lab.cramer_models import GAP_COLUMNS, CramerConfig, gap_report, trial_gaps
+from roughn_lab.reporting import columns_of, float_digits, format_cell, write_csv
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
@@ -33,6 +38,45 @@ def oracle(header, columns) -> str:
     lines = [",".join(header)]
     lines += [",".join(format_cell(v) for v in row) for row in zip(*cells)]
     return "\n".join(lines) + "\n"
+
+
+def percent_column(column):
+    """The %-format of one CSV column and the cells it applies to: '%d' for
+    integers, '%.17g' for finite floats, format_cell's strings under '%s'."""
+    if isinstance(column, np.ndarray):
+        if column.ndim != 1:
+            raise ValueError("a CSV column must be one-dimensional")
+        if column.dtype.kind in "iu":
+            return "%d", column
+        if column.dtype.kind == "f":
+            if not np.isfinite(column).all():
+                raise ValueError("refusing to write a non-finite value")
+            return "%.17g", column
+        column = column.tolist()
+    kinds = set(map(type, column))
+    if kinds <= {int}:
+        return "%d", column
+    if kinds == {float}:
+        return percent_column(np.array(column, dtype=np.float64))
+    return "%s", [format_cell(v) for v in column]
+
+
+def percent_oracle(header, columns, block_rows=1 << 14) -> str:
+    """The earlier writer: one '%' operation per block of rows.  '%.17g' and
+    format(v, '.17g') share CPython's float-to-string routine."""
+    checked = [percent_column(column) for column in columns]
+    n_rows = len(checked[0][1]) if checked else 0
+    width = len(checked)
+    row = ",".join(fmt for fmt, _ in checked) + "\n"
+    parts = [",".join(header) + "\n"]
+    for lo in range(0, n_rows, block_rows):
+        hi = min(lo + block_rows, n_rows)
+        flat = [None] * ((hi - lo) * width)
+        for j, (_, cells) in enumerate(checked):
+            part = cells[lo:hi]
+            flat[j::width] = part.tolist() if isinstance(part, np.ndarray) else part
+        parts.append(row * (hi - lo) % tuple(flat))
+    return "".join(parts)
 
 
 def column(n: int):
@@ -90,4 +134,146 @@ def test_columns_of_rows_writes_the_rows(tmp_path, rows):
 def test_misshapen_columns_are_refused_before_writing(tmp_path, header, columns):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", header, columns)
+    assert list(tmp_path.iterdir()) == []
+
+
+# --- full-size tables against the earlier writer ---
+
+MEASURE_BUNDLE = "x = 30000000\nK = 1\nw = 7\nc = 0.3\ngamma = 1\n"
+
+
+def default_gap_columns():
+    """gaps.csv's columns at cramer-gaps' default size, seed 7."""
+    config = CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS, seed=7)
+    return list(gap_report(config, [trial_gaps(config, t)
+                                    for t in range(config.trials)]).gap_rows)
+
+
+def measure_weight_columns():
+    """weights.csv's columns at the benchmark's measure bundle."""
+    _, _, table = ch._table_setup(MEASURE_BUNDLE)
+    return [table.support, table.nu, np.cumsum(table.nu) / table.total]
+
+
+@pytest.mark.parametrize("header, make_columns", [
+    (GAP_COLUMNS, default_gap_columns),
+    (("n", "nu(n)", "cumulative-mass"), measure_weight_columns),
+], ids=["gaps", "weights"])
+def test_full_size_tables_match_percent_oracle(tmp_path, header, make_columns):
+    columns = make_columns()
+    assert len(columns[0]) > 100_000
+    path = tmp_path / "t.csv"
+    write_csv(path, header, columns)
+    assert path.read_bytes() == percent_oracle(header, columns).encode()
+
+
+# --- the float kernel's hard cases against '%.17g' ---
+
+def written_floats(values, dtype=np.float64) -> str:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        write_csv(path, ["x"], [np.array(values, dtype=dtype)])
+        return path.read_text()
+
+
+def expected_floats(values) -> str:
+    return "x\n" + "".join("%.17g\n" % float(v) for v in values)
+
+
+def steps_around(x: float, steps: int = 2) -> list:
+    """x and up to `steps` neighbouring doubles on either side, both signs."""
+    out, down, up = [x], x, x
+    for _ in range(steps):
+        down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+        out += [float(down), float(up)]
+    return out + [-v for v in out]
+
+
+def pow10(e: int) -> float:
+    """The double nearest 10^e (int/int true division rounds correctly)."""
+    return 10**e / 1 if e >= 0 else 1 / 10**-e
+
+
+FINITE_DECADES = range(-323, 309)  # 1e-323 is the smallest nonzero power
+
+
+def test_powers_of_ten_and_their_neighbours():
+    values = [v for e in FINITE_DECADES for v in steps_around(pow10(e))]
+    assert written_floats(values) == expected_floats(values)
+
+
+def test_special_values_and_fast_range_edges():
+    tiny = 2.2250738585072014e-308
+    values = [0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3, np.nextafter(tiny, 0.0),
+              1.7976931348623157e308, -1.7976931348623157e308,
+              float(2**53 - 1), float(2**53), float(2**53 + 1), float(2**53 + 2)]
+    lo, hi = reporting.FAST_DECADES
+    values += steps_around(10.0**lo) + steps_around(10.0**hi)
+    assert written_floats(values) == expected_floats(values)
+
+
+def exact_ties() -> list:
+    """Doubles x with x * 10^(16-k) exactly halfway between two integers,
+    10^k <= x < 10^(k+1): m/4 for odd m in [4e15, 9e15), where 10^(16-k) = 10,
+    and odd/2^24 in [1e-7, 1e-6), where 10^(16-k) = 10^23 is not a double."""
+    rng = random.Random(12)
+    odd = [4 * 10**15 + 1, 9 * 10**15 - 1] + [2 * rng.randrange(2 * 10**15, 9 * 10**15 // 2) + 1
+                                              for _ in range(2000)]
+    return [m / 4 for m in odd] + [m / 2**24 for m in range(3, 17, 2)]
+
+
+def test_exact_ties_fall_back_and_print_as_percent_g():
+    values = exact_ties()
+    _, _, slow = float_digits(np.abs(np.array(values)))
+    assert slow.all()
+    assert written_floats(values) == expected_floats(values)
+
+
+def test_exact_powers_of_ten_stay_on_the_fast_path():
+    lo, hi = reporting.FAST_DECADES
+    exponents = range(lo + 1, hi)
+    values = [pow10(e) for e in exponents]
+    digits, decade, slow = float_digits(np.array(values))
+    assert not slow.any()
+    for e, v, d, k in zip(exponents, values, digits.tolist(), decade.tolist()):
+        true_k = e if Fraction(v) >= Fraction(10)**e else e - 1
+        true_d = round(Fraction(v) * Fraction(10)**(16 - true_k))
+        assert (d, k) == ((true_d, true_k) if true_d < 10**17 else (10**16, true_k + 1))
+
+
+def test_random_bit_patterns():
+    bits = np.random.default_rng(20261018).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                   endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    assert written_floats(values) == expected_floats(values.tolist())
+
+
+def test_float32_and_float16_columns():
+    bits32 = np.random.default_rng(5).integers(0, 2**32, 10**5, dtype=np.uint32)
+    values32 = bits32.view(np.float32)
+    values32 = values32[np.isfinite(values32)]
+    values16 = np.arange(2**16, dtype=np.uint16).view(np.float16)  # every float16
+    values16 = values16[np.isfinite(values16)]
+    for values in (values32, values16):
+        assert written_floats(values, values.dtype) == expected_floats(values.tolist())
+
+
+def test_pow10_table_matches_a_fraction_build():
+    hi, lo, hi_high, hi_low = reporting.pow10_table()
+    exponents = range(reporting.POW10_RANGE[0], reporting.POW10_RANGE[1] + 1)
+    assert len(hi) == len(exponents)
+    for e, h, l in zip(exponents, hi.tolist(), lo.tolist()):
+        exact = Fraction(10)**e
+        assert h == float(exact)
+        assert l == float(exact - Fraction(h))
+    assert (hi_high + hi_low == hi).all()
+
+
+def test_longdouble_columns_are_refused_before_writing(tmp_path):
+    # format_cell prints such a cell with all its digits, not '%.17g' of its
+    # float64 rounding
+    column = np.array([0.1, 0.5], dtype=np.longdouble)
+    with pytest.raises(ValueError, match="refusing"):
+        write_csv(tmp_path / "t.csv", ["x"], [column])
     assert list(tmp_path.iterdir()) == []
