@@ -2,10 +2,10 @@
 
 Subpackages follow the pipeline: prime tables and windowed omega/Omega counts
 (primes_core), the smooth cutoff and its normalization constant
-(bump_functions), the weighted measure on [x, 2x] with its local factors and
-distributional axioms (sieve_measure), exact moment and concentration
-calculations (moments_concentration), randomized prime models
-(cramer_models), and the command-line harness (cli_harness).
+(bump_functions), the weighted measure on [x, 2x] with its distributional
+axioms (sieve_measure), exact moment and concentration calculations
+(moments_concentration), randomized prime models (cramer_models), and the
+command-line harness (cli_harness).
 """
 
 __version__ = "0.1.0"

@@ -22,8 +22,6 @@ BLAS build or its thread count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
-
 import numpy as np
 
 from .errors import NumericFailureError, OutOfRangeError
@@ -77,33 +75,14 @@ class BumpSpec:
     eta_tilde_prime: np.ndarray
     t_grid: np.ndarray
     eta_hat_grid: np.ndarray
-    base: Callable
-    base_prime: Callable
     base_weights: np.ndarray  # simpson weights * base values on the base grid
     base_grid: np.ndarray
-
-
-def _validate_base(base: Callable) -> None:
-    us = np.linspace(0.0, 0.75, 151)
-    vals_p = base(us)
-    vals_m = base(-us)
-    if np.any(~np.isfinite(vals_p)) or np.any(vals_p < 0):
-        raise ValueError("base bump must be finite and nonnegative")
-    if np.max(np.abs(vals_p - vals_m)) > 1e-12 * max(1.0, np.max(np.abs(vals_p))):
-        raise ValueError("base bump must be even")
-    outside = us >= BASE_HALF_WIDTH
-    if np.any(vals_p[outside] != 0.0):
-        raise ValueError("base bump must vanish outside [-1/2, 1/2]")
-    if np.max(vals_p) == 0.0:
-        raise ValueError("base bump is identically zero")
 
 
 def make_bump(
     grid_points: int = 4097,
     t_max: float = 200.0,
     t_points: int = 4001,
-    base: Optional[Callable] = None,
-    base_prime: Optional[Callable] = None,
 ) -> BumpSpec:
     """Build the normalized autocorrelation bump and cache its sample grids.
 
@@ -116,13 +95,6 @@ def make_bump(
         raise ValueError("t_points must be >= 251 and congruent to 1 mod 4")
     if not (t_max > 0 and np.isfinite(t_max)):
         raise ValueError("t_max must be positive and finite")
-    if base is None:
-        base = standard_base
-        base_prime = standard_base_prime
-    else:
-        if base_prime is None:
-            raise ValueError("a custom base bump needs its analytic derivative")
-        _validate_base(base)
 
     h = 2.0 / (grid_points - 1)
     u_grid = -1.0 + h * np.arange(grid_points)
@@ -130,8 +102,8 @@ def make_bump(
     base_grid = -BASE_HALF_WIDTH + h * np.arange(nb)
     # extended grid covering w + u for w in the base support, u in [-1, 1]
     ext_grid = -1.5 + h * np.arange(3 * (grid_points - 1) // 2 + 1)
-    b_ext = base(ext_grid)
-    bp_ext = base_prime(ext_grid)
+    b_ext = standard_base(ext_grid)
+    bp_ext = standard_base_prime(ext_grid)
     b0 = b_ext[(grid_points - 1) // 2 : (grid_points - 1) // 2 + nb]
     wb = simpson_weights(nb, h) * b0
 
@@ -169,8 +141,6 @@ def make_bump(
         eta_tilde_prime=eta_tilde_prime,
         t_grid=t_grid,
         eta_hat_grid=eta_hat_grid,
-        base=base,
-        base_prime=base_prime,
         base_weights=wb,
         base_grid=base_grid,
     )
@@ -214,7 +184,8 @@ def _eta_hat_from_samples(ts, u_grid, eta_samples, h, chunk=256):
 def eta_value(u, spec: BumpSpec):
     """eta at arbitrary points, by Simpson over the cached base grid."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = spec.base(arr[:, None] + spec.base_grid[None, :]) @ spec.base_weights / spec.norm
+    points = arr[:, None] + spec.base_grid[None, :]
+    vals = standard_base(points) @ spec.base_weights / spec.norm
     vals[np.abs(arr) >= 1.0] = 0.0
     return vals if np.ndim(u) else float(vals[0])
 
@@ -222,7 +193,8 @@ def eta_value(u, spec: BumpSpec):
 def eta_prime_value(u, spec: BumpSpec):
     """eta' at arbitrary points, differentiated under the convolution integral."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = spec.base_prime(arr[:, None] + spec.base_grid[None, :]) @ spec.base_weights / spec.norm
+    points = arr[:, None] + spec.base_grid[None, :]
+    vals = standard_base_prime(points) @ spec.base_weights / spec.norm
     vals[np.abs(arr) >= 1.0] = 0.0
     return vals if np.ndim(u) else float(vals[0])
 
@@ -290,8 +262,8 @@ def _time_route(spec: BumpSpec, refine: int) -> float:
     for r in range(refine):
         count = len(range(r, n, refine))
         xs = us[r] - BASE_HALF_WIDTH + spec.h * np.arange(count + len(spec.base_weights) - 1)
-        eta_r = correlate_fixed(spec.base(xs), spec.base_weights, count) / spec.norm
-        eta_p = correlate_fixed(spec.base_prime(xs), spec.base_weights, count) / spec.norm
+        eta_r = correlate_fixed(standard_base(xs), spec.base_weights, count) / spec.norm
+        eta_p = correlate_fixed(standard_base_prime(xs), spec.base_weights, count) / spec.norm
         diff[r::refine] = eta_p - eta_r
     diff[us >= 1.0] = 0.0  # as eta_value: eta vanishes at |u| >= 1
     vals = np.exp(-us) * diff
@@ -351,52 +323,6 @@ def c0_compute(spec: BumpSpec) -> C0Result:
             f"{abs(c0_time - c0_freq):.3e} exceeds combined estimate {result.combined_error():.3e}"
         )
     return result
-
-
-@dataclass(frozen=True)
-class DecayProfile:
-    ts: np.ndarray
-    abs_eta_hat: np.ndarray
-    envelope: np.ndarray  # |eta_hat| * exp(c * sqrt(t)) for the fitted c
-    fitted_c: float
-    envelope_sup: float
-
-    def rows(self):
-        return list(zip(self.ts.tolist(), self.abs_eta_hat.tolist(), self.envelope.tolist()))
-
-
-def decay_profile(spec: BumpSpec, n_bins: int = 40) -> DecayProfile:
-    """Half-exponential decay samples (t, |eta_hat|, |eta_hat| e^{c sqrt t}).
-
-    c is fitted on per-bin envelope maxima (eta_hat has isolated zeros, so a
-    pointwise fit of log|eta_hat| would be dominated by the dips).
-    """
-    ts = spec.t_grid
-    ah = np.abs(spec.eta_hat_grid)
-    lo = 1.0
-    mask = ts >= lo
-    edges = np.linspace(lo, spec.t_max, n_bins + 1)
-    mids, tops = [], []
-    for i in range(n_bins):
-        sel = (ts >= edges[i]) & (ts <= edges[i + 1])
-        if sel.any() and ah[sel].max() > 0:
-            j = np.argmax(ah * sel)
-            mids.append(ts[j])
-            tops.append(ah[j])
-    mids = np.array(mids)
-    tops = np.array(tops)
-    # least squares: log|eta_hat| ~ a - c sqrt(t)
-    A = np.stack([np.ones_like(mids), -np.sqrt(mids)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, np.log(tops), rcond=None)
-    c = float(coef[1])
-    envelope = ah * np.exp(c * np.sqrt(np.abs(ts)))
-    return DecayProfile(
-        ts=ts,
-        abs_eta_hat=ah,
-        envelope=envelope,
-        fitted_c=c,
-        envelope_sup=float(envelope[mask].max()) if mask.any() else float(envelope.max()),
-    )
 
 
 def fourier_inverse_check(spec: BumpSpec, us) -> tuple[float, float]:

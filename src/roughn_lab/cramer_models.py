@@ -124,10 +124,6 @@ class GapReport:
         """Trials whose max ratio is at most cutoff; an empty trial never is."""
         return sum(1 for r in self.max_ratios if r <= cutoff)
 
-    def fraction_below(self, cutoff: float) -> float:
-        filled = len(self.max_ratios) - len(self.empty_trials)
-        return self.count_below(cutoff) / filled if filled else 0.0
-
 
 def gap_columns(kept) -> tuple[np.ndarray, ...]:
     """gaps.csv's columns, in GAP_COLUMNS order, from each trial's kept
@@ -208,11 +204,6 @@ def pi_k_lower_bound_shape(x: int, k: int) -> float:
     if x < 3:
         raise ValueError("need x >= 3")
     return x / math.log(x) * loglog(x) ** (k - 1) / math.factorial(k - 1)
-
-
-def density_ratio(x: int, k: int) -> float:
-    """Exact count divided by the lower-bound shape."""
-    return count_pi_k(x, k) / pi_k_lower_bound_shape(x, k)
 
 
 def density_profile(x_grid, k: Optional[int] = None) -> list[tuple[int, int, int, float, float]]:

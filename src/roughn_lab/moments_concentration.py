@@ -18,9 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, NumericFailureError
-from .primes_core import (
-    PrimeTable, WindowOmega, big_omega, build_prime_table, factor_window, factorize, primes_upto,
-)
+from .primes_core import WindowOmega, primes_upto
 from .reporting import columns_of, write_csv, write_json
 from .sieve_measure import SieveParams, WeightTable, range_sum
 
@@ -81,15 +79,6 @@ def stirling_bound_kappa(s_lo: int = 10, s_hi: int = 60) -> float:
         best = max(table.values[s - 1])
         kappa = max(kappa, best / envelope)
     return kappa
-
-
-def factorial_ratio_check(j: int, m: int) -> bool:
-    """m^j <= e^j * m!/(m-j)! whenever m >= 3j/2, via exact log comparison."""
-    if j < 1 or m < j:
-        raise ValueError("need 1 <= j <= m")
-    if 2 * m < 3 * j:
-        raise ValueError("inequality is only claimed for m >= 3j/2")
-    return j * math.log(m) <= j + math.log(math.perm(m, j))
 
 
 # --- moments over the weight table ---
@@ -174,28 +163,6 @@ def exact_centered_moment(
     moment = math.fsum((table.nu * acc**s).tolist()) / table.total
     ratio = moment / bound if bound > 0 else 0.0
     return MomentReport(k, range_tag, s, moment, bound, ratio, centered)
-
-
-def chebyshev_tail(moment: float, r: float, s: int) -> float:
-    """moment / r^s clamped to [0, 1]; the Markov/Chebyshev tail estimate."""
-    if r <= 0:
-        raise ValueError("threshold r must be positive")
-    if s < 1:
-        raise ValueError("moment order s must be >= 1")
-    if moment < 0:
-        raise ValueError("moment must be nonnegative")
-    return min(1.0, moment / r**s)
-
-
-def exact_tail(table: WeightTable, k: int, range_tag: str, r: float, centered: bool = True) -> float:
-    """Weighted mass of {n : |sum over the range at shift k| >= r}."""
-    params = table.params
-    moduli = range_moduli(params, k, range_tag)
-    if not moduli:
-        return 0.0
-    acc = range_sum(table, k, moduli, centered)
-    mask = np.abs(acc) >= r
-    return math.fsum(table.nu[mask].tolist()) / table.total
 
 
 def fit_c3(reports: Sequence[MomentReport]) -> Optional[float]:
@@ -363,17 +330,7 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
     )
 
 
-# --- union bounds and the Omega decomposition ---
-
-@dataclass(frozen=True)
-class UnionBoundReport:
-    C: float
-    k_max: int
-    terms: tuple[float, ...]
-    total: float
-    witness_n: int
-    witness_value: float
-
+# --- the record-search ratio ---
 
 def max_log_ratio(window: WindowOmega, points: np.ndarray, k_max: int) -> np.ndarray:
     """max over 2 <= k <= k_max of Omega(n+k)/log k at every point n, read
@@ -383,88 +340,6 @@ def max_log_ratio(window: WindowOmega, points: np.ndarray, k_max: int) -> np.nda
         om = window.big_omega[(points + k) - window.lo]
         np.maximum(worst, om / math.log(k), out=worst)
     return worst
-
-
-def union_bound_report(table: WeightTable, C: float, k_max: int) -> UnionBoundReport:
-    """Exact tail masses P(Omega(n+k) > C log k) for k = 2..k_max.
-
-    Also reports the support point minimizing max_k Omega(n+k)/log k, the
-    witness that the tails cannot all be large at once.
-    """
-    if C <= 0:
-        raise ValueError("C must be positive")
-    if k_max < 2:
-        raise ValueError("k_max must be >= 2")
-    support = table.support
-    lo = int(support[0]) + 2
-    hi = int(support[-1]) + k_max
-    ptable = build_prime_table(math.isqrt(hi) + 1)
-    window = factor_window(lo, hi, ptable)
-    terms = []
-    for k in range(2, k_max + 1):
-        mask = window.big_omega[(support + k) - lo] > C * math.log(k)
-        terms.append(math.fsum(table.nu[mask].tolist()) / table.total)
-    worst_ratio = max_log_ratio(window, support, k_max)
-    arg = int(np.argmin(worst_ratio))
-    return UnionBoundReport(
-        C=C,
-        k_max=k_max,
-        terms=tuple(terms),
-        total=math.fsum(terms),
-        witness_n=int(support[arg]),
-        witness_value=float(worst_ratio[arg]),
-    )
-
-
-def trivial_tail_bound(n: int, k: int, table: Optional[PrimeTable] = None) -> float:
-    """log(n+k)/log 2, an unconditional cap on Omega(n+k)."""
-    if n + k < 2:
-        raise ValueError("need n + k >= 2")
-    bound = math.log(n + k) / math.log(2)
-    if table is not None:
-        if big_omega(n + k, table) > bound:
-            raise NumericFailureError("2^Omega(m) <= m violated; table corrupt")
-    return bound
-
-
-@dataclass(frozen=True)
-class OmegaParts:
-    """Multiplicity-weighted classification of the primes dividing n+k."""
-
-    n: int
-    k: int
-    tiny: int
-    medium: int
-    large: int
-    very_large: int
-    higher_power: int
-
-    def total(self) -> int:
-        return self.tiny + self.medium + self.large + self.very_large + self.higher_power
-
-
-def omega_decomposition(
-    n: int, k: int, params: SieveParams, table: PrimeTable
-) -> OmegaParts:
-    """Split Omega(n+k) by the size class of each prime; repeats beyond the
-    first power all land in the higher-power class, so the parts sum to
-    Omega(n+k) exactly."""
-    m = n + k
-    fac = factorize(m, table)
-    r_k = params.range_level(k)
-    tiny = medium = large = very_large = higher = 0
-    for p, e in fac.factors:
-        if p <= params.w:
-            tiny += 1
-        elif p <= r_k:
-            medium += 1
-        elif p <= params.T:
-            large += 1
-        else:
-            very_large += 1
-        higher += e - 1
-    return OmegaParts(n=n, k=k, tiny=tiny, medium=medium, large=large,
-                      very_large=very_large, higher_power=higher)
 
 
 # --- configured-constant bookkeeping ---
@@ -500,12 +375,6 @@ def write_moments_csv(reports: Sequence[MomentReport], path) -> None:
     ]
     write_csv(path, ["k", "range", "s", "exact_moment", "paper_bound", "ratio"],
               columns_of(rows, 6))
-
-
-def write_union_bound_csv(report: UnionBoundReport, path) -> None:
-    n = len(report.terms)
-    write_csv(path, ["k", "C", "tail_prob"],
-              [range(2, n + 2), [report.C] * n, report.terms])
 
 
 def write_constants_json(path, kappa: float, c3_fit: Optional[float], constants: dict) -> None:

@@ -1,7 +1,6 @@
 """The package's one prime sieve (primes_upto), prime tables, exact
-factorization and the classical arithmetic functions (omega, Omega, tau, mu)
-of single integers, and windowed omega/Omega counts over contiguous windows
-via a strided prime-power sieve.
+factorization of single integers, and windowed omega/Omega counts over
+contiguous windows via a strided prime-power sieve.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -10,10 +9,9 @@ and counts produced here.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
-from math import fsum, isqrt
+from math import isqrt
 
 import numpy as np
 
@@ -24,8 +22,6 @@ WORD_MAX = 2**63 - 1
 # Full spf arrays beyond this are memory-budgeted out; larger n are handled by
 # trial division / segmented sieving with primes <= sqrt(n).
 TABLE_LIMIT_MAX = 10**8
-
-PRIME_TABLE_MAGIC = b"RLPT1"
 
 
 @dataclass(frozen=True)
@@ -46,22 +42,8 @@ class Factorization:
     n: int
     factors: tuple[tuple[int, int], ...]
 
-    def omega(self) -> int:
-        return len(self.factors)
-
     def big_omega(self) -> int:
         return sum(e for _, e in self.factors)
-
-    def tau(self) -> int:
-        t = 1
-        for _, e in self.factors:
-            t *= e + 1
-        return t
-
-    def mobius(self) -> int:
-        if any(e > 1 for _, e in self.factors):
-            return 0
-        return -1 if len(self.factors) % 2 else 1
 
 
 def _prime_array(n: int) -> np.ndarray:
@@ -142,22 +124,6 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
     return Factorization(n=n, factors=tuple(_prime_powers(n, table)))
 
 
-def omega(n: int, table: PrimeTable) -> int:
-    return factorize(n, table).omega()
-
-
-def big_omega(n: int, table: PrimeTable) -> int:
-    return factorize(n, table).big_omega()
-
-
-def tau(n: int, table: PrimeTable) -> int:
-    return factorize(n, table).tau()
-
-
-def mobius(n: int, table: PrimeTable) -> int:
-    return factorize(n, table).mobius()
-
-
 @dataclass(frozen=True)
 class WindowOmega:
     """omega(n) and Omega(n) for every n in [lo, hi], as dense int16 arrays
@@ -168,17 +134,6 @@ class WindowOmega:
     hi: int
     omega: np.ndarray
     big_omega: np.ndarray
-
-    def _index(self, n: int) -> int:
-        if not self.lo <= n <= self.hi:
-            raise ValueError(f"n={n} outside window [{self.lo}, {self.hi}]")
-        return n - self.lo
-
-    def omega_of(self, n: int) -> int:
-        return int(self.omega[self._index(n)])
-
-    def big_omega_of(self, n: int) -> int:
-        return int(self.big_omega[self._index(n)])
 
 
 WINDOW_WIDTH_MAX = 10**7
@@ -223,39 +178,3 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
     bom.setflags(write=False)
     return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
 
-
-def mertens_partial_sum(lo: float, hi: float, table: PrimeTable) -> float:
-    """Sum of 1/p over primes lo < p <= hi, as a floating sum over table primes."""
-    if lo < 1 or lo > hi:
-        raise ValueError("need 1 <= lo <= hi")
-    if hi > table.limit:
-        raise TableTooSmallError(f"upper end {hi} beyond table limit {table.limit}")
-    i = int(np.searchsorted(table.primes, lo, side="right"))
-    j = int(np.searchsorted(table.primes, hi, side="right"))
-    return fsum(1.0 / p for p in table.primes[i:j].tolist())
-
-
-def dump_prime_table(table: PrimeTable, path) -> None:
-    """Binary dump: magic "RLPT1", little-endian u64 limit/count, u64 prime list."""
-    with open(path, "wb") as fh:
-        fh.write(PRIME_TABLE_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
-        fh.write(table.primes.astype("<u8").tobytes())
-
-
-def load_prime_table(path) -> PrimeTable:
-    """Rebuild the table a dump describes; a dump whose prime list differs
-    from the rebuilt one is refused."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PRIME_TABLE_MAGIC))
-        if magic != PRIME_TABLE_MAGIC:
-            raise ValueError("not a prime table dump (bad magic)")
-        head = fh.read(16)
-        if len(head) != 16:
-            raise ValueError("prime table dump is corrupt")
-        limit, count = struct.unpack("<QQ", head)
-        primes = np.frombuffer(fh.read(8 * count), dtype="<u8")
-    table = build_prime_table(limit)
-    if not np.array_equal(primes, table.primes):
-        raise ValueError("prime table dump is corrupt")
-    return table

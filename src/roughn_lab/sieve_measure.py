@@ -5,9 +5,9 @@ d | n+k of mu(d) * eta_tilde(log d / log R_k))^2, normalized by its total mass.
 Only d < R_k contribute: eta_tilde vanishes from 1 on, and any w-rough d > 1
 is a product of primes in (w, R_k).
 
-The module builds weight tables, evaluates exact divisibility probabilities
-and Euler local factors, samples from the measure, and checks the
-distributional axioms (A)-(D) at desk scale.
+The module builds weight tables, evaluates exact divisibility probabilities,
+samples from the measure, and checks the distributional axioms (A)-(D) at
+desk scale.
 """
 
 from __future__ import annotations
@@ -16,13 +16,13 @@ import itertools
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
-from .errors import BudgetExceededError, EmptySupportError, TableTooSmallError
-from .primes_core import PrimeTable, primes_upto
+from .errors import EmptySupportError
+from .primes_core import primes_upto
 from .reporting import columns_of, write_csv
 
 PARAM_DEFAULTS = {
@@ -67,6 +67,11 @@ class SieveParams:
     theta: float = field(init=False, repr=False)
 
     def __post_init__(self):
+        # every comparison with a NaN is false, so the range checks below
+        # would let one through
+        for key in PARAM_DEFAULTS:
+            if key not in _INT_KEYS and not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.x < 10:
             raise ValueError("window start x must be >= 10")
         if not 1 <= self.K:
@@ -77,7 +82,7 @@ class SieveParams:
             raise ValueError("need K < w (shift distances must stay below every sieving prime)")
         if not 1 <= self.a <= 16:
             raise ValueError("W-exponent a must lie in [1, 16]")
-        if not (self.c > 0 and math.isfinite(self.c)):
+        if self.c <= 0:
             raise ValueError("schedule exponent c must be positive")
         if self.gamma < 0:
             raise ValueError("schedule decay gamma must be >= 0")
@@ -250,9 +255,6 @@ class WeightTable:
             return 0.0
         return float(self.nu[idx])
 
-    def support_size(self) -> int:
-        return len(self.support)
-
 
 def _hits(n0: int, step: int, k: int, m: int) -> slice:
     """Indexer of the points n_i = n0 + i*step with m | n_i + k, read as
@@ -397,125 +399,6 @@ def tiny_prime_rigidity(table: WeightTable, k_hi: Optional[int] = None) -> float
             want = 1.0 if k % p == 0 else 0.0
             worst = max(worst, abs(got - want))
     return worst
-
-
-# --- local factors and the Euler product ---
-
-@dataclass(frozen=True)
-class LocalFactorQuery:
-    k_star: int
-    d_star: int
-    d_star_primes: tuple[int, ...]
-    p: int
-    t: float = 0.0
-    t_prime: float = 0.0
-
-    def __post_init__(self):
-        prod = 1
-        last = 1
-        for q in self.d_star_primes:
-            if q <= last:
-                raise ValueError("d_star primes must be distinct and ascending")
-            last = q
-            prod *= q
-        if prod != self.d_star:
-            raise ValueError("d_star must be the product of its listed primes (squarefree)")
-        if self.k_star < 1:
-            raise ValueError("k_star must be >= 1")
-
-
-def uniqueness_of_k_star_p(p: int, k_star: int, params: SieveParams) -> Optional[int]:
-    """The unique k in [1, K] with p | k_star - k, or None.
-
-    Two hits would give p | difference of distinct k's in [1, K], impossible
-    for p > K; validated by the exhaustive scan anyway.
-    """
-    if p <= params.w:
-        raise ValueError("local factors are defined for p > w only")
-    hits = [k for k in range(1, params.K + 1) if (k_star - k) % p == 0]
-    if len(hits) > 1:
-        raise ValueError(f"non-unique k for p={p}, k_star={k_star}; K={params.K} >= p?")
-    return hits[0] if hits else None
-
-
-def _local_factor(p, d_star_primes, k_star, ts, tps, params: SieveParams) -> complex:
-    logp = math.log(p)
-    if p in d_star_primes:
-        kp = uniqueness_of_k_star_p(p, k_star, params)
-        if kp is None:
-            return complex(1.0 / p)
-        lr = math.log(params.R(kp))
-        one = 1.0 - np.exp(-logp * (1.0 + 1j * ts[kp - 1]) / lr)
-        two = 1.0 - np.exp(-logp * (1.0 + 1j * tps[kp - 1]) / lr)
-        return complex(one * two / p)
-    acc = 0.0 + 0.0j
-    for k in range(1, params.K + 1):
-        lr = math.log(params.R(k))
-        acc += np.exp(-logp * (1.0 + (1.0 + 1j * ts[k - 1]) / lr))
-        acc += np.exp(-logp * (1.0 + (1.0 + 1j * tps[k - 1]) / lr))
-        acc -= np.exp(-logp * (1.0 + (2.0 + 1j * (ts[k - 1] + tps[k - 1])) / lr))
-    return complex(1.0 - acc)
-
-
-def local_factor_E(query: LocalFactorQuery, params: SieveParams) -> complex:
-    """The three-case local factor; scalar t, t' broadcast over all shifts."""
-    if query.p <= params.w:
-        raise ValueError("local factors are defined for p > w only")
-    ts = np.full(params.K, float(query.t))
-    tps = np.full(params.K, float(query.t_prime))
-    return _local_factor(query.p, set(query.d_star_primes), query.k_star, ts, tps, params)
-
-
-def euler_product_F(
-    t_vec: Sequence[float],
-    t_vec_prime: Sequence[float],
-    d_star: int,
-    params: SieveParams,
-    prime_cutoff: int,
-    table: PrimeTable,
-    k_star: int = 1,
-) -> complex:
-    """Truncated product of local factors over w < p <= prime_cutoff."""
-    ts = np.asarray(t_vec, dtype=float)
-    tps = np.asarray(t_vec_prime, dtype=float)
-    if ts.shape != (params.K,) or tps.shape != (params.K,):
-        raise ValueError(f"t vectors must have length K={params.K}")
-    if prime_cutoff > table.limit:
-        raise TableTooSmallError(
-            f"cutoff {prime_cutoff} beyond prime table limit {table.limit}"
-        )
-    dp = []
-    rem = d_star
-    if d_star < 1:
-        raise ValueError("d_star must be >= 1")
-    for q in range(2, math.isqrt(d_star) + 1):
-        if rem % q == 0:
-            e = 0
-            while rem % q == 0:
-                rem //= q
-                e += 1
-            if e > 1:
-                raise ValueError("d_star must be squarefree")
-            dp.append(q)
-    if rem > 1:
-        dp.append(rem)
-    dset = set(dp)
-    lo = int(np.searchsorted(table.primes, params.w, side="right"))
-    hi = int(np.searchsorted(table.primes, prime_cutoff, side="right"))
-    out = complex(1.0)
-    for p in table.primes[lo:hi].tolist():
-        out *= _local_factor(int(p), dset, k_star, ts, tps, params)
-    return out
-
-
-def euler_product_convergence(
-    t_vec, t_vec_prime, d_star, params, prime_cutoff, table, k_star: int = 1
-) -> tuple[complex, float]:
-    """Value at the cutoff plus the relative delta against half the cutoff."""
-    full = euler_product_F(t_vec, t_vec_prime, d_star, params, prime_cutoff, table, k_star)
-    half = euler_product_F(t_vec, t_vec_prime, d_star, params, prime_cutoff // 2, table, k_star)
-    delta = abs(full - half) / abs(full) if full != 0 else math.inf
-    return full, delta
 
 
 # --- axiom reports ---

@@ -8,7 +8,6 @@ from roughn_lab.bump_functions import (
     _symmetric_t_grid,
     _time_route,
     c0_compute,
-    decay_profile,
     eta_hat,
     eta_tilde,
     eta_tilde_prime,
@@ -17,7 +16,6 @@ from roughn_lab.bump_functions import (
     make_bump,
     simpson_weights,
     standard_base,
-    standard_base_prime,
     write_eta_hat_profile_csv,
     write_eta_profile_csv,
 )
@@ -166,19 +164,6 @@ def test_fourier_and_twisted_inversion(bump_spec):
     assert twisted <= 1e-6
 
 
-def test_decay_profile(bump_spec):
-    prof = decay_profile(bump_spec)
-    assert prof.fitted_c > 0
-    assert np.isfinite(prof.envelope_sup)
-    # t=0 row carries |eta_hat(0)| = (1/2pi) * integral of eta
-    h = bump_spec.h
-    integral = simpson_weights(bump_spec.grid_points, h) @ bump_spec.eta
-    assert prof.abs_eta_hat[0] == pytest.approx(integral / (2 * np.pi), abs=1e-12)
-    rows = prof.rows()
-    assert len(rows) == len(bump_spec.t_grid)
-    assert rows[0][0] == 0.0
-
-
 def test_profile_self_convergence(bump_spec):
     finer = make_bump(grid_points=2 * (bump_spec.grid_points - 1) + 1, t_points=bump_spec.t_points)
     assert np.max(np.abs(finer.eta_hat_grid - bump_spec.eta_hat_grid)) < 1e-8
@@ -227,23 +212,7 @@ def test_c0_freq_integrand_nonnegative(bump_spec):
     assert np.all(factor * hv >= -1e-9)
 
 
-def test_custom_base_scaling_invariance(bump_spec):
-    # normalization divides the autocorrelation by its peak: scaling the base is a no-op
-    spec2 = make_bump(
-        grid_points=1025,
-        t_points=501,
-        base=lambda u: 2.5 * standard_base(u),
-        base_prime=lambda u: 2.5 * standard_base_prime(u),
-    )
-    ref = make_bump(grid_points=1025, t_points=501)
-    assert np.max(np.abs(spec2.eta - ref.eta)) <= 1e-13
-
-
-def test_make_bump_rejects_bad_bases():
-    with pytest.raises(ValueError):
-        make_bump(base=lambda u: np.asarray(u) * 0 + np.asarray(u), base_prime=lambda u: u * 0 + 1)
-    with pytest.raises(ValueError):
-        make_bump(base=standard_base)  # derivative missing
+def test_make_bump_rejects_bad_grids():
     with pytest.raises(ValueError):
         make_bump(grid_points=100)
     with pytest.raises(ValueError):

@@ -235,6 +235,19 @@ def test_invalid_params_content_exits_2(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("subcommand", ["sieve-scan", "axioms", "record-search"])
+@pytest.mark.parametrize("key", ["c", "gamma", "T_exponent", "A"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_float_parameter_exits_2(subcommand, key, value, tmp_path, capsys):
+    params = tmp_path / "bad.params"
+    params.write_text(TOY_PARAMS + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    rc = ch.main([subcommand, "--params", str(params), "--out", str(out)])
+    assert rc == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         ch.build_parser().parse_args(["--help"])

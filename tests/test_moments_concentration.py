@@ -16,12 +16,9 @@ from roughn_lab.moments_concentration import (
     MomentReport,
     SimplexReport,
     build_stirling_table,
-    chebyshev_tail,
     exact_centered_moment,
-    exact_tail,
-    factorial_ratio_check,
     fit_c3,
-    omega_decomposition,
+    max_log_ratio,
     partition_sum_G,
     range_moduli,
     rho_r,
@@ -29,13 +26,10 @@ from roughn_lab.moments_concentration import (
     stirling2,
     stirling_bound_kappa,
     stirling_identity_check,
-    trivial_tail_bound,
-    union_bound_report,
     validate_constants,
     write_moments_csv,
-    write_union_bound_csv,
 )
-from roughn_lab.primes_core import build_prime_table, factorize
+from roughn_lab.primes_core import build_prime_table, factor_window
 from roughn_lab.sieve_measure import SieveParams, build_weight_table, prob_divides
 
 
@@ -53,11 +47,6 @@ def toy_params():
 @pytest.fixture(scope="module")
 def toy_table(toy_params, spec):
     return build_weight_table(toy_params, spec)
-
-
-@pytest.fixture(scope="module")
-def prime_table():
-    return build_prime_table(10**5)
 
 
 # --- oracles ---
@@ -174,14 +163,6 @@ def test_stirling_envelope_constant_is_stable():
     kappa = stirling_bound_kappa()
     assert 0 < kappa < 1
     assert kappa == pytest.approx(0.017815631, rel=1e-6)
-
-
-def test_factorial_ratio_inequality_grid():
-    for m in range(2, 61):
-        for j in range(1, 2 * m // 3 + 1):
-            assert factorial_ratio_check(j, m)
-    with pytest.raises(ValueError):
-        factorial_ratio_check(5, 6)  # m < 3j/2
 
 
 # --- partition sum G ---
@@ -351,88 +332,22 @@ def test_fit_c3_covers_medium_reports(toy_table):
         assert rep.exact_moment <= (2 * c3 * rep.s) ** rep.s * (1 + 1e-12)
 
 
-# --- tails ---
+# --- the record-search ratio ---
 
-def test_chebyshev_dominates_exact_tail(toy_table):
-    for k, s in ((1, 2), (2, 2), (1, 4)):
-        mom = exact_centered_moment(toy_table, k, "large", s).exact_moment
-        for r in (0.5, 1.0, 2.0, 4.0):
-            assert chebyshev_tail(mom, r, s) >= exact_tail(toy_table, k, "large", r) - 1e-12
-
-
-def test_chebyshev_bernoulli_case_and_domain():
-    assert chebyshev_tail(0.25, 0.5, 2) == 1.0
-    assert chebyshev_tail(0.0, 1.0, 2) == 0.0
-    with pytest.raises(ValueError):
-        chebyshev_tail(0.25, 0.0, 2)
-    with pytest.raises(ValueError):
-        chebyshev_tail(-0.1, 1.0, 2)
-
-
-# --- union bounds and omega decomposition ---
-
-def test_union_bound_monotone_in_C(toy_table):
-    low = union_bound_report(toy_table, C=2.0, k_max=15)
-    mid = union_bound_report(toy_table, C=4.0, k_max=15)
-    high = union_bound_report(toy_table, C=40.0, k_max=15)
-    assert all(0 <= t <= 1 for t in low.terms)
-    assert low.total >= mid.total >= high.total
-    assert high.total == 0.0
-    assert high.witness_n in toy_table.support
-
-
-def test_union_bound_witness_matches_brute_scan(toy_table):
+def test_max_log_ratio_witness_matches_brute_scan(toy_table):
     k_max = 10
-    rep = union_bound_report(toy_table, C=3.0, k_max=k_max)
+    support = toy_table.support
+    lo = int(support[0]) + 2
+    window = factor_window(lo, int(support[-1]) + k_max, build_prime_table(10**3))
+    ratios = max_log_ratio(window, support, k_max)
     best_n, best_val = None, math.inf
-    for n in toy_table.support.tolist():
+    for n in support.tolist():
         val = max(trial_big_omega(n + k) / math.log(k) for k in range(2, k_max + 1))
         if val < best_val:
             best_n, best_val = n, val
-    assert rep.witness_n == best_n
-    assert rep.witness_value == pytest.approx(best_val, rel=1e-12)
-
-
-def test_trivial_tail_bound_examples(prime_table):
-    assert trivial_tail_bound(5, 3, prime_table) == 3.0  # 8 = 2^3
-    assert trivial_tail_bound(9, 3, prime_table) == pytest.approx(math.log(12) / math.log(2))
-
-
-def test_trivial_tail_bound_dominates_omega(prime_table):
-    rng = random.Random(31)
-    for _ in range(1000):
-        n = rng.randint(2, 10**6)
-        k = rng.randint(1, 100)
-        assert trivial_tail_bound(n, k) >= trial_big_omega(n + k)
-
-
-def test_omega_decomposition_recombines(toy_params, prime_table):
-    rng = random.Random(8)
-    for _ in range(1000):
-        n = rng.randint(toy_params.x, 2 * toy_params.x)
-        k = rng.randint(1, 20)
-        parts = omega_decomposition(n, k, toy_params, prime_table)
-        assert parts.total() == trial_big_omega(n + k)
-        assert min(parts.tiny, parts.medium, parts.large,
-                   parts.very_large, parts.higher_power) >= 0
-
-
-def test_omega_decomposition_one_prime_per_class(toy_params, prime_table):
-    # 2 (tiny) * 5 (medium) * 23 (large) * 101 (very large, T = 100), at the
-    # sieved shift k=1 where the medium range (3, 14.45] is nonempty
-    m = 2 * 5 * 23 * 101
-    parts = omega_decomposition(m - 1, 1, toy_params, prime_table)
-    assert (parts.tiny, parts.medium, parts.large, parts.very_large) == (1, 1, 1, 1)
-    assert parts.higher_power == 0
-
-
-def test_very_large_count_capped_by_log_ratio(toy_params, prime_table):
-    rng = random.Random(77)
-    for _ in range(300):
-        n = rng.randint(toy_params.x, 2 * toy_params.x)
-        parts = omega_decomposition(n, 7, toy_params, prime_table)
-        cap = math.log(n + 7) / math.log(toy_params.T)
-        assert parts.very_large <= cap + 1e-12
+    arg = int(np.argmin(ratios))
+    assert int(support[arg]) == best_n
+    assert ratios[arg] == pytest.approx(best_val, rel=1e-12)
 
 
 # --- constants and emitters ---
@@ -454,13 +369,3 @@ def test_moments_csv_layout(tmp_path, toy_table):
     lines = path.read_text().splitlines()
     assert lines[0] == "k,range,s,exact_moment,paper_bound,ratio"
     assert len(lines) == 4
-
-
-def test_union_bound_csv_layout(tmp_path, toy_table):
-    rep = union_bound_report(toy_table, C=3.0, k_max=6)
-    path = tmp_path / "union_bound.csv"
-    write_union_bound_csv(rep, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,C,tail_prob"
-    assert len(lines) == 1 + (6 - 1)
-    assert lines[1].startswith("2,")

@@ -8,19 +8,11 @@ from hypothesis import strategies as st
 
 from roughn_lab.errors import TableTooSmallError
 from roughn_lab.primes_core import (
-    PRIME_TABLE_MAGIC,
     Factorization,
-    big_omega,
     build_prime_table,
-    dump_prime_table,
     factor_window,
     factorize,
-    load_prime_table,
-    mertens_partial_sum,
-    mobius,
-    omega,
     primes_upto,
-    tau,
 )
 
 
@@ -114,34 +106,10 @@ def test_factorize_errors(table):
         factorize(10**6 + 3, small)
 
 
-def test_arithmetic_functions(table):
-    assert (omega(12, table), big_omega(12, table), tau(12, table), mobius(12, table)) == (2, 3, 6, 0)
-    assert (omega(30, table), big_omega(30, table), tau(30, table), mobius(30, table)) == (3, 3, 8, -1)
-    n = 2**10
-    assert (omega(n, table), big_omega(n, table), tau(n, table), mobius(n, table)) == (1, 10, 11, 0)
-    assert (omega(1, table), big_omega(1, table), tau(1, table), mobius(1, table)) == (0, 0, 1, 1)
-    with pytest.raises(ValueError):
-        omega(0, table)
-
-
-def test_arithmetic_against_oracle(table):
-    rng = random.Random(7)
-    for _ in range(300):
-        n = rng.randrange(1, 10**6)
-        fs = trial_factorize(n) if n > 1 else ()
-        assert omega(n, table) == len(fs)
-        assert big_omega(n, table) == sum(e for _, e in fs)
-        t = 1
-        for _, e in fs:
-            t *= e + 1
-        assert tau(n, table) == t
-        mu = 0 if any(e > 1 for _, e in fs) else (-1) ** len(fs)
-        assert mobius(n, table) == mu
-
-
 def test_factorization_methods():
     f = Factorization(n=360, factors=((2, 3), (3, 2), (5, 1)))
-    assert f.omega() == 3 and f.big_omega() == 6 and f.tau() == 24 and f.mobius() == 0
+    assert f.big_omega() == 6
+    assert factorize(360, TABLE).big_omega() == 6
 
 
 def assert_window_matches(wf, lo, hi, factors_of):
@@ -150,17 +118,14 @@ def assert_window_matches(wf, lo, hi, factors_of):
     assert len(wf.omega) == len(wf.big_omega) == hi - lo + 1
     for n in range(lo, hi + 1):
         fs = factors_of(n)
-        assert wf.omega_of(n) == len(fs), n
-        assert wf.big_omega_of(n) == sum(e for _, e in fs), n
+        assert wf.omega[n - lo] == len(fs), n
+        assert wf.big_omega[n - lo] == sum(e for _, e in fs), n
 
 
 def test_factor_window_consistency(table):
     assert_window_matches(factor_window(10, 20, table), 10, 20,
                           lambda n: factorize(n, table).factors)
-    boundary = factor_window(2, 2, table)
-    assert (boundary.omega_of(2), boundary.big_omega_of(2)) == (1, 1)
-    with pytest.raises(ValueError):
-        boundary.omega_of(3)
+    assert_window_matches(factor_window(2, 2, table), 2, 2, trial_factorize)
 
 
 def test_factor_window_big_omega_oracle(table):
@@ -218,59 +183,3 @@ def test_factor_window_errors(table):
     small = build_prime_table(10)
     with pytest.raises(TableTooSmallError):
         factor_window(200, 300, small)
-
-
-def test_mertens_examples(table):
-    assert mertens_partial_sum(1, 10, table) == pytest.approx(
-        1 / 2 + 1 / 3 + 1 / 5 + 1 / 7, abs=1e-15
-    )
-    assert mertens_partial_sum(10, 10, table) == 0.0
-    assert mertens_partial_sum(2, 3, table) == pytest.approx(1 / 3, abs=1e-16)
-    with pytest.raises(TableTooSmallError):
-        mertens_partial_sum(1, 10**7, table)
-    with pytest.raises(ValueError):
-        mertens_partial_sum(20, 10, table)
-
-
-def test_mertens_sanity_band(table):
-    # sum_{p<=x} 1/p - loglog x stays near the Mertens constant
-    for x in (10**5, 2 * 10**5):
-        s = mertens_partial_sum(1, x, table)
-        assert abs(s - np.log(np.log(x)) - 0.2615) <= 0.05
-
-
-def test_dump_load_roundtrip(tmp_path, table):
-    path = tmp_path / "table.bin"
-    dump_prime_table(table, path)
-    with open(path, "rb") as fh:
-        assert fh.read(5) == PRIME_TABLE_MAGIC
-    loaded = load_prime_table(path)
-    assert loaded.limit == table.limit
-    assert np.array_equal(loaded.primes, table.primes)
-    assert np.array_equal(loaded.spf, table.spf)
-    bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"NOPE!" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_prime_table(bad)
-
-
-@pytest.mark.parametrize("index", [0, 1, 500, -1])
-@pytest.mark.parametrize("delta", [-1, 1, 2])
-def test_load_refuses_dump_with_one_prime_altered(tmp_path, index, delta):
-    small = build_prime_table(10**4)
-    path = tmp_path / "table.bin"
-    dump_prime_table(small, path)
-    raw = bytearray(path.read_bytes())
-    at = 5 + 16 + 8 * (index % len(small.primes))
-    prime = int.from_bytes(raw[at:at + 8], "little")
-    raw[at:at + 8] = (prime + delta).to_bytes(8, "little")
-    path.write_bytes(bytes(raw))
-    with pytest.raises(ValueError):
-        load_prime_table(path)
-
-
-def test_load_refuses_truncated_header(tmp_path):
-    path = tmp_path / "table.bin"
-    path.write_bytes(PRIME_TABLE_MAGIC + b"\x00" * 7)
-    with pytest.raises(ValueError):
-        load_prime_table(path)

@@ -10,24 +10,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughn_lab.bump_functions import eta_tilde, make_bump
-from roughn_lab.errors import EmptySupportError, TableTooSmallError
-from roughn_lab.primes_core import build_prime_table
+from roughn_lab.errors import EmptySupportError
 from roughn_lab.sieve_measure import (
-    LocalFactorQuery,
     SieveParams,
     _hits,
     axiom_check,
     build_weight_table,
-    euler_product_F,
-    euler_product_convergence,
-    local_factor_E,
     nu_exact,
     parse_params,
     prob_divides,
     sample,
     shift_terms,
     tiny_prime_rigidity,
-    uniqueness_of_k_star_p,
     write_probs_csv,
     weights_at,
     write_weights_csv,
@@ -49,11 +43,6 @@ def toy_params():
 @pytest.fixture(scope="module")
 def toy_table(toy_params, spec):
     return build_weight_table(toy_params, spec)
-
-
-@pytest.fixture(scope="module")
-def prime_table():
-    return build_prime_table(10**5)
 
 
 # --- oracles ---
@@ -95,25 +84,6 @@ def nu_unpruned_oracle(n, params, spec):
             inner += -coef if bits % 2 else coef
         value *= inner * inner
     return value
-
-
-def local_factor_oracle(p, d_star_primes, k_star, ts, tps, params):
-    """The three-case local factor recomputed with complex powers of p."""
-    if p in d_star_primes:
-        hits = [k for k in range(1, params.K + 1) if (k_star - k) % p == 0]
-        if not hits:
-            return 1.0 / p
-        (k,) = hits
-        lr = math.log(params.R(k))
-        return (1 - p ** -((1 + 1j * ts[k - 1]) / lr)) * (
-            1 - p ** -((1 + 1j * tps[k - 1]) / lr)) / p
-    acc = 0j
-    for k in range(1, params.K + 1):
-        lr = math.log(params.R(k))
-        acc += p ** -(1 + (1 + 1j * ts[k - 1]) / lr)
-        acc += p ** -(1 + (1 + 1j * tps[k - 1]) / lr)
-        acc -= p ** -(1 + (2 + 1j * (ts[k - 1] + tps[k - 1])) / lr)
-    return 1 - acc
 
 
 # --- toy windows ---
@@ -296,100 +266,6 @@ def test_sampling_is_deterministic_and_in_support(toy_table):
     assert (a == b).all()
     assert np.isin(a, toy_table.support).all()
     assert (sample(toy_table, seed=8, count=4096) != a).any()
-
-
-# --- local factors ---
-
-def test_local_factor_matches_complex_power_oracle(toy_params):
-    rng = random.Random(3)
-    for _ in range(50):
-        p = rng.choice([5, 7, 11, 13, 17, 19, 23])
-        k_star = rng.randint(1, 12)
-        t = rng.uniform(-30, 30)
-        tp = rng.uniform(-30, 30)
-        for d_primes in ((), (p,)):
-            q = LocalFactorQuery(k_star=k_star, d_star=p if d_primes else 1,
-                                 d_star_primes=d_primes, p=p, t=t, t_prime=tp)
-            got = local_factor_E(q, toy_params)
-            want = local_factor_oracle(p, set(d_primes), k_star,
-                                       [t] * toy_params.K, [tp] * toy_params.K,
-                                       toy_params)
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-14)
-
-
-def test_local_factor_no_matching_shift_is_one_over_p(toy_params):
-    # K = 1, so p | k_star - k has no solution when p does not divide k_star - 1
-    q = LocalFactorQuery(k_star=5, d_star=23, d_star_primes=(23,), p=23)
-    assert local_factor_E(q, toy_params) == pytest.approx(1 / 23)
-
-
-def test_local_factor_bound_on_random_queries(toy_params):
-    rng = random.Random(11)
-    for _ in range(1000):
-        p = rng.choice([5, 7, 11, 13, 17, 19, 23, 29, 31, 97])
-        q = LocalFactorQuery(
-            k_star=rng.randint(1, 50), d_star=p, d_star_primes=(p,), p=p,
-            t=rng.uniform(-60, 60), t_prime=rng.uniform(-60, 60))
-        assert abs(local_factor_E(q, toy_params)) <= 4.0 / p + 1e-15
-
-
-def test_local_factor_rejects_tiny_primes(toy_params):
-    q = LocalFactorQuery(k_star=1, d_star=1, d_star_primes=(), p=3)
-    with pytest.raises(ValueError):
-        local_factor_E(q, toy_params)
-
-
-def test_shift_uniqueness_exhaustive_scan():
-    params = SieveParams(x=10**4, K=3, w=5, a=1, c=0.12, gamma=2.0,
-                         T_exponent=0.5, A=2.0, k_max=100)
-    for p in range(7, 200):
-        if any(p % q == 0 for q in range(2, p)):
-            continue
-        for k_star in range(1, params.k_max + 1):
-            hits = [k for k in range(1, params.K + 1) if (k_star - k) % p == 0]
-            assert len(hits) <= 1
-            got = uniqueness_of_k_star_p(p, k_star, params)
-            assert got == (hits[0] if hits else None)
-
-
-# --- Euler products ---
-
-def test_euler_product_multiplicative_in_d_star(toy_params, prime_table):
-    ts, tps = [0.2], [-0.35]
-    base = euler_product_F(ts, tps, 1, toy_params, 4000, prime_table)
-    shifted = euler_product_F(ts, tps, 11, toy_params, 4000, prime_table)
-    e_in = local_factor_oracle(11, {11}, 1, ts, tps, toy_params)
-    e_out = local_factor_oracle(11, set(), 1, ts, tps, toy_params)
-    assert shifted == pytest.approx(base / e_out * e_in, rel=1e-12)
-
-
-def test_euler_product_ratio_isolates_one_factor(toy_params, prime_table):
-    ts, tps = [0.4], [0.9]
-    upto_31 = euler_product_F(ts, tps, 1, toy_params, 31, prime_table)
-    upto_30 = euler_product_F(ts, tps, 1, toy_params, 30, prime_table)
-    want = local_factor_oracle(31, set(), 1, ts, tps, toy_params)
-    assert upto_31 / upto_30 == pytest.approx(want, rel=1e-12)
-
-
-def test_euler_product_partials_decrease_at_zero(toy_params, prime_table):
-    vals = [abs(euler_product_F([0.0], [0.0], 1, toy_params, cut, prime_table))
-            for cut in (50, 200, 1000, 5000, 20000)]
-    assert all(a > b > 0 for a, b in zip(vals, vals[1:]))
-
-
-def test_euler_product_convergence_delta_shrinks(toy_params, prime_table):
-    _, d1 = euler_product_convergence([0.0], [0.0], 1, toy_params, 2000, prime_table)
-    _, d2 = euler_product_convergence([0.0], [0.0], 1, toy_params, 16000, prime_table)
-    assert 0 < d2 < d1
-
-
-def test_euler_product_validates_inputs(toy_params, prime_table):
-    with pytest.raises(TableTooSmallError):
-        euler_product_F([0.0], [0.0], 1, toy_params, 10**6, prime_table)
-    with pytest.raises(ValueError):
-        euler_product_F([0.0, 0.0], [0.0], 1, toy_params, 100, prime_table)
-    with pytest.raises(ValueError):
-        euler_product_F([0.0], [0.0], 12, toy_params, 100, prime_table)
 
 
 # --- parameter files ---
