@@ -1,6 +1,7 @@
 """The package's one prime sieve (primes_upto), prime tables, exact
-factorization of single integers, and windowed omega/Omega counts over
-contiguous windows via a strided prime-power sieve.
+factorization of single integers, windowed omega/Omega counts over
+contiguous windows via a strided prime-power sieve, and a binary dump format
+for prime tables.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -9,6 +10,7 @@ and counts produced here.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -22,6 +24,8 @@ WORD_MAX = 2**63 - 1
 # Full spf arrays beyond this are memory-budgeted out; larger n are handled by
 # trial division / segmented sieving with primes <= sqrt(n).
 TABLE_LIMIT_MAX = 10**8
+
+PRIME_TABLE_MAGIC = b"RLPT1"
 
 
 @dataclass(frozen=True)
@@ -178,3 +182,28 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
     bom.setflags(write=False)
     return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
 
+
+def dump_prime_table(table: PrimeTable, path) -> None:
+    """Binary dump: magic "RLPT1", little-endian u64 limit/count, u64 prime list."""
+    with open(path, "wb") as fh:
+        fh.write(PRIME_TABLE_MAGIC)
+        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
+        fh.write(table.primes.astype("<u8").tobytes())
+
+
+def load_prime_table(path) -> PrimeTable:
+    """Rebuild the table a dump describes; a dump whose prime list differs
+    from the rebuilt one is refused."""
+    with open(path, "rb") as fh:
+        magic = fh.read(len(PRIME_TABLE_MAGIC))
+        if magic != PRIME_TABLE_MAGIC:
+            raise ValueError("not a prime table dump (bad magic)")
+        head = fh.read(16)
+        if len(head) != 16:
+            raise ValueError("prime table dump is corrupt")
+        limit, count = struct.unpack("<QQ", head)
+        primes = np.frombuffer(fh.read(8 * count), dtype="<u8")
+    table = build_prime_table(limit)
+    if not np.array_equal(primes, table.primes):
+        raise ValueError("prime table dump is corrupt")
+    return table

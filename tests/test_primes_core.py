@@ -8,10 +8,13 @@ from hypothesis import strategies as st
 
 from roughn_lab.errors import TableTooSmallError
 from roughn_lab.primes_core import (
+    PRIME_TABLE_MAGIC,
     Factorization,
     build_prime_table,
+    dump_prime_table,
     factor_window,
     factorize,
+    load_prime_table,
     primes_upto,
 )
 
@@ -183,3 +186,40 @@ def test_factor_window_errors(table):
     small = build_prime_table(10)
     with pytest.raises(TableTooSmallError):
         factor_window(200, 300, small)
+
+
+def test_dump_load_roundtrip(tmp_path, table):
+    path = tmp_path / "table.bin"
+    dump_prime_table(table, path)
+    with open(path, "rb") as fh:
+        assert fh.read(5) == PRIME_TABLE_MAGIC
+    loaded = load_prime_table(path)
+    assert loaded.limit == table.limit
+    assert np.array_equal(loaded.primes, table.primes)
+    assert np.array_equal(loaded.spf, table.spf)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"NOPE!" + b"\x00" * 16)
+    with pytest.raises(ValueError):
+        load_prime_table(bad)
+
+
+@pytest.mark.parametrize("index", [0, 1, 500, -1])
+@pytest.mark.parametrize("delta", [-1, 1, 2])
+def test_load_refuses_dump_with_one_prime_altered(tmp_path, index, delta):
+    small = build_prime_table(10**4)
+    path = tmp_path / "table.bin"
+    dump_prime_table(small, path)
+    raw = bytearray(path.read_bytes())
+    at = 5 + 16 + 8 * (index % len(small.primes))
+    prime = int.from_bytes(raw[at:at + 8], "little")
+    raw[at:at + 8] = (prime + delta).to_bytes(8, "little")
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError):
+        load_prime_table(path)
+
+
+def test_load_refuses_truncated_header(tmp_path):
+    path = tmp_path / "table.bin"
+    path.write_bytes(PRIME_TABLE_MAGIC + b"\x00" * 7)
+    with pytest.raises(ValueError):
+        load_prime_table(path)

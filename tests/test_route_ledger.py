@@ -61,6 +61,9 @@ ROUTES = {
     "moments_concentration.rho_r": "perfbench/step.py::constants_library",
     "moments_concentration.rho_r_maximize": "perfbench/step.py::constants_library",
     "cramer_models.simulate_gaps": "perfbench/tracer.py::TARGETS",
+    # the prime-table file format, checked against a rebuilt table
+    "primes_core.dump_prime_table": "tests/test_primes_core.py::test_dump_load_roundtrip",
+    "primes_core.load_prime_table": "tests/test_primes_core.py::test_dump_load_roundtrip",
 }
 
 SEED = 7
