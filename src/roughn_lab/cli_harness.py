@@ -378,7 +378,7 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, (np.int64, np.int64, np.float64),
+    return _run_chunked(cfg, params_text, (np.int64, np.int64),
                         [None] * GAP_TRIALS, run_chunk, finalize, partial_summary)
 
 

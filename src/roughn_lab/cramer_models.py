@@ -23,7 +23,7 @@ from .reporting import columns_of, write_csv
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
 COUNT_BUDGET_MAX = 10**7
-GAP_COLUMNS = ("trial", "k", "S_k", "gap", "ratio")  # gaps.csv and GapReport.gap_rows
+GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv and GapReport.gap_rows
 
 
 def loglog(v: float) -> float:
@@ -49,6 +49,11 @@ class CramerConfig:
     warmup: Optional[int] = None
 
     def __post_init__(self):
+        # a NaN passes every range check below, and an infinite rate empties every trial
+        if not math.isfinite(self.scale):
+            raise ValueError("scale must be finite")
+        if self.custom and not all(math.isfinite(v) for knot in self.custom for v in knot):
+            raise ValueError("custom knots (n, f) must be finite")
         if self.rate not in RATE_NAMES:
             raise ValueError(f"unknown rate {self.rate!r}; expected one of {RATE_NAMES}")
         if self.rate == "semiprime" and self.j < 1:
@@ -90,23 +95,20 @@ class CramerConfig:
         return vals * self.scale
 
     @cached_property
-    def sites(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sites n = 3..N as int64 and their rates f(n), built once per
-        config and shared, read-only, by its trials."""
-        ns = np.arange(3, self.N + 1, dtype=np.int64)
-        fvals = self.rate_values(ns)
-        ns.setflags(write=False)
-        fvals.setflags(write=False)
-        return ns, fvals
+    def sites(self) -> np.ndarray:
+        """1/f(n) for the sites n = 3..N, index n - 3: each site's chance of
+        a success, built once per config and shared, read-only, by its trials."""
+        inv = 1.0 / self.rate_values(np.arange(3, self.N + 1, dtype=np.int64))
+        inv.setflags(write=False)
+        return inv
 
 
 @dataclass(frozen=True)
 class GapReport:
     """A run's gap statistics.  max_ratios holds each trial's largest kept
-    ratio, NaN for an empty trial (listed in empty_trials); mean_gap is the
-    mean of every kept gap, pooled over trials, NaN when there is none; and
-    gap_rows holds the kept gaps as the GAP_COLUMNS arrays: trial, k, S_k and
-    the gap S_{k+1} - S_k as int64, the ratio as float64."""
+    ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
+    empty_trials); mean_gap pools every kept gap, NaN when there is none; and
+    gap_rows holds the GAP_COLUMNS arrays, all int64: trial, k, S_k, gap."""
 
     seed: int
     trials: int
@@ -127,35 +129,33 @@ class GapReport:
 
 def gap_columns(kept) -> tuple[np.ndarray, ...]:
     """gaps.csv's columns, in GAP_COLUMNS order, from each trial's kept
-    (S_k, gap, ratio) arrays: trial t is the t-th entry of kept, and k counts
-    that trial's gaps from 1."""
-    lengths = [len(s_k) for s_k, _, _ in kept]
+    (S_k, gap) arrays: trial t is the t-th entry of kept, and k counts that
+    trial's gaps from 1."""
+    lengths = [len(s_k) for s_k, _ in kept]
     trial = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
     k = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in lengths])
     return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
 
 
 def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray, ...]:
-    """One trial of the Bernoulli model: its kept (S_k, gap, ratio) arrays.
+    """One trial of the Bernoulli model: its kept (S_k, gap) int64 arrays.
 
     The trial draws from its own generator seeded with seed XOR trial, so its
     gaps never depend on which other trials ran, or in what order.  Gaps are
     kept only from successes at or beyond the warmup index.
     """
-    ns, fvals = config.sites
     rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
-    hits = rng.random(len(ns)) < 1.0 / fvals
-    S = ns[hits]
-    gaps = np.diff(S)
-    ratios = gaps / (fvals[hits][:-1] * np.log(S[:-1]))
-    mask = S[:-1] >= config.warmup_index()
-    return S[:-1][mask], gaps[mask], ratios[mask]
+    S = np.flatnonzero(rng.random(len(config.sites)) < config.sites) + 3
+    # S increases, so the successes at or beyond the warmup are a suffix
+    first = np.searchsorted(S[:-1], config.warmup_index())
+    return S[first:-1], np.diff(S[first:])
 
 
 def gap_report(config: CramerConfig, kept) -> GapReport:
-    """The report of a run whose t-th trial kept the arrays kept[t]."""
-    max_ratios = tuple(float(ratio.max()) if len(ratio) else float("nan")
-                       for _, _, ratio in kept)
+    """The report of a run whose t-th trial kept the (S_k, gap) arrays kept[t]."""
+    # one trial at a time, so no run-sized float array is ever held
+    max_ratios = tuple(float((gap / (config.rate_values(s_k) * np.log(s_k))).max())
+                       if len(gap) else float("nan") for s_k, gap in kept)
     columns = gap_columns(kept)
     gap_count = len(columns[3])
     return GapReport(

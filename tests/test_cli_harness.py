@@ -118,11 +118,24 @@ def test_cramer_gaps_outputs(tmp_path):
     rc = ch.main(["cramer-gaps", "--out", str(tmp_path), "--seed", "0"])
     assert rc == 0
     header, rows = read_rows(tmp_path / "gaps.csv")
-    assert header == ["trial", "k", "S_k", "gap", "ratio"]
+    assert header == ["trial", "k", "S_k", "gap"]
     rep = read_strict_json(tmp_path / "gap_report.json")
     assert rep["trials"] == 100
     assert len(rows) == rep["gap_count"]
     assert rep["trials_with_max_ratio_le_1.5"] >= 90
+
+
+def test_gaps_csv_columns_give_report_max_ratios(tmp_path):
+    # at the default size, where the ratio's log can differ by SIMD target;
+    # each row's ratio is gap / (f(S_k) log S_k) with f = log
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--seed", "7"]) == 0
+    trial, _, s_k, gap = np.loadtxt(tmp_path / "gaps.csv", dtype=np.int64,
+                                    delimiter=",", skiprows=1, unpack=True)
+    ratio = gap / (np.log(s_k) * np.log(s_k))
+    starts = np.searchsorted(trial, np.arange(ch.GAP_TRIALS))
+    ends = np.searchsorted(trial, np.arange(ch.GAP_TRIALS), side="right")
+    want = [float(ratio[lo:hi].max()) if hi > lo else None for lo, hi in zip(starts, ends)]
+    assert read_strict_json(tmp_path / "gap_report.json")["max_ratios"] == want
 
 
 def test_gap_report_writes_null_for_empty_trials(tmp_path, monkeypatch):
@@ -522,13 +535,15 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     good = tmp_path / ch.CHECKPOINT_NAME
     trial = ch.load_checkpoint(good).chunks[1]
-    s_k, gap, ratio = trial
+    s_k, gap = trial
     cases = {
         "cursor past the last trial": [trial] * (ch.GAP_TRIALS + 1),
-        "gap column of the wrong dtype": (s_k, gap.astype(np.float64), ratio),
-        "columns of unequal lengths": (s_k, gap, ratio[:-1]),
-        "two columns in place of three": (s_k, gap),
-        "a string ratio column": (s_k, gap, ratio.astype(str)),
+        "gap column of the wrong dtype": (s_k, gap.astype(np.float64)),
+        "columns of unequal lengths": (s_k, gap[:-1]),
+        "one column in place of two": (s_k,),
+        "a string gap column": (s_k, gap.astype(str)),
+        # the earlier layout, which also kept each gap's float64 ratio
+        "a three-column trial": (s_k, gap, gap / (np.log(s_k) * np.log(s_k))),
     }
     for case, value in cases.items():
         ckpt = ch.load_checkpoint(good)

@@ -15,6 +15,7 @@ from roughn_lab.cramer_models import (
     loglog,
     pi_k_lower_bound_shape,
     simulate_gaps,
+    trial_gaps,
     window_search,
     write_gaps_csv,
     write_pik_csv,
@@ -122,12 +123,52 @@ def test_simulation_is_deterministic():
     a = simulate_gaps(cfg)
     b = simulate_gaps(cfg)
     assert a.max_ratios == b.max_ratios
-    assert len(a.gap_rows) == len(b.gap_rows) == 5
+    assert len(a.gap_rows) == len(b.gap_rows) == 4
     for col_a, col_b in zip(a.gap_rows, b.gap_rows):
         assert col_a.dtype == col_b.dtype
         assert np.array_equal(col_a, col_b)
     c = simulate_gaps(CramerConfig(rate="log", N=2 * 10**4, trials=10, seed=34))
     assert c.max_ratios != a.max_ratios
+
+
+def oracle_trials(config):
+    """The earlier trial kernel: each trial's kept (S_k, gap, ratio) arrays,
+    the ratio gap / (f(S_k) log S_k) taken over every success and then
+    masked by the warmup."""
+    ns = np.arange(3, config.N + 1, dtype=np.int64)
+    fvals = config.rate_values(ns)
+    kept = []
+    for t in range(config.trials):
+        rng = np.random.Generator(np.random.PCG64(config.seed ^ t))
+        hits = rng.random(len(ns)) < 1.0 / fvals
+        S = ns[hits]
+        gaps = np.diff(S)
+        ratios = gaps / (fvals[hits][:-1] * np.log(S[:-1]))
+        mask = S[:-1] >= config.warmup_index()
+        kept.append((S[:-1][mask], gaps[mask], ratios[mask]))
+    return kept
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=0),
+    dict(seed=7),
+    dict(seed=12101),
+    dict(rate="semiprime", j=2, seed=3),
+    dict(scale=1.5, seed=4),
+    dict(rate="custom", custom=((3.0, 1.5), (10**3, 8.0), (10**5, 12.0)), seed=5),
+], ids=["seed-0", "seed-7", "seed-12101", "semiprime-j2", "scale-1.5", "custom"])
+def test_trials_and_max_ratios_match_earlier_kernel(kwargs):
+    # default size: N = 10^5, 100 trials
+    config = CramerConfig(**{"rate": "log", **kwargs})
+    want = oracle_trials(config)
+    kept = [trial_gaps(config, t) for t in range(config.trials)]
+    for (s_k, gap), (want_s, want_gap, _) in zip(kept, want, strict=True):
+        assert s_k.dtype == gap.dtype == np.int64
+        assert np.array_equal(s_k, want_s) and np.array_equal(gap, want_gap)
+    want_max = [float(r.max()) if len(r) else math.nan for _, _, r in want]
+    # bit for bit: the hex form tells apart what == would not
+    assert [m.hex() for m in simulate_gaps(config).max_ratios] == \
+        [m.hex() for m in want_max]
 
 
 def test_doubling_rate_roughly_doubles_mean_gap():
@@ -164,6 +205,21 @@ def test_config_validation():
         CramerConfig(rate="log", N=1000, trials=0)
     with pytest.raises(ValueError):
         CramerConfig(rate="custom", custom=((10.0, 5.0), (3.0, 5.0)), N=1000)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(scale=math.nan),
+    dict(scale=math.inf),
+    dict(scale=-math.inf),
+    dict(rate="custom", custom=((3.0, math.inf), (10**4, 2.0))),
+    dict(rate="custom", custom=((3.0, 2.0), (10**4, math.nan))),
+    dict(rate="custom", custom=((3.0, 2.0), (math.inf, 2.0))),
+    dict(rate="custom", custom=((math.nan, 2.0), (10**4, 2.0))),
+], ids=["scale-nan", "scale-inf", "scale-neg-inf", "knot-f-inf", "knot-f-nan",
+        "knot-n-inf", "knot-n-nan"])
+def test_non_finite_config_is_refused(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        CramerConfig(N=10**4, **kwargs)
 
 
 def test_default_warmup_is_fourth_root():
@@ -282,7 +338,7 @@ def test_gaps_csv_layout(tmp_path):
     path = tmp_path / "gaps.csv"
     write_gaps_csv(rep.gap_rows, path)
     lines = path.read_text().splitlines()
-    assert lines[0] == "trial,k,S_k,gap,ratio"
+    assert lines[0] == "trial,k,S_k,gap"
     assert len(lines) == 1 + rep.gap_count
 
 

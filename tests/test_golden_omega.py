@@ -113,7 +113,7 @@ GOLDEN = {
     },
     ("cramer-gaps", None): {
         "gap_report.json": "e9ec7dfdef19e92f78db6f086816d1d63912c8fe4d83db266490a34d0da93fe4",
-        "gaps.csv": "3315900064e9dc66d86299ff5c9bed14557a3ea04865fce95d076e107087d6cd",
+        "gaps.csv": "887b61b3541731018c8bce923994180319c9469a28b61b8cf65ada35279823a3",
     },
     ("c0", None): {
         "c0_report.json": "c806838fd5044b1e8e1a2ecbbd47b425cfe16ade7c3ab1a38f9de32066d518fc",

@@ -149,6 +149,14 @@ def default_gap_columns():
                                     for t in range(config.trials)]).gap_rows)
 
 
+def default_gap_ratio_columns():
+    """The default-size gap columns and every row's ratio gap / (f(S_k)
+    log S_k): about 961k floats for the float kernel."""
+    columns = default_gap_columns()
+    s_k, gap = columns[2], columns[3]
+    return columns + [gap / (np.log(s_k) * np.log(s_k))]
+
+
 def measure_weight_columns():
     """weights.csv's columns at the benchmark's measure bundle."""
     _, _, table = ch._table_setup(MEASURE_BUNDLE)
@@ -157,8 +165,9 @@ def measure_weight_columns():
 
 @pytest.mark.parametrize("header, make_columns", [
     (GAP_COLUMNS, default_gap_columns),
+    (GAP_COLUMNS + ("ratio",), default_gap_ratio_columns),
     (("n", "nu(n)", "cumulative-mass"), measure_weight_columns),
-], ids=["gaps", "weights"])
+], ids=["gaps", "gap_ratios", "weights"])
 def test_full_size_tables_match_percent_oracle(tmp_path, header, make_columns):
     columns = make_columns()
     assert len(columns[0]) > 100_000
