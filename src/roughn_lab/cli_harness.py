@@ -509,9 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=".", help="output directory")
     parser.add_argument("--seed", type=int, default=0,
                         help=f"base seed (env {SEED_ENV_VAR} overrides)")
-    parser.add_argument("--workers", type=int, default=1,
-                        help="accepted and checked (>= 1), then ignored: runs are "
-                             "single-process")
     parser.add_argument("--checkpoint-secs", type=int, default=300,
                         help="write a checkpoint after this many seconds (0 disables)")
     parser.add_argument("--resume", help="resume from a checkpoint file (chunked subcommands)")
@@ -524,8 +521,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            parser.error(f"--workers must be >= 1, got {args.workers}")
         if args.checkpoint_secs < 0:
             parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
         if args.max_chunks is not None and args.max_chunks < 0:

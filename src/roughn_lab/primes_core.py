@@ -1,7 +1,7 @@
 """The package's one prime sieve (primes_upto), prime tables, exact
-factorization of single integers, windowed omega/Omega counts over
-contiguous windows via a strided prime-power sieve, and a binary dump format
-for prime tables.
+factorization of single integers by trial division over a table's primes,
+and windowed omega/Omega counts over contiguous windows via a strided
+prime-power sieve.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -10,7 +10,6 @@ and counts produced here.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
@@ -21,24 +20,17 @@ from .errors import TableTooSmallError
 
 WORD_MAX = 2**63 - 1
 
-# Full spf arrays beyond this are memory-budgeted out; larger n are handled by
-# trial division / segmented sieving with primes <= sqrt(n).
+# The bool sieve behind a table takes limit + 1 bytes, so tables beyond this
+# are memory-budgeted out; a table of limit L serves every n <= L**2.
 TABLE_LIMIT_MAX = 10**8
-
-PRIME_TABLE_MAGIC = b"RLPT1"
 
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """Primes up to `limit` plus a smallest-prime-factor array.
-
-    spf[n] is the smallest prime factor of n for 2 <= n <= limit; spf[0] and
-    spf[1] are 0.  Immutable; safe to share across workers.
-    """
+    """The primes p <= `limit`, ascending, as a read-only int64 array."""
 
     limit: int
     primes: np.ndarray
-    spf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -75,15 +67,8 @@ def build_prime_table(limit: int) -> PrimeTable:
     if limit > TABLE_LIMIT_MAX:
         raise ValueError(f"prime table limit above memory budget ({TABLE_LIMIT_MAX})")
     primes = _prime_array(limit)
-    # mark composites with their smallest prime factor: smaller primes mark first
-    spf = np.zeros(limit + 1, dtype=np.int64)
-    for p in primes[: np.searchsorted(primes, isqrt(limit), side="right")].tolist():
-        block = spf[p * p :: p]
-        block[block == 0] = p
-    spf[primes] = primes
-    spf.setflags(write=False)
     primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes, spf=spf)
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def _check_n(n: int) -> None:
@@ -94,17 +79,8 @@ def _check_n(n: int) -> None:
 
 
 def _prime_powers(n: int, table: PrimeTable):
-    """Yield (prime, exponent) pairs of n in increasing prime order."""
-    if n <= table.limit:
-        spf = table.spf
-        while n > 1:
-            p = int(spf[n])
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            yield p, e
-        return
+    """Yield (prime, exponent) pairs of n in increasing prime order, by trial
+    division over the table's primes up to sqrt(n)."""
     if n > table.limit * table.limit:
         raise TableTooSmallError(
             f"factoring {n} needs primes up to {isqrt(n)}, table limit is {table.limit}"
@@ -131,7 +107,7 @@ def factorize(n: int, table: PrimeTable) -> Factorization:
 @dataclass(frozen=True)
 class WindowOmega:
     """omega(n) and Omega(n) for every n in [lo, hi], as dense int16 arrays
-    indexed by n - lo.  Immutable; parallel readers are safe.
+    indexed by n - lo.  Both arrays are read-only.
     """
 
     lo: int
@@ -182,28 +158,3 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
     bom.setflags(write=False)
     return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
 
-
-def dump_prime_table(table: PrimeTable, path) -> None:
-    """Binary dump: magic "RLPT1", little-endian u64 limit/count, u64 prime list."""
-    with open(path, "wb") as fh:
-        fh.write(PRIME_TABLE_MAGIC)
-        fh.write(struct.pack("<QQ", table.limit, len(table.primes)))
-        fh.write(table.primes.astype("<u8").tobytes())
-
-
-def load_prime_table(path) -> PrimeTable:
-    """Rebuild the table a dump describes; a dump whose prime list differs
-    from the rebuilt one is refused."""
-    with open(path, "rb") as fh:
-        magic = fh.read(len(PRIME_TABLE_MAGIC))
-        if magic != PRIME_TABLE_MAGIC:
-            raise ValueError("not a prime table dump (bad magic)")
-        head = fh.read(16)
-        if len(head) != 16:
-            raise ValueError("prime table dump is corrupt")
-        limit, count = struct.unpack("<QQ", head)
-        primes = np.frombuffer(fh.read(8 * count), dtype="<u8")
-    table = build_prime_table(limit)
-    if not np.array_equal(primes, table.primes):
-        raise ValueError("prime table dump is corrupt")
-    return table

@@ -374,8 +374,8 @@ def draw_frequency(table: WeightTable, draws: np.ndarray, d_star: int, k_star: i
 def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
     """Deterministic weighted draws from the table (inverse-CDF on one stream).
 
-    The stream never depends on worker counts; parallel callers draw disjoint
-    count ranges from their own seeds.
+    Each call draws from one fresh PCG64(seed) stream, so the same seed gives
+    the same draws.
     """
     if count < 1:
         raise ValueError("count must be >= 1")

@@ -1,15 +1,8 @@
 import pytest
 
 from roughn_lab.bump_functions import make_bump
-from roughn_lab.primes_core import build_prime_table
 
 
 @pytest.fixture(scope="session")
 def bump_spec():
     return make_bump()
-
-
-@pytest.fixture(scope="session")
-def table_2m():
-    # large enough to factor-window anything up to (2e6)^2 and to walk spf below 2e6
-    return build_prime_table(2 * 10**6 + 256)

@@ -285,9 +285,7 @@ def test_non_integer_env_seed_exits_2(toy_file, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--workers", "0"],
     ["--checkpoint-secs", "-1"],
-    ["--workers", "-5", "--checkpoint-secs", "-1"],
     ["--max-chunks", "-1"],
 ])
 def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
@@ -308,12 +306,13 @@ def test_chunk_flags_outside_chunked_subcommands_exit_2(subcommand, flags, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
-def test_workers_flag_never_changes_output(toy_file, tmp_path):
-    d1, d2 = tmp_path / "w1", tmp_path / "w4"
-    for d, n in ((d1, "1"), (d2, "4")):
-        assert ch.main(["sieve-scan", "--params", toy_file, "--out", str(d),
-                        "--seed", "2", "--workers", n]) == 0
-    assert (d1 / "weights.csv").read_bytes() == (d2 / "weights.csv").read_bytes()
+@pytest.mark.parametrize("subcommand", ["sieve-scan", "refute-679"])
+def test_removed_workers_flag_is_refused(subcommand, toy_file, tmp_path, capsys):
+    # runs are single-process, so there is no worker count to accept
+    rc = ch.main([subcommand, "--params", toy_file, "--out", str(tmp_path), "--workers", "2"])
+    assert rc == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_interrupt_writes_checkpoint_and_flags_partial(toy_file, tmp_path):

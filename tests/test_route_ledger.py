@@ -60,10 +60,9 @@ ROUTES = {
         "perfbench/step.py::constants_library",
     "moments_concentration.rho_r": "perfbench/step.py::constants_library",
     "moments_concentration.rho_r_maximize": "perfbench/step.py::constants_library",
-    "cramer_models.simulate_gaps": "perfbench/tracer.py::TARGETS",
-    # the prime-table file format, checked against a rebuilt table
-    "primes_core.dump_prime_table": "tests/test_primes_core.py::test_dump_load_roundtrip",
-    "primes_core.load_prime_table": "tests/test_primes_core.py::test_dump_load_roundtrip",
+    # the one-call gap simulation, which cramer-gaps splits into trials
+    "cramer_models.simulate_gaps":
+        "tests/test_acceptance.py::test_criterion_10_cramer_gap_ratios",
 }
 
 SEED = 7
