@@ -83,13 +83,15 @@ def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     """Write magic, u64 header length, JSON header, the sha256 of header and
-    body, then the body: every array's raw bytes in chunk order."""
+    body, then the body: every array's raw bytes in chunk order, hashed and
+    written from the arrays' own buffers, so the body is never copied."""
     header = json.dumps({
         "subcommand": ckpt.subcommand,
         "fingerprint": ckpt.fingerprint.hex(),
         "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in ckpt.chunks],
     }).encode()
-    body = [col.tobytes() for chunk in ckpt.chunks for col in chunk]
+    body = [memoryview(np.ascontiguousarray(col)).cast("B")
+            for chunk in ckpt.chunks for col in chunk]
     digest = hashlib.sha256(header)
     for block in body:
         digest.update(block)
@@ -359,7 +361,7 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
 
     def finalize(chunks):
         rep = cramer_models.gap_report(config, chunks)
-        cramer_models.write_gaps_csv(rep.gap_rows, out / "gaps.csv")
+        cramer_models.write_gaps_csv(rep.kept, out / "gaps.csv")
         write_json(out / "gap_report.json", {
             "trials": rep.trials,
             "N": config.N,
@@ -497,6 +499,9 @@ _HANDLERS: dict[str, Callable[[RunConfig, str], int]] = {
 SUBCOMMANDS = tuple(_HANDLERS)
 # the subcommands that run as chunk sequences and so take --resume and --max-chunks
 CHUNKED_SUBCOMMANDS = ("sieve-scan", "record-search", "cramer-gaps")
+# the subcommands that read a parameter file and so take --params
+PARAMS_SUBCOMMANDS = ("sieve-scan", "sample", "moments", "axioms", "window-search",
+                      "record-search")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -529,6 +534,8 @@ def main(argv=None) -> int:
             for flag, value in (("--resume", args.resume), ("--max-chunks", args.max_chunks)):
                 if value is not None:
                     parser.error(f"{flag} applies only to {', '.join(CHUNKED_SUBCOMMANDS)}")
+        if args.params is not None and args.subcommand not in PARAMS_SUBCOMMANDS:
+            parser.error(f"--params applies only to {', '.join(PARAMS_SUBCOMMANDS)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     seed = args.seed

@@ -23,7 +23,7 @@ from .reporting import columns_of, write_csv
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
 COUNT_BUDGET_MAX = 10**7
-GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv and GapReport.gap_rows
+GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv, written one part per trial
 
 
 def loglog(v: float) -> float:
@@ -108,7 +108,8 @@ class GapReport:
     """A run's gap statistics.  max_ratios holds each trial's largest kept
     ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
     empty_trials); mean_gap pools every kept gap, NaN when there is none; and
-    gap_rows holds the GAP_COLUMNS arrays, all int64: trial, k, S_k, gap."""
+    kept holds the per-trial (S_k, gap) int64 arrays the report was built
+    from, the arrays themselves and not copies, for write_gaps_csv."""
 
     seed: int
     trials: int
@@ -117,7 +118,7 @@ class GapReport:
     mean_gap: float
     gap_count: int
     empty_trials: tuple[int, ...]
-    gap_rows: tuple[np.ndarray, ...]
+    kept: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     def empty(self) -> bool:
         return self.gap_count == 0
@@ -125,16 +126,6 @@ class GapReport:
     def count_below(self, cutoff: float) -> int:
         """Trials whose max ratio is at most cutoff; an empty trial never is."""
         return sum(1 for r in self.max_ratios if r <= cutoff)
-
-
-def gap_columns(kept) -> tuple[np.ndarray, ...]:
-    """gaps.csv's columns, in GAP_COLUMNS order, from each trial's kept
-    (S_k, gap) arrays: trial t is the t-th entry of kept, and k counts that
-    trial's gaps from 1."""
-    lengths = [len(s_k) for s_k, _ in kept]
-    trial = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
-    k = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in lengths])
-    return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
 
 
 def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray, ...]:
@@ -153,21 +144,22 @@ def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray, ...]:
 
 def gap_report(config: CramerConfig, kept) -> GapReport:
     """The report of a run whose t-th trial kept the (S_k, gap) arrays kept[t]."""
-    # one trial at a time, so no run-sized float array is ever held
+    # one trial at a time, so no run-sized array is ever held
     max_ratios = tuple(float((gap / (config.rate_values(s_k) * np.log(s_k))).max())
                        if len(gap) else float("nan") for s_k, gap in kept)
-    columns = gap_columns(kept)
-    gap_count = len(columns[3])
+    gap_count = sum(len(gap) for _, gap in kept)
+    # every partial sum of the int64 gaps is an integer below 2^53, so this is
+    # the pooled mean numpy would take of them all, bit for bit
+    total = sum(int(gap.sum()) for _, gap in kept)
     return GapReport(
         seed=config.seed,
         trials=config.trials,
         warmup=config.warmup_index(),
         max_ratios=max_ratios,
-        # int64 gaps sum exactly in float64, so no summation order moves the mean
-        mean_gap=float(columns[3].mean()) if gap_count else float("nan"),
+        mean_gap=float(np.float64(total) / gap_count) if gap_count else float("nan"),
         gap_count=gap_count,
         empty_trials=tuple(t for t, r in enumerate(max_ratios) if math.isnan(r)),
-        gap_rows=columns,
+        kept=tuple(kept),
     )
 
 
@@ -382,9 +374,14 @@ def erdos_style_refuter(
 
 # --- emitters ---
 
-def write_gaps_csv(gap_rows, path) -> None:
-    """gaps.csv from GAP_COLUMNS arrays, such as a report's gap_rows."""
-    write_csv(path, GAP_COLUMNS, gap_rows)
+def write_gaps_csv(kept, path) -> None:
+    """gaps.csv from each trial's kept (S_k, gap) arrays, such as a report's
+    kept: trial t is the t-th entry of kept, and k counts that trial's gaps
+    from 1.  Each trial is one part of write_csv's rows, and each of its
+    columns a view, so no run-sized array is built."""
+    k = np.arange(1, max((len(gap) for _, gap in kept), default=0) + 1, dtype=np.int64)
+    write_csv(path, GAP_COLUMNS, *((np.broadcast_to(np.int64(t), len(gap)), k[:len(gap)],
+                                    s_k, gap) for t, (s_k, gap) in enumerate(kept)))
 
 
 def write_pik_csv(rows, path) -> None:

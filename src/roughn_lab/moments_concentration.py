@@ -10,6 +10,7 @@ never enters.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -219,11 +220,14 @@ def partition_sum_G(s3: int, R: float) -> float:
     # the factor of a block of size b, 2^(2b+1) / R^(2b-1), built once per size
     factor = [None] + [Fraction(2 ** (2 * b + 1)) / R_frac ** (2 * b - 1)
                        for b in range(1, s3 + 1)]
+    # a partition's term depends only on its block sizes, so tally the
+    # partitions by sorted size tuple and multiply once per tuple
+    shapes = Counter(tuple(sorted(map(len, part))) for part in _set_partitions(s3))
     direct = Fraction(0)
-    for part in _set_partitions(s3):
-        term = Fraction(1)
-        for block in part:
-            term *= factor[len(block)]
+    for sizes, count in shapes.items():
+        term = Fraction(count)
+        for b in sizes:
+            term *= factor[b]
         direct += term
     # EGF route: exp of the block series, truncated at degree s3
     f = [Fraction(0)] * (s3 + 1)

@@ -2,13 +2,14 @@
 
 All real numbers are written with 17 significant digits and a '.' decimal
 separator so that repeated runs produce byte-identical files.  A CSV is
-written column by column: each column is classified and checked once, so a
-non-finite value is refused before the file is opened.  The rows are then
-written a block at a time, and numpy makes each block's bytes.  Each column
-of the block becomes a byte matrix with one column per cell: row i holds
-byte i of every cell, and 0xFF, a byte UTF-8 never uses, stands where a cell
-has no byte i.  The matrices are laid side by side, transposed, with a
-separator after each, and the block's bytes are the others in row order.
+written column by column, from one or more consecutive parts of its rows:
+each column of each part is classified and checked once, so a non-finite
+value is refused before the file is opened.  The rows are then written a
+block at a time, and numpy makes each block's bytes.  Each column of the
+block becomes a byte matrix with one column per cell: row i holds byte i of
+every cell, and 0xFF, a byte UTF-8 never uses, stands where a cell has no
+byte i.  The matrices are laid side by side, transposed, with a separator
+after each, and the block's bytes are the others in row order.
 
 Integer cells get their digits from repeated division by 10.  Float cells
 get '%.17g''s digits exactly: the decade k of |x| from a log10 estimate
@@ -281,26 +282,30 @@ def _block_bytes(cells) -> bytes:
     return block[block != _SKIP].tobytes()
 
 
-def write_csv(path, header, columns) -> None:
-    """Write a CSV from its columns, one per header name.
+def write_csv(path, header, *parts) -> None:
+    """Write a CSV from its rows, given as one or more consecutive parts.
 
-    A column is a numpy array or a sequence of cells; an array's cells are
-    its tolist() values.  The bytes are those of format_cell applied to
-    every cell, in UTF-8.  Every column is checked before the file is
-    opened, and the rows are written CSV_BLOCK_ROWS at a time.
+    A part holds one column per header name, all of one length; a column is
+    a numpy array or a sequence of cells, and an array's cells are its
+    tolist() values.  The bytes are those of format_cell applied to every
+    cell, in UTF-8.  Every column of every part is checked before the file
+    is opened; then each part's rows are written CSV_BLOCK_ROWS at a time.
     """
-    if len(columns) != len(header):
-        raise ValueError(f"{len(header)} CSV header names but {len(columns)} columns")
-    checked = [_csv_column(column) for column in columns]
-    lengths = {n for n, _ in checked}
-    if len(lengths) > 1:
-        raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
-    n_rows = lengths.pop() if lengths else 0
+    checked = []
+    for columns in parts:
+        if len(columns) != len(header):
+            raise ValueError(f"{len(header)} CSV header names but {len(columns)} columns")
+        part = [_csv_column(column) for column in columns]
+        lengths = {n for n, _ in part}
+        if len(lengths) > 1:
+            raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+        checked.append((lengths.pop() if lengths else 0, [cells for _, cells in part]))
     with replace_on_success(path, "wb") as fh:
         fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, n_rows, CSV_BLOCK_ROWS):
-            hi = min(lo + CSV_BLOCK_ROWS, n_rows)
-            fh.write(_block_bytes([cells(lo, hi) for _, cells in checked]))
+        for n_rows, part in checked:
+            for lo in range(0, n_rows, CSV_BLOCK_ROWS):
+                hi = min(lo + CSV_BLOCK_ROWS, n_rows)
+                fh.write(_block_bytes([cells(lo, hi) for cells in part]))
 
 
 def columns_of(rows, width: int) -> list:

@@ -4,6 +4,7 @@ import json
 import math
 import pickle
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -165,8 +166,33 @@ def test_cramer_gaps_report_is_the_library_report(tmp_path, monkeypatch):
     assert got["mean_gap"] == rep.mean_gap
     assert got["gap_count"] == rep.gap_count
     assert got["warmup"] == rep.warmup
-    cramer_models.write_gaps_csv(rep.gap_rows, tmp_path / "lib.csv")
+    cramer_models.write_gaps_csv(rep.kept, tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "gaps.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+def test_cramer_gaps_finalize_holds_no_run_sized_copy(tmp_path, monkeypatch):
+    # the report and gaps.csv come from the trials' own arrays: the finalize
+    # step's traced peak (tracemalloc counts numpy buffers) stays far below
+    # what any copy of the kept (S_k, gap) arrays would take
+    seen = {}
+    run_chunked = ch._run_chunked
+
+    def traced(cfg, params_text, dtypes, lengths, run_chunk, finalize, partial_summary):
+        def measured(chunks):
+            seen["kept"] = sum(column.nbytes for chunk in chunks for column in chunk)
+            tracemalloc.start()
+            try:
+                finalize(chunks)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return run_chunked(cfg, params_text, dtypes, lengths, run_chunk, measured,
+                           partial_summary)
+
+    monkeypatch.setattr(ch, "_run_chunked", traced)
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--checkpoint-secs", "0"]) == 0
+    assert seen["kept"] > 10**7  # default size: N = 10^5, 100 trials
+    assert seen["peak"] < seen["kept"] / 8
 
 
 def test_write_json_refuses_nan_before_writing(tmp_path):
@@ -306,6 +332,20 @@ def test_chunk_flags_outside_chunked_subcommands_exit_2(subcommand, flags, tmp_p
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("subcommand", [s for s in ch.SUBCOMMANDS
+                                        if s not in ch.PARAMS_SUBCOMMANDS])
+def test_params_outside_parameter_subcommands_exit_2(subcommand, tmp_path, capsys):
+    # these subcommands read no parameter file, so none is accepted and ignored
+    params = tmp_path / "garbage.params"
+    params.write_text("not a parameter file\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    rc = ch.main([subcommand, "--params", str(params), "--out", str(out)])
+    assert rc == 2
+    assert "--params applies only to" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("subcommand", ["sieve-scan", "refute-679"])
 def test_removed_workers_flag_is_refused(subcommand, toy_file, tmp_path, capsys):
     # runs are single-process, so there is no worker count to accept
@@ -341,6 +381,37 @@ def test_checkpoint_file_layout(toy_file, tmp_path):
     assert header["fingerprint"] == ckpt.fingerprint.hex()
     assert header["chunks"] == [[["<f8", len(nu)]] for nu, in ckpt.chunks]
     assert raw[at:] == b"".join(nu.tobytes() for nu, in ckpt.chunks)
+
+
+def tobytes_checkpoint(ckpt: ch.Checkpoint) -> bytes:
+    """The earlier checkpoint writer's bytes: the body as one tobytes() copy
+    of every array, in chunk order."""
+    header = json.dumps({
+        "subcommand": ckpt.subcommand,
+        "fingerprint": ckpt.fingerprint.hex(),
+        "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in ckpt.chunks],
+    }).encode()
+    body = b"".join(col.tobytes() for chunk in ckpt.chunks for col in chunk)
+    return (ch.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header
+            + hashlib.sha256(header + body).digest() + body)
+
+
+@pytest.mark.parametrize("subcommand, budget", [("cramer-gaps", 7), ("sieve-scan", 5)])
+def test_checkpoint_bytes_match_tobytes_writer(subcommand, budget, toy_file, tmp_path):
+    argv = [subcommand, "--out", str(tmp_path), "--seed", "3", "--max-chunks", str(budget)]
+    if subcommand in ch.PARAMS_SUBCOMMANDS:
+        argv += ["--params", toy_file]
+    assert ch.main(argv) == 3
+    path = tmp_path / ch.CHECKPOINT_NAME
+    ckpt = ch.load_checkpoint(path)
+    assert len(ckpt.chunks) == budget
+    assert path.read_bytes() == tobytes_checkpoint(ckpt)
+    # strided, empty and big-endian columns too
+    chunks = [(column[::2], column[:0], column.astype(column.dtype.newbyteorder(">")))
+              for chunk in ckpt.chunks for column in chunk]
+    odd = ch.Checkpoint(ckpt.subcommand, ckpt.fingerprint, chunks)
+    ch.save_checkpoint(tmp_path / "odd.rlck", odd)
+    assert (tmp_path / "odd.rlck").read_bytes() == tobytes_checkpoint(odd)
 
 
 def test_sieve_scan_roundtrip_three_interrupts(toy_file, tmp_path):

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from roughn_lab.cramer_models import (
+    GAP_COLUMNS,
     CramerConfig,
     GapReport,
     count_pi_k,
     density_profile,
     erdos_style_refuter,
+    gap_report,
     loglog,
     pi_k_lower_bound_shape,
     simulate_gaps,
@@ -22,6 +24,7 @@ from roughn_lab.cramer_models import (
     write_witness_csv,
 )
 from roughn_lab.errors import BudgetExceededError
+from roughn_lab.reporting import write_csv
 
 
 def trial_omega(m: int) -> int:
@@ -123,12 +126,24 @@ def test_simulation_is_deterministic():
     a = simulate_gaps(cfg)
     b = simulate_gaps(cfg)
     assert a.max_ratios == b.max_ratios
-    assert len(a.gap_rows) == len(b.gap_rows) == 4
-    for col_a, col_b in zip(a.gap_rows, b.gap_rows):
-        assert col_a.dtype == col_b.dtype
-        assert np.array_equal(col_a, col_b)
+    assert len(a.kept) == len(b.kept) == 10
+    for trial_a, trial_b in zip(a.kept, b.kept):
+        assert len(trial_a) == len(trial_b) == 2
+        for col_a, col_b in zip(trial_a, trial_b):
+            assert col_a.dtype == col_b.dtype == np.int64
+            assert np.array_equal(col_a, col_b)
     c = simulate_gaps(CramerConfig(rate="log", N=2 * 10**4, trials=10, seed=34))
     assert c.max_ratios != a.max_ratios
+
+
+def gap_columns(kept) -> tuple[np.ndarray, ...]:
+    """The earlier gaps.csv columns, in GAP_COLUMNS order, concatenated over
+    the run from each trial's kept (S_k, gap) arrays: trial t is the t-th
+    entry of kept, and k counts that trial's gaps from 1."""
+    lengths = [len(s_k) for s_k, _ in kept]
+    trial = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
+    k = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in lengths])
+    return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
 
 
 def oracle_trials(config):
@@ -336,10 +351,42 @@ def test_gaps_csv_layout(tmp_path):
     cfg = CramerConfig(rate="log", N=5000, trials=2, seed=7)
     rep = simulate_gaps(cfg)
     path = tmp_path / "gaps.csv"
-    write_gaps_csv(rep.gap_rows, path)
+    write_gaps_csv(rep.kept, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,k,S_k,gap"
     assert len(lines) == 1 + rep.gap_count
+    assert lines[1:] == [",".join(map(str, row)) for row in zip(*(
+        column.tolist() for column in gap_columns(rep.kept)))]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(seed=0),
+    dict(seed=7),
+    # with sites 3..10 only, some trials see fewer than two successes
+    dict(N=10, trials=300, warmup=3, seed=0),
+    # no gap can start at or beyond the last site
+    dict(N=10, trials=5, warmup=10, seed=0),
+], ids=["seed-0", "seed-7", "some-empty-trials", "all-empty"])
+def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
+    # default size unless given: N = 10^5, 100 trials
+    config = CramerConfig(**{"rate": "log", **kwargs})
+    kept = [trial_gaps(config, t) for t in range(config.trials)]
+    rep = gap_report(config, kept)
+    assert all(a is b for trial, rep_trial in zip(kept, rep.kept, strict=True)
+               for a, b in zip(trial, rep_trial, strict=True))
+    columns = gap_columns(kept)
+    assert rep.gap_count == len(columns[3])
+    # bit for bit: the mean numpy takes over the concatenated gaps
+    want_mean = float(columns[3].mean()) if len(columns[3]) else math.nan
+    assert rep.mean_gap.hex() == want_mean.hex()
+    write_gaps_csv(rep.kept, tmp_path / "streamed.csv")
+    write_csv(tmp_path / "oracle.csv", GAP_COLUMNS, columns)
+    streamed = (tmp_path / "streamed.csv").read_bytes()
+    assert streamed == (tmp_path / "oracle.csv").read_bytes()
+    if kwargs.get("warmup") == 3:
+        assert rep.empty_trials and not rep.empty()
+    if kwargs.get("warmup") == 10:
+        assert rep.empty() and streamed == b"trial,k,S_k,gap\n"
 
 
 def test_pik_csv_layout(tmp_path):

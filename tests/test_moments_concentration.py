@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -185,6 +186,28 @@ def test_partition_sum_dual_route_grid():
     for s3 in range(1, 9):
         for R in (10.0, 100.0, 1000.0):
             assert partition_sum_G(s3, R) > 0
+
+
+def per_partition_sum(s3: int, R: float) -> float:
+    """The earlier direct route: one product of block factors per set
+    partition, summed exactly."""
+    factor = [None] + [Fraction(2 ** (2 * b + 1)) / Fraction(R) ** (2 * b - 1)
+                       for b in range(1, s3 + 1)]
+    direct = Fraction(0)
+    for part in moments_concentration._set_partitions(s3):
+        term = Fraction(1)
+        for block in part:
+            term *= factor[len(block)]
+        direct += term
+    return float(direct)
+
+
+@pytest.mark.parametrize("R", [2.5, 3.7, 10.0, 100.0, 1000.0, 1e6])
+def test_partition_sum_matches_per_partition_loop(R):
+    # every s3 up to the cap at R = 3.7, whose block factors have the longest
+    # denominators; s3 <= 8 elsewhere, since the loop takes seconds at s3 = 10
+    for s3 in range(1, 11 if R == 3.7 else 9):
+        assert partition_sum_G(s3, R).hex() == per_partition_sum(s3, R).hex()
 
 
 def test_partition_sum_budget_and_domain():

@@ -14,8 +14,9 @@ from hypothesis import strategies as st
 
 from roughn_lab import cli_harness as ch
 from roughn_lab import reporting
-from roughn_lab.cramer_models import GAP_COLUMNS, CramerConfig, gap_report, trial_gaps
+from roughn_lab.cramer_models import GAP_COLUMNS, CramerConfig, trial_gaps
 from roughn_lab.reporting import columns_of, float_digits, format_cell, write_csv
+from test_cramer_models import gap_columns
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
@@ -118,6 +119,53 @@ def test_write_csv_matches_per_cell_oracle(table, block):
         assert path.read_text() == oracle(header, columns)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(table=tables(), cuts=st.lists(st.integers(0, 30), max_size=4),
+       block=st.sampled_from([1, 2, 7, 1 << 14]))
+def test_write_csv_parts_write_the_whole_table(table, cuts, block):
+    # cut the rows into consecutive parts, zero-row parts among them
+    header, columns = table
+    n = len(columns[0])
+    bounds = [0] + sorted(min(c, n) for c in cuts) + [n]
+    parts = [[column[lo:hi] for column in columns] for lo, hi in zip(bounds, bounds[1:])]
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(reporting, "CSV_BLOCK_ROWS", block):
+        path = Path(tmp) / "t.csv"
+        write_csv(path, header, *parts)
+        assert path.read_text() == oracle(header, columns)
+
+
+@pytest.mark.parametrize("parts", [
+    [],
+    [[[], []]],
+    [[[], []], [np.arange(2), [0.5, "a"]], [[], []]],
+], ids=["no-parts", "one-empty-part", "empty-parts-around-rows"])
+def test_write_csv_zero_row_parts(tmp_path, parts):
+    path = tmp_path / "t.csv"
+    write_csv(path, ["i", "x"], *parts)
+    rows = "".join(f"{i},{x}\n" for part in parts for i, x in zip(*part))
+    assert path.read_text() == "i,x\n" + rows
+
+
+@pytest.mark.parametrize("last", [
+    [np.arange(2), np.array([1.0, float("nan")])],
+    [np.arange(2), np.ones(1)],
+    [np.arange(2)],
+], ids=["nan", "short-column", "missing-column"])
+def test_bad_last_part_is_refused_before_writing(tmp_path, last):
+    path = tmp_path / "t.csv"
+    first = [np.arange(3), np.ones(3)]
+    with pytest.raises(ValueError):
+        write_csv(path, ["i", "x"], first, first, last)
+    assert list(tmp_path.iterdir()) == []
+    write_csv(path, ["i", "x"], first)
+    previous = path.read_bytes()
+    with pytest.raises(ValueError):
+        write_csv(path, ["i", "x"], first, first, last)
+    assert path.read_bytes() == previous
+    assert list(tmp_path.iterdir()) == [path]
+
+
 @pytest.mark.parametrize("rows", [[], [(1, "a", 0.5)], [(1, "a", 0.5), (2, "b", -0.0)]])
 def test_columns_of_rows_writes_the_rows(tmp_path, rows):
     path = tmp_path / "t.csv"
@@ -145,8 +193,7 @@ MEASURE_BUNDLE = "x = 30000000\nK = 1\nw = 7\nc = 0.3\ngamma = 1\n"
 def default_gap_columns():
     """gaps.csv's columns at cramer-gaps' default size, seed 7."""
     config = CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS, seed=7)
-    return list(gap_report(config, [trial_gaps(config, t)
-                                    for t in range(config.trials)]).gap_rows)
+    return list(gap_columns([trial_gaps(config, t) for t in range(config.trials)]))
 
 
 def default_gap_ratio_columns():
