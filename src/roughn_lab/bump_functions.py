@@ -15,8 +15,9 @@ c0's two routes are diagonal sums, not full matrices.  The time route samples
 the base once per residue of its refinement.  The frequency route uses that
 the kernel 1 - (2+2tt')/(4+(t+t')^2) equals (2+t^2+t'^2)/(4+(t+t')^2) and that
 on the uniform t grid t_i + t_j depends on i+j only.  Their sums run through
-correlate_fixed and 1-D einsum, never BLAS, so c0's bytes do not move with the
-BLAS build or its thread count.
+correlate_fixed and 1-D einsum, never BLAS, and so do eta_value's and
+eta_prime_value's sums over the base grid, so c0's bytes and the weight
+coefficients do not move with the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -70,7 +71,6 @@ class BumpSpec:
     norm: float
     u_grid: np.ndarray
     eta: np.ndarray
-    eta_prime: np.ndarray
     eta_tilde: np.ndarray
     eta_tilde_prime: np.ndarray
     t_grid: np.ndarray
@@ -136,7 +136,6 @@ def make_bump(
         norm=norm,
         u_grid=u_grid,
         eta=eta,
-        eta_prime=eta_prime,
         eta_tilde=eta_tilde,
         eta_tilde_prime=eta_tilde_prime,
         t_grid=t_grid,
@@ -164,7 +163,7 @@ def correlate_fixed(seq, w, count):
     return np.einsum("ij,j->i", windows, np.ascontiguousarray(w))
 
 
-def _eta_hat_from_samples(ts, u_grid, eta_samples, h, chunk=256):
+def _eta_hat_from_samples(ts, u_grid, eta_samples, h):
     """(1/2pi) * Simpson sum of eta(u) cos(tu) over u_grid.
 
     eta is even and u_grid symmetric about its middle point, so the u < 0
@@ -175,9 +174,9 @@ def _eta_hat_from_samples(ts, u_grid, eta_samples, h, chunk=256):
     folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
     u_pos = u_grid[mid:]
     out = np.empty(len(ts))
-    for a in range(0, len(ts), chunk):
-        block = np.asarray(ts[a : a + chunk])
-        out[a : a + chunk] = np.einsum("ij,j->i", np.cos(np.outer(block, u_pos)), folded)
+    for a in range(0, len(ts), 256):  # 256 t values per cosine block
+        block = np.asarray(ts[a : a + 256])
+        out[a : a + 256] = np.einsum("ij,j->i", np.cos(np.outer(block, u_pos)), folded)
     return out / (2.0 * np.pi)
 
 
@@ -185,7 +184,7 @@ def eta_value(u, spec: BumpSpec):
     """eta at arbitrary points, by Simpson over the cached base grid."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     points = arr[:, None] + spec.base_grid[None, :]
-    vals = standard_base(points) @ spec.base_weights / spec.norm
+    vals = np.einsum("ij,j->i", standard_base(points), spec.base_weights) / spec.norm
     vals[np.abs(arr) >= 1.0] = 0.0
     return vals if np.ndim(u) else float(vals[0])
 
@@ -194,7 +193,7 @@ def eta_prime_value(u, spec: BumpSpec):
     """eta' at arbitrary points, differentiated under the convolution integral."""
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     points = arr[:, None] + spec.base_grid[None, :]
-    vals = standard_base_prime(points) @ spec.base_weights / spec.norm
+    vals = np.einsum("ij,j->i", standard_base_prime(points), spec.base_weights) / spec.norm
     vals[np.abs(arr) >= 1.0] = 0.0
     return vals if np.ndim(u) else float(vals[0])
 

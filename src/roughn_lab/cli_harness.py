@@ -18,7 +18,6 @@ import hashlib
 import itertools
 import json
 import math
-import os
 import struct
 import sys
 import time
@@ -35,7 +34,7 @@ from .reporting import columns_of, replace_on_success, write_csv, write_json
 
 CHECKPOINT_MAGIC = b"RLCK2"
 CHECKPOINT_NAME = "checkpoint.rlck"
-SEED_ENV_VAR = "ROUGHN_LAB_SEED"
+CHECKPOINT_SECS = 300  # the chunked subcommands' --checkpoint-secs default
 
 SAMPLE_COUNT = 10**5
 GAP_N = 10**5
@@ -47,17 +46,6 @@ PIK_GRID = (10**3, 10**4, 10**5, 10**6)
 # table-building subcommands use a reduced quadrature grid; the c0 command
 # keeps the full default so both routes run at reporting accuracy
 _FAST_BUMP = dict(grid_points=1025, t_points=801, t_max=60.0)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    subcommand: str
-    params_path: Optional[str]
-    out_dir: str
-    seed: int
-    checkpoint_secs: int
-    resume_path: Optional[str]
-    max_chunks: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -95,7 +83,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     digest = hashlib.sha256(header)
     for block in body:
         digest.update(block)
-    with replace_on_success(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header + digest.digest())
         fh.writelines(body)
 
@@ -139,7 +127,7 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def _run_chunked(
-    cfg: RunConfig,
+    args: argparse.Namespace,
     params_text: str,
     dtypes: tuple,
     lengths: list[Optional[int]],
@@ -156,15 +144,15 @@ def _run_chunked(
     finalize writes the same bytes.  A resumed run takes the checkpoint's
     chunks only if each has exactly that shape.
     """
-    fingerprint = config_fingerprint(cfg.subcommand, cfg.seed, params_text)
-    ckpt_path = Path(cfg.out_dir) / CHECKPOINT_NAME
+    fingerprint = config_fingerprint(args.subcommand, args.seed, params_text)
+    ckpt_path = Path(args.out) / CHECKPOINT_NAME
     chunks = []
-    if cfg.resume_path:
+    if args.resume:
         try:
-            ckpt = load_checkpoint(cfg.resume_path)
+            ckpt = load_checkpoint(args.resume)
         except (OSError, ValueError) as exc:  # a directory or unreadable path too
             raise ValueError(f"{exc}; refusing to resume") from exc
-        if ckpt.fingerprint != fingerprint or ckpt.subcommand != cfg.subcommand:
+        if ckpt.fingerprint != fingerprint or ckpt.subcommand != args.subcommand:
             raise ResumeMismatchError(
                 "checkpoint does not match this configuration; refusing to resume"
             )
@@ -180,17 +168,18 @@ def _run_chunked(
                 f"cursor {len(chunks)}); refusing to resume"
             )
     start = len(chunks)
+    every = CHECKPOINT_SECS if args.checkpoint_secs is None else args.checkpoint_secs
     last_save = time.monotonic()
     for i in range(start, len(lengths)):
-        if cfg.max_chunks is not None and i - start >= cfg.max_chunks:
-            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, chunks))
+        if args.max_chunks is not None and i - start >= args.max_chunks:
+            save_checkpoint(ckpt_path, Checkpoint(args.subcommand, fingerprint, chunks))
             partial_summary(i)
             print(f"chunk budget reached at {i}/{len(lengths)}; checkpoint: {ckpt_path}",
                   file=sys.stderr)
             return 3
         chunks.append(run_chunk(i))
-        if cfg.checkpoint_secs > 0 and time.monotonic() - last_save >= cfg.checkpoint_secs:
-            save_checkpoint(ckpt_path, Checkpoint(cfg.subcommand, fingerprint, chunks))
+        if every > 0 and time.monotonic() - last_save >= every:
+            save_checkpoint(ckpt_path, Checkpoint(args.subcommand, fingerprint, chunks))
             last_save = time.monotonic()
     finalize(chunks)
     return 0
@@ -198,10 +187,10 @@ def _run_chunked(
 
 # --- shared setup ---
 
-def _load_params_text(cfg: RunConfig) -> str:
-    if cfg.params_path is None:
+def _load_params_text(args: argparse.Namespace) -> str:
+    if args.params is None:
         return ""
-    path = Path(cfg.params_path)
+    path = Path(args.params)
     if not path.is_file():
         raise FileNotFoundError(f"parameter file not found: {path}")
     return path.read_text()
@@ -240,12 +229,12 @@ def _sample_tuples(params: sieve_measure.SieveParams) -> list[tuple[int, int]]:
 
 # --- subcommand bodies ---
 
-def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
+def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
     params = sieve_measure.parse_params(params_text)
     spec = bump_functions.make_bump(**_FAST_BUMP)
     support = sieve_measure.weight_support(params)
     terms = sieve_measure.shift_terms(params, spec)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     n_chunks, bounds = _chunks(len(support), SCAN_CHUNKS)
 
     def run_chunk(i):
@@ -274,14 +263,14 @@ def _cmd_sieve_scan(cfg: RunConfig, params_text: str) -> int:
             "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+    return _run_chunked(args, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
                         run_chunk, finalize, partial_summary)
 
 
-def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
+def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
-    out = Path(cfg.out_dir)
-    draws = sieve_measure.sample(table, cfg.seed, SAMPLE_COUNT)
+    out = Path(args.out)
+    draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
     write_csv(out / "samples.csv", ["draw", "n"], [np.arange(len(draws)), draws])
     rows = []
     for d, k in _sample_tuples(params):
@@ -292,7 +281,7 @@ def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
     sieve_measure.write_probs_csv(rows, out / "probs.csv")
     write_json(out / "sample_summary.json", {
         "count": len(draws),
-        "seed": cfg.seed,
+        "seed": args.seed,
         "all_divisible_by_W": bool(np.all(draws % params.W == 0)),
         "within_3_sigma": sum(1 for d, k, e, f, s in rows if abs(f - e) <= 3 * s),
         "tuples": len(rows),
@@ -300,9 +289,9 @@ def _cmd_sample(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_moments(cfg: RunConfig, params_text: str) -> int:
+def _cmd_moments(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     reports = []
     for k in (1, 2, 3):
         for tag in ("medium", "large"):
@@ -317,8 +306,8 @@ def _cmd_moments(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_c0(cfg: RunConfig, params_text: str) -> int:
-    out = Path(cfg.out_dir)
+def _cmd_c0(args: argparse.Namespace, params_text: str) -> int:
+    out = Path(args.out)
     spec = bump_functions.make_bump()
     res = bump_functions.c0_compute(spec)
     rel = abs(res.c0_time - res.c0_freq) / abs(res.c0_time)
@@ -335,14 +324,14 @@ def _cmd_c0(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_axioms(cfg: RunConfig, params_text: str) -> int:
+def _cmd_axioms(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     payload = {}
     for which, kwargs in (("A", {}), ("B", dict(s=2, budget=200)),
                           ("C", dict(s=2, budget=500)), ("D", dict(budget=50))):
         try:
-            rep = sieve_measure.axiom_check(which, table, seed=cfg.seed, **kwargs)
+            rep = sieve_measure.axiom_check(which, table, seed=args.seed, **kwargs)
             payload[which] = {"passed": rep.passed, "truncated": rep.truncated,
                               "detail": rep.detail}
         except ValueError as exc:
@@ -351,10 +340,10 @@ def _cmd_axioms(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
-    out = Path(cfg.out_dir)
+def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
+    out = Path(args.out)
     config = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=GAP_TRIALS,
-                                        seed=cfg.seed)
+                                        seed=args.seed)
 
     def run_chunk(t):
         return cramer_models.trial_gaps(config, t)
@@ -380,12 +369,12 @@ def _cmd_cramer_gaps(cfg: RunConfig, params_text: str) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, (np.int64, np.int64),
+    return _run_chunked(args, params_text, (np.int64, np.int64),
                         [None] * GAP_TRIALS, run_chunk, finalize, partial_summary)
 
 
-def _cmd_pik(cfg: RunConfig, params_text: str) -> int:
-    out = Path(cfg.out_dir)
+def _cmd_pik(args: argparse.Namespace, params_text: str) -> int:
+    out = Path(args.out)
     rows = []
     identities = {}
     for x in PIK_GRID:
@@ -401,9 +390,9 @@ def _cmd_pik(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_window_search(cfg: RunConfig, params_text: str) -> int:
+def _cmd_window_search(args: argparse.Namespace, params_text: str) -> int:
     params = sieve_measure.parse_params(params_text)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     x = params.x
     hits = [
         cramer_models.window_search(x, "A-omega", epsilon=0.8, C=2.0),
@@ -417,8 +406,8 @@ def _cmd_window_search(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_refute_679(cfg: RunConfig, params_text: str) -> int:
-    out = Path(cfg.out_dir)
+def _cmd_refute_679(args: argparse.Namespace, params_text: str) -> int:
+    out = Path(args.out)
     res = cramer_models.erdos_style_refuter(10**8 + 7, 0.01, budget=10**5,
                                             C0=2.0, d=1.5)
     write_json(out / "refute679.json", {
@@ -429,29 +418,29 @@ def _cmd_refute_679(cfg: RunConfig, params_text: str) -> int:
     return 0
 
 
-def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
+def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
-    out = Path(cfg.out_dir)
+    out = Path(args.out)
     support = table.support
     k_max = params.k_max
     n_chunks, bounds = _chunks(len(support), RECORD_CHUNKS)
-    ptable = build_prime_table(math.isqrt(int(support[-1]) + k_max) + 1)
 
     def run_chunk(i):
         lo_i, hi_i = bounds[i]
         ns = support[lo_i:hi_i]
         lo = int(ns[0]) + 2
         hi = int(ns[-1]) + k_max
-        window = factor_window(lo, hi, ptable)
+        window = factor_window(lo, hi)
         return (moments_concentration.max_log_ratio(window, ns, k_max),)
 
     def finalize(chunks):
         ratios = np.concatenate([ratios for ratios, in chunks])
         best_idx = int(np.argmin(ratios))
-        draws = sieve_measure.sample(table, cfg.seed, SAMPLE_COUNT)
+        draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
         drawn_idx = np.unique((draws - support[0]) // params.W).astype(np.int64)
         samp_pos = drawn_idx[int(np.argmin(ratios[drawn_idx]))]
         witness = int(support[samp_pos])
+        ptable = build_prime_table(math.isqrt(witness + k_max) + 1)
         profile_rows = []
         for k in range(2, k_max + 1):
             om = factorize(witness + k, ptable).big_omega()
@@ -467,7 +456,7 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
             "value_ratio_sampled_over_exhaustive":
                 float(ratios[samp_pos] / ratios[best_idx]),
             "k_max": k_max,
-            "seed": cfg.seed,
+            "seed": args.seed,
             "partial": False,
         })
 
@@ -476,15 +465,15 @@ def _cmd_record_search(cfg: RunConfig, params_text: str) -> int:
             "completed_chunks": cursor, "of_chunks": n_chunks, "partial": True,
         })
 
-    return _run_chunked(cfg, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+    return _run_chunked(args, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
                         run_chunk, finalize, partial_summary)
 
 
 # --- entry point ---
 
-# every handler takes the run config and the parameter file text ("" without
+# every handler takes the parsed arguments and the parameter file text ("" without
 # --params); the order here is the order of the CLI's subcommand choices
-_HANDLERS: dict[str, Callable[[RunConfig, str], int]] = {
+_HANDLERS: dict[str, Callable[[argparse.Namespace, str], int]] = {
     "sieve-scan": _cmd_sieve_scan,
     "sample": _cmd_sample,
     "moments": _cmd_moments,
@@ -497,7 +486,8 @@ _HANDLERS: dict[str, Callable[[RunConfig, str], int]] = {
     "record-search": _cmd_record_search,
 }
 SUBCOMMANDS = tuple(_HANDLERS)
-# the subcommands that run as chunk sequences and so take --resume and --max-chunks
+# the subcommands that run as chunk sequences and so take --resume, --max-chunks
+# and --checkpoint-secs
 CHUNKED_SUBCOMMANDS = ("sieve-scan", "record-search", "cramer-gaps")
 # the subcommands that read a parameter file and so take --params
 PARAMS_SUBCOMMANDS = ("sieve-scan", "sample", "moments", "axioms", "window-search",
@@ -512,10 +502,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--params", help="parameter file (flat key=value)")
     parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument("--seed", type=int, default=0,
-                        help=f"base seed (env {SEED_ENV_VAR} overrides)")
-    parser.add_argument("--checkpoint-secs", type=int, default=300,
-                        help="write a checkpoint after this many seconds (0 disables)")
+    parser.add_argument("--seed", type=int, default=0, help="base seed")
+    parser.add_argument("--checkpoint-secs", type=int, default=None,
+                        help="write a checkpoint after this many seconds (0 disables; "
+                             f"default {CHECKPOINT_SECS}; chunked subcommands)")
     parser.add_argument("--resume", help="resume from a checkpoint file (chunked subcommands)")
     parser.add_argument("--max-chunks", type=int, default=None,
                         help="stop after N chunks with a checkpoint (exit 3; chunked subcommands)")
@@ -526,37 +516,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.checkpoint_secs < 0:
+        if args.checkpoint_secs is not None and args.checkpoint_secs < 0:
             parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
         if args.max_chunks is not None and args.max_chunks < 0:
             parser.error(f"--max-chunks must be >= 0, got {args.max_chunks}")
         if args.subcommand not in CHUNKED_SUBCOMMANDS:
-            for flag, value in (("--resume", args.resume), ("--max-chunks", args.max_chunks)):
+            for flag, value in (("--resume", args.resume), ("--max-chunks", args.max_chunks),
+                                ("--checkpoint-secs", args.checkpoint_secs)):
                 if value is not None:
                     parser.error(f"{flag} applies only to {', '.join(CHUNKED_SUBCOMMANDS)}")
         if args.params is not None and args.subcommand not in PARAMS_SUBCOMMANDS:
             parser.error(f"--params applies only to {', '.join(PARAMS_SUBCOMMANDS)}")
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
-    seed = args.seed
-    if SEED_ENV_VAR in os.environ:
-        try:
-            seed = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            print(f"{SEED_ENV_VAR} must be an integer", file=sys.stderr)
-            return 2
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        params_path=args.params,
-        out_dir=args.out,
-        seed=seed,
-        checkpoint_secs=args.checkpoint_secs,
-        resume_path=args.resume,
-        max_chunks=args.max_chunks,
-    )
     try:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-        return _HANDLERS[cfg.subcommand](cfg, _load_params_text(cfg))
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+        return _HANDLERS[args.subcommand](args, _load_params_text(args))
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

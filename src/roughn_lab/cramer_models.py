@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .primes_core import build_prime_table, factor_window
+from .primes_core import build_prime_table, factor_window, factorize
 from .reporting import columns_of, write_csv
 
 RATE_NAMES = ("log", "semiprime", "custom")
@@ -103,7 +103,7 @@ class CramerConfig:
         return inv
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GapReport:
     """A run's gap statistics.  max_ratios holds each trial's largest kept
     ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
@@ -173,8 +173,7 @@ def simulate_gaps(config: CramerConfig) -> GapReport:
 
 @lru_cache(maxsize=8)
 def _omega_histogram(x: int) -> tuple[int, ...]:
-    table = build_prime_table(math.isqrt(x) + 1)
-    window = factor_window(2, x, table)
+    window = factor_window(2, x)
     return tuple(int(c) for c in np.bincount(window.omega))
 
 
@@ -223,24 +222,6 @@ class WindowWitness:
     threshold: Optional[float]
 
 
-def _trial_omegas(m: int) -> tuple[int, int]:
-    small = 0
-    total = 0
-    d = 2
-    mm = m
-    while d * d <= mm:
-        if mm % d == 0:
-            small += 1
-            while mm % d == 0:
-                total += 1
-                mm //= d
-        d += 1
-    if mm > 1:
-        small += 1
-        total += 1
-    return small, total
-
-
 def window_search(
     x: int,
     variant: str,
@@ -266,11 +247,13 @@ def window_search(
             raise ValueError("A-omega/B-Omega need epsilon and C")
         params = {"epsilon": epsilon, "C": C}
         width = C * math.log(x) * math.sqrt(loglog(x))
+        threshold_at = lambda ll: epsilon * ll
     else:
         if C0 is None or d is None:
             raise ValueError("weak variant needs C0 and d")
         params = {"C0": C0, "d": d}
         width = math.log(x / 2.0) ** d
+        threshold_at = lambda ll: C0 * ll / math.log(ll)
     if width < 1:
         raise ValueError(f"window width {width:.3g} is below one integer")
     lo = max(2, int(math.floor(x - width)) + 1)
@@ -279,25 +262,17 @@ def window_search(
     hi = x
     if hi - lo > COUNT_BUDGET_MAX:
         raise BudgetExceededError("window too wide to factor")
-    table = build_prime_table(math.isqrt(hi) + 1)
-    window = factor_window(lo, hi, table)
+    window = factor_window(lo, hi)
+    counts = window.big_omega if variant == "B-Omega" else window.omega
     witness = None
     value = None
     threshold = None
     for n in range(hi, lo - 1, -1):
-        ll = loglog(n)
-        if variant == "A-omega":
-            thresh = epsilon * ll
-            got = int(window.omega[n - lo])
-        elif variant == "B-Omega":
-            thresh = epsilon * ll
-            got = int(window.big_omega[n - lo])
-        else:
-            thresh = C0 * ll / math.log(ll)
-            got = int(window.omega[n - lo])
+        thresh = threshold_at(loglog(n))
+        got = int(counts[n - lo])
         if got >= thresh:
-            small, total = _trial_omegas(n)
-            check = total if variant == "B-Omega" else small
+            factors = factorize(n, build_prime_table(math.isqrt(n) + 1))
+            check = factors.big_omega() if variant == "B-Omega" else len(factors.factors)
             if check != got:
                 raise RuntimeError(f"window counts disagree with trial division at {n}")
             witness, value, threshold = n, got, thresh
@@ -338,8 +313,7 @@ def erdos_style_refuter(
         raise ValueError("delta must be positive")
     k_hi = min(budget, n - 2)
     lo = n - k_hi
-    table = build_prime_table(math.isqrt(n) + 1)
-    window = factor_window(lo, n - 3, table)
+    window = factor_window(lo, n - 3)
     found_k = None
     found_omega = None
     found_threshold = None

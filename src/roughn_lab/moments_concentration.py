@@ -69,13 +69,11 @@ def stirling_identity_check(s: int, m: int) -> bool:
     return lhs == m ** (2 * s)
 
 
-def stirling_bound_kappa(s_lo: int = 10, s_hi: int = 60) -> float:
-    """Smallest kappa with {s, t} <= kappa * (s/log s)^s over the scan range."""
-    if not 2 <= s_lo <= s_hi <= STIRLING_MAX_S:
-        raise ValueError("scan range must sit inside [2, table max]")
+def stirling_bound_kappa() -> float:
+    """Smallest kappa with {s, t} <= kappa * (s/log s)^s for 10 <= s <= 60."""
     table = build_stirling_table()
     kappa = 0.0
-    for s in range(s_lo, s_hi + 1):
+    for s in range(10, 61):
         envelope = (s / math.log(s)) ** s
         best = max(table.values[s - 1])
         kappa = max(kappa, best / envelope)
@@ -120,9 +118,7 @@ def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]
     raise ValueError(f"unknown range tag {range_tag!r}; expected one of {RANGE_TAGS}")
 
 
-def _display_bound(
-    range_tag: str, params: SieveParams, k: int, s: int, C3: float, centered: bool
-) -> float:
+def _display_bound(range_tag: str, params: SieveParams, k: int, s: int, centered: bool) -> float:
     if range_tag == "tiny":
         # tiny-prime divisibility is rigid, so the sum is a known constant
         det = math.fsum((1.0 if k % p == 0 else 0.0) for p in params.tiny_primes)
@@ -130,7 +126,7 @@ def _display_bound(
             det -= math.fsum(1.0 / p for p in params.tiny_primes)
         return abs(det) ** s
     if range_tag == "medium":
-        return (2.0 * C3 * s) ** s
+        return (2.0 * 3.0 * s) ** s  # (2*C3*s)^s at C3 = 3
     if range_tag == "large":
         return (132.0 * params.A * math.log(k)) ** s if k >= 2 else 0.0
     return 2.0 ** (19 * s) + 2.0**s
@@ -142,7 +138,6 @@ def exact_centered_moment(
     range_tag: str,
     s: int,
     centered: bool = True,
-    C3: float = 3.0,
 ) -> MomentReport:
     """s-th weighted moment of sum_{m in range} (1_{m | n+k} - [centered]/m).
 
@@ -157,7 +152,7 @@ def exact_centered_moment(
         raise ValueError("moment order s must lie in [1, 12]")
     params = table.params
     moduli = range_moduli(params, k, range_tag)
-    bound = _display_bound(range_tag, params, k, s, C3, centered)
+    bound = _display_bound(range_tag, params, k, s, centered)
     if not moduli:
         return MomentReport(k, range_tag, s, 0.0, bound, 0.0, centered, flagged_empty=True)
     acc = range_sum(table, k, moduli, centered)

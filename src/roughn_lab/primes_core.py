@@ -1,7 +1,7 @@
 """The package's one prime sieve (primes_upto), prime tables, exact
 factorization of single integers by trial division over a table's primes,
 and windowed omega/Omega counts over contiguous windows via a strided
-prime-power sieve.
+prime-power sieve, which takes its primes p <= sqrt(hi) from primes_upto.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -119,7 +119,7 @@ class WindowOmega:
 WINDOW_WIDTH_MAX = 10**7
 
 
-def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
+def factor_window(lo: int, hi: int) -> WindowOmega:
     """Count prime factors over [lo, hi] with a strided prime-power sieve.
 
     Every power q = p^e <= hi of a prime p <= sqrt(hi) divides the residual
@@ -133,16 +133,11 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
         raise ValueError("window end outside machine-word range")
     if hi - lo + 1 > WINDOW_WIDTH_MAX:
         raise ValueError(f"window wider than budget ({WINDOW_WIDTH_MAX})")
-    if table.limit * table.limit < hi:
-        raise TableTooSmallError(
-            f"window up to {hi} needs primes up to {isqrt(hi)}, table limit is {table.limit}"
-        )
     width = hi - lo + 1
     residual = np.arange(lo, hi + 1, dtype=np.int64)
     om = np.zeros(width, dtype=np.int16)
     bom = np.zeros(width, dtype=np.int16)
-    n_small = int(np.searchsorted(table.primes, isqrt(hi), side="right"))
-    for p in table.primes[:n_small].tolist():
+    for p in primes_upto(isqrt(hi)):
         q = p
         # multiples of p^(e+1) are multiples of p^e: stop at the first empty power
         while (s := -lo % q) < width:
@@ -157,4 +152,3 @@ def factor_window(lo: int, hi: int, table: PrimeTable) -> WindowOmega:
     om.setflags(write=False)
     bom.setflags(write=False)
     return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
-

@@ -47,12 +47,12 @@ _SKIP = 0xFF  # marks a byte position a cell does not use; UTF-8 never has it
 
 
 @contextmanager
-def replace_on_success(path, mode: str = "w"):
-    """Open a sibling temporary file for writing; rename it onto path when the
-    block finishes, remove it when the block raises."""
+def replace_on_success(path):
+    """Open a sibling temporary file for writing bytes; rename it onto path
+    when the block finishes, remove it when the block raises."""
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -300,7 +300,7 @@ def write_csv(path, header, *parts) -> None:
         if len(lengths) > 1:
             raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
         checked.append((lengths.pop() if lengths else 0, [cells for _, cells in part]))
-    with replace_on_success(path, "wb") as fh:
+    with replace_on_success(path) as fh:
         fh.write((",".join(header) + "\n").encode())
         for n_rows, part in checked:
             for lo in range(0, n_rows, CSV_BLOCK_ROWS):
@@ -318,4 +318,4 @@ def write_json(path, payload) -> None:
     """Strict JSON: a NaN or infinity raises ValueError before the file is opened."""
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     with replace_on_success(path) as fh:
-        fh.write(text + "\n")
+        fh.write((text + "\n").encode())

@@ -140,27 +140,19 @@ class SieveParams:
         return tuple(p for p in primes_upto(int(self.T)) if r < p <= self.T)
 
     def as_dict(self) -> dict:
-        return {
-            "x": self.x, "K": self.K, "w": self.w, "a": self.a, "c": self.c,
-            "gamma": self.gamma, "T_exponent": self.T_exponent, "A": self.A,
-            "k_max": self.k_max,
-        }
+        return {key: getattr(self, key) for key in PARAM_DEFAULTS}
 
 
 def parse_params(text: str) -> SieveParams:
-    """Flat key-value parameter format, '#' comments, unknown keys rejected."""
+    """Flat 'key = value' parameter format, '#' comments, unknown keys rejected."""
     values = dict(PARAM_DEFAULTS)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, val = line.partition("=")
-        else:
-            parts = line.split(None, 1)
-            if len(parts) != 2:
-                raise ValueError(f"malformed parameter line {lineno}: {raw!r}")
-            key, val = parts
+        if "=" not in line:
+            raise ValueError(f"malformed parameter line {lineno}: {raw!r}")
+        key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
         if key not in PARAM_DEFAULTS:
@@ -417,13 +409,13 @@ def axiom_check(
     s: int = 2,
     budget: int = 2000,
     seed: int = 0,
-    k_star: int = 1,
 ) -> AxiomReport:
     """Desk-scale distributional reports for axioms A-D.
 
     (A) is an exact assertion on the support; (B)/(C) report fitted
-    finiteness ratios; (D) reports the max deviation of the prime-power
-    reduction identity.  Budget overruns return a flagged partial report.
+    finiteness ratios at the shift k = 1; (D) reports the max deviation of
+    the prime-power reduction identity.  Budget overruns return a flagged
+    partial report.
     """
     params = table.params
     if which == "A":
@@ -437,7 +429,7 @@ def axiom_check(
             raise ValueError("tuple size s must be >= 0")
         if s == 0:
             return AxiomReport("B", True, {"sup_ratio": 1.0, "tuples": 1, "s": 0})
-        pool = params.large_primes(k_star)
+        pool = params.large_primes(1)
         if len(pool) < s:
             return AxiomReport("B", True, {"sup_ratio": 0.0, "tuples": 0, "s": s}, truncated=True)
         rng = np.random.Generator(np.random.PCG64(seed))
@@ -449,7 +441,7 @@ def axiom_check(
             d = 1
             for i in pick:
                 d *= pool[i]
-            ratio = d * prob_divides(d, k_star, table) / 8.0**s
+            ratio = d * prob_divides(d, 1, table) / 8.0**s
             if ratio > sup:
                 sup, arg = ratio, d
         return AxiomReport("B", True, {"sup_ratio": sup, "at_d_star": arg, "tuples": n_tuples, "s": s})
@@ -457,9 +449,7 @@ def axiom_check(
     if which == "C":
         if s < 1:
             raise ValueError("tuple size s must be >= 1")
-        if k_star > params.K:
-            raise ValueError("axiom C applies to sieved shifts k <= K")
-        meds = params.medium_primes(k_star)
+        meds = params.medium_primes(1)
         total = 0.0
         count = 0
         truncated = False
@@ -471,7 +461,7 @@ def axiom_check(
             d = 1
             for p in combo:
                 d *= p
-            total += fact_s * prob_divides(d, k_star, table)
+            total += fact_s * prob_divides(d, 1, table)
             count += 1
         c3 = None
         if s >= 2 and total > 0:

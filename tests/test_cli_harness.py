@@ -294,20 +294,14 @@ def test_help_exits_zero():
     assert ch.main(["--help"]) == 0
 
 
-def test_env_seed_overrides_flag(toy_file, tmp_path, monkeypatch):
+def test_env_seed_is_not_read(toy_file, tmp_path, monkeypatch):
+    # --seed is the one seed source: the retired ROUGHN_LAB_SEED override changes nothing
     d1, d2 = tmp_path / "a", tmp_path / "b"
-    monkeypatch.setenv(ch.SEED_ENV_VAR, "99")
-    assert ch.main(["sample", "--params", toy_file, "--out", str(d1),
-                    "--seed", "5"]) == 0
-    monkeypatch.delenv(ch.SEED_ENV_VAR)
-    assert ch.main(["sample", "--params", toy_file, "--out", str(d2),
-                    "--seed", "99"]) == 0
+    assert ch.main(["sample", "--params", toy_file, "--out", str(d1), "--seed", "5"]) == 0
+    monkeypatch.setenv("ROUGHN_LAB_SEED", "99")
+    assert ch.main(["sample", "--params", toy_file, "--out", str(d2), "--seed", "5"]) == 0
     assert (d1 / "samples.csv").read_bytes() == (d2 / "samples.csv").read_bytes()
-
-
-def test_non_integer_env_seed_exits_2(toy_file, tmp_path, monkeypatch):
-    monkeypatch.setenv(ch.SEED_ENV_VAR, "not-a-number")
-    assert ch.main(["sample", "--params", toy_file, "--out", str(tmp_path)]) == 2
+    assert (d1 / "sample_summary.json").read_bytes() == (d2 / "sample_summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("flags", [
@@ -324,7 +318,8 @@ def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
 @pytest.mark.parametrize("subcommand", [s for s in ch.SUBCOMMANDS
                                         if s not in ch.CHUNKED_SUBCOMMANDS])
 @pytest.mark.parametrize("flags", [["--resume", "/nonexistent/checkpoint.rlck"],
-                                   ["--max-chunks", "3"]], ids=["resume", "max-chunks"])
+                                   ["--max-chunks", "3"], ["--checkpoint-secs", "5"]],
+                         ids=["resume", "max-chunks", "checkpoint-secs"])
 def test_chunk_flags_outside_chunked_subcommands_exit_2(subcommand, flags, tmp_path, capsys):
     rc = ch.main([subcommand, "--out", str(tmp_path)] + flags)
     assert rc == 2

@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from roughn_lab import cramer_models
 from roughn_lab.cramer_models import (
     GAP_COLUMNS,
     CramerConfig,
@@ -24,6 +25,7 @@ from roughn_lab.cramer_models import (
     write_witness_csv,
 )
 from roughn_lab.errors import BudgetExceededError
+from roughn_lab.primes_core import WindowOmega
 from roughn_lab.reporting import write_csv
 
 
@@ -209,6 +211,14 @@ def test_no_successes_flags_empty_report():
     assert rep.count_below(1.5) == 0
 
 
+def test_reports_compare_without_raising():
+    # a report holds numpy arrays, so == is identity, never an array truth value
+    cfg = CramerConfig(N=1000, trials=2, seed=1)
+    rep, again = simulate_gaps(cfg), simulate_gaps(cfg)
+    assert rep == rep
+    assert (rep == again) is False
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         CramerConfig(rate="nope")
@@ -272,6 +282,24 @@ def test_weak_variant_matches_exhaustive_scan():
         assert w.witness == max(hits)
     else:
         assert w.witness is None
+
+
+@pytest.mark.parametrize("variant, kwargs", [
+    ("A-omega", dict(epsilon=1.0, C=2.0)),
+    ("B-Omega", dict(epsilon=1.0, C=2.0)),
+    ("weak", dict(C0=2.0, d=1.5)),
+], ids=["A-omega", "B-Omega", "weak"])
+def test_wrong_window_count_raises(variant, kwargs, monkeypatch):
+    # a window count that trial division does not confirm is a bug, not a witness
+    window_of = cramer_models.factor_window
+
+    def inflated(*args):
+        w = window_of(*args)
+        return WindowOmega(w.lo, w.hi, w.omega + 5, w.big_omega + 5)
+
+    monkeypatch.setattr(cramer_models, "factor_window", inflated)
+    with pytest.raises(RuntimeError, match="disagree with trial division"):
+        window_search(10**6, variant, **kwargs)
 
 
 def test_window_clamps_to_two():

@@ -129,7 +129,9 @@ def test_output_bytes_match_golden(subcommand, bundle, tmp_path, monkeypatch):
     for name, value in PATCHES.get((subcommand, bundle), {}).items():
         monkeypatch.setattr(ch, name, value)
     out = tmp_path / "out"
-    argv = [subcommand, "--out", str(out), "--seed", str(SEED), "--checkpoint-secs", "0"]
+    argv = [subcommand, "--out", str(out), "--seed", str(SEED)]
+    if subcommand in ch.CHUNKED_SUBCOMMANDS:
+        argv += ["--checkpoint-secs", "0"]
     if bundle is not None:
         params = tmp_path / f"{bundle}.params"
         params.write_text(BUNDLES[bundle])
@@ -147,7 +149,7 @@ def test_output_bytes_match_golden(subcommand, bundle, tmp_path, monkeypatch):
 def test_c0_bytes_hold_across_environments(env, out_name, tmp_path):
     src = str(Path(roughn_lab.__file__).resolve().parents[1])
     child_env = {k: v for k, v in os.environ.items()
-                 if not k.startswith("OPENBLAS_") and k != ch.SEED_ENV_VAR}
+                 if not k.startswith("OPENBLAS_")}
     child_env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else []))
     child_env.update(env)

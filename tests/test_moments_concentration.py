@@ -30,7 +30,7 @@ from roughn_lab.moments_concentration import (
     validate_constants,
     write_moments_csv,
 )
-from roughn_lab.primes_core import build_prime_table, factor_window
+from roughn_lab.primes_core import factor_window
 from roughn_lab.sieve_measure import SieveParams, build_weight_table, prob_divides
 
 
@@ -361,7 +361,7 @@ def test_max_log_ratio_witness_matches_brute_scan(toy_table):
     k_max = 10
     support = toy_table.support
     lo = int(support[0]) + 2
-    window = factor_window(lo, int(support[-1]) + k_max, build_prime_table(10**3))
+    window = factor_window(lo, int(support[-1]) + k_max)
     ratios = max_log_ratio(window, support, k_max)
     best_n, best_val = None, math.inf
     for n in support.tolist():

@@ -120,14 +120,14 @@ def assert_window_matches(wf, lo, hi, factors_of):
 
 
 def test_factor_window_consistency(table):
-    assert_window_matches(factor_window(10, 20, table), 10, 20,
+    assert_window_matches(factor_window(10, 20), 10, 20,
                           lambda n: factorize(n, table).factors)
-    assert_window_matches(factor_window(2, 2, table), 2, 2, trial_factorize)
+    assert_window_matches(factor_window(2, 2), 2, 2, trial_factorize)
 
 
-def test_factor_window_big_omega_oracle(table):
+def test_factor_window_big_omega_oracle():
     lo, hi = 10**6, 10**6 + 10**3
-    assert_window_matches(factor_window(lo, hi, table), lo, hi, trial_factorize)
+    assert_window_matches(factor_window(lo, hi), lo, hi, trial_factorize)
 
 
 def test_factor_window_random_windows(table):
@@ -135,11 +135,11 @@ def test_factor_window_random_windows(table):
     for _ in range(40):
         lo = rng.randrange(2, 4 * 10**4)
         hi = lo + rng.randrange(0, 10**3)
-        assert_window_matches(factor_window(lo, hi, table), lo, hi,
+        assert_window_matches(factor_window(lo, hi), lo, hi,
                               lambda n: factorize(n, table).factors)
 
 
-# TABLE primes square to 4e10; the window sieve must cover anything below that
+# windows reach 4e10, so the sieve runs over primes up to 2e5, as many as TABLE holds
 WINDOW_TOP = 4 * 10**10
 
 
@@ -168,16 +168,13 @@ def windows(draw):
 @given(windows())
 def test_factor_window_matches_sympy_factorint(window):
     lo, hi = window
-    wf = factor_window(lo, hi, TABLE)
+    wf = factor_window(lo, hi)
     factored = [sympy.factorint(n) for n in range(lo, hi + 1)]
     assert wf.omega.tolist() == [len(f) for f in factored]
     assert wf.big_omega.tolist() == [sum(f.values()) for f in factored]
 
 
-def test_factor_window_errors(table):
+def test_factor_window_errors():
     with pytest.raises(ValueError):
-        factor_window(1, 5, table)
-    small = build_prime_table(10)
-    with pytest.raises(TableTooSmallError):
-        factor_window(200, 300, small)
+        factor_window(1, 5)
 

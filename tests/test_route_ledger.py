@@ -93,8 +93,9 @@ def subcommand_runs(tmp_path):
         params[name].write_text(text)
     runs = []
     for sub, bundle in GOLDEN:
-        argv = [sub, "--out", str(tmp_path / f"{sub}-{bundle}"), "--seed", str(SEED),
-                "--checkpoint-secs", "0"]
+        argv = [sub, "--out", str(tmp_path / f"{sub}-{bundle}"), "--seed", str(SEED)]
+        if sub in ch.CHUNKED_SUBCOMMANDS:
+            argv += ["--checkpoint-secs", "0"]
         if bundle is not None:
             argv += ["--params", str(params[bundle])]
         runs.append(argv)

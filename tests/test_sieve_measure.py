@@ -281,6 +281,8 @@ def test_parse_params_rejects_unknown_and_malformed():
         parse_params("xx = 3\n")
     with pytest.raises(ValueError, match="bad value"):
         parse_params("x = fish\n")
+    with pytest.raises(ValueError, match="malformed parameter line"):
+        parse_params("x 20000")
 
 
 def test_params_validation():
