@@ -28,8 +28,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__, bump_functions, cramer_models, moments_concentration, sieve_measure
-from .errors import BudgetExceededError, ResumeMismatchError
-from .primes_core import build_prime_table, factor_window, factorize, primes_upto
+from .errors import BudgetExceededError
+from .primes_core import factor_window, primes_upto
 from .reporting import columns_of, replace_on_success, write_csv, write_json
 
 CHECKPOINT_MAGIC = b"RLCK2"
@@ -153,9 +153,7 @@ def _run_chunked(
         except (OSError, ValueError) as exc:  # a directory or unreadable path too
             raise ValueError(f"{exc}; refusing to resume") from exc
         if ckpt.fingerprint != fingerprint or ckpt.subcommand != args.subcommand:
-            raise ResumeMismatchError(
-                "checkpoint does not match this configuration; refusing to resume"
-            )
+            raise ValueError("checkpoint does not match this configuration; refusing to resume")
         chunks = ckpt.chunks
         if not (len(chunks) <= len(lengths) and all(
                 len(chunk) == len(dtypes)
@@ -440,11 +438,9 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
         drawn_idx = np.unique((draws - support[0]) // params.W).astype(np.int64)
         samp_pos = drawn_idx[int(np.argmin(ratios[drawn_idx]))]
         witness = int(support[samp_pos])
-        ptable = build_prime_table(math.isqrt(witness + k_max) + 1)
-        profile_rows = []
-        for k in range(2, k_max + 1):
-            om = factorize(witness + k, ptable).big_omega()
-            profile_rows.append((k, om, math.log(k), om / math.log(k)))
+        omegas = factor_window(witness + 2, witness + k_max).big_omega.tolist()
+        profile_rows = [(k, om, math.log(k), om / math.log(k))
+                        for k, om in zip(range(2, k_max + 1), omegas)]
         write_csv(out / "omega_profile.csv", ["k", "Omega", "log_k", "ratio"],
                   columns_of(profile_rows, 4))
         write_json(out / "record_search.json", {
@@ -535,7 +531,7 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, FileNotFoundError, ResumeMismatchError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BudgetExceededError
-from .primes_core import build_prime_table, factor_window, factorize
+from .primes_core import factor_window, factorize
 from .reporting import columns_of, write_csv
 
 RATE_NAMES = ("log", "semiprime", "custom")
@@ -260,8 +260,6 @@ def window_search(
     if variant == "weak":
         lo = max(lo, 16)  # logloglog must be positive
     hi = x
-    if hi - lo > COUNT_BUDGET_MAX:
-        raise BudgetExceededError("window too wide to factor")
     window = factor_window(lo, hi)
     counts = window.big_omega if variant == "B-Omega" else window.omega
     witness = None
@@ -271,8 +269,8 @@ def window_search(
         thresh = threshold_at(loglog(n))
         got = int(counts[n - lo])
         if got >= thresh:
-            factors = factorize(n, build_prime_table(math.isqrt(n) + 1))
-            check = factors.big_omega() if variant == "B-Omega" else len(factors.factors)
+            factors = factorize(n)
+            check = sum(e for _, e in factors) if variant == "B-Omega" else len(factors)
             if check != got:
                 raise RuntimeError(f"window counts disagree with trial division at {n}")
             witness, value, threshold = n, got, thresh

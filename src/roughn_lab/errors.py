@@ -1,12 +1,10 @@
 """Shared exception types.
 
-Plain ValueError is used for generic bad arguments; the classes here mark
-failure modes callers are expected to branch on.
+Plain ValueError is used for bad arguments and refused inputs, among them a
+checkpoint that a run refuses to resume from and a prime table or weight
+support above its memory budget; the CLI reports each as exit 2.  The classes
+here mark failure modes callers are expected to branch on.
 """
-
-
-class TableTooSmallError(ValueError):
-    """A prime table does not cover the range the operation needs."""
 
 
 class OutOfRangeError(ValueError):
@@ -23,7 +21,3 @@ class NumericFailureError(RuntimeError):
 
 class BudgetExceededError(RuntimeError):
     """An enumeration or search was stopped by its configured work budget."""
-
-
-class ResumeMismatchError(RuntimeError):
-    """A checkpoint was produced under a different configuration fingerprint."""

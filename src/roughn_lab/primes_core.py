@@ -1,7 +1,8 @@
-"""The package's one prime sieve (primes_upto), prime tables, exact
-factorization of single integers by trial division over a table's primes,
-and windowed omega/Omega counts over contiguous windows via a strided
-prime-power sieve, which takes its primes p <= sqrt(hi) from primes_upto.
+"""The package's one prime sieve (build_prime_table, under a memory budget),
+the cached prime lists it backs (primes_upto), exact factorization of single
+integers by trial division over primes_upto(isqrt(n)), and windowed
+omega/Omega counts over contiguous windows via a strided prime-power sieve,
+which takes its primes p <= sqrt(hi) from primes_upto.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -16,77 +17,45 @@ from math import isqrt
 
 import numpy as np
 
-from .errors import TableTooSmallError
-
 WORD_MAX = 2**63 - 1
 
-# The bool sieve behind a table takes limit + 1 bytes, so tables beyond this
-# are memory-budgeted out; a table of limit L serves every n <= L**2.
+# The bool sieve takes limit + 1 bytes, so limits beyond this are
+# memory-budgeted out; the primes up to L serve every n <= L**2.
 TABLE_LIMIT_MAX = 10**8
 
 
-@dataclass(frozen=True)
-class PrimeTable:
-    """The primes p <= `limit`, ascending, as a read-only int64 array."""
-
-    limit: int
-    primes: np.ndarray
-
-
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: tuple[tuple[int, int], ...]
-
-    def big_omega(self) -> int:
-        return sum(e for _, e in self.factors)
-
-
-def _prime_array(n: int) -> np.ndarray:
-    """The primes p <= n, ascending, from a bool sieve; the package's one
-    prime sieve."""
-    if n < 2:
-        return np.zeros(0, dtype=np.int64)
-    sieve = np.ones(n + 1, dtype=bool)
+def build_prime_table(limit: int) -> np.ndarray:
+    """The primes p <= limit, ascending, as a read-only int64 array, from a
+    bool sieve; the package's one prime sieve."""
+    if limit < 2:
+        raise ValueError("prime table limit must be >= 2")
+    if limit > TABLE_LIMIT_MAX:
+        raise ValueError(f"prime table limit above memory budget ({TABLE_LIMIT_MAX})")
+    sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, isqrt(n) + 1):
+    for p in range(2, isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p :: p] = False
-    return np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes.setflags(write=False)
+    return primes
 
 
 @lru_cache(maxsize=32)
 def primes_upto(n: int) -> tuple[int, ...]:
     """The primes p <= n, ascending, as a cached tuple of ints."""
-    return tuple(_prime_array(n).tolist())
+    return tuple(build_prime_table(n).tolist()) if n >= 2 else ()
 
 
-def build_prime_table(limit: int) -> PrimeTable:
-    if limit < 2:
-        raise ValueError("prime table limit must be >= 2")
-    if limit > TABLE_LIMIT_MAX:
-        raise ValueError(f"prime table limit above memory budget ({TABLE_LIMIT_MAX})")
-    primes = _prime_array(limit)
-    primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes)
-
-
-def _check_n(n: int) -> None:
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n in increasing prime order, by trial
+    division over the primes up to isqrt(n); factorize(1) is ()."""
     if n == 0:
         raise ValueError("n must be >= 1")
     if n < 0 or n > WORD_MAX:
         raise ValueError("n outside machine-word range")
-
-
-def _prime_powers(n: int, table: PrimeTable):
-    """Yield (prime, exponent) pairs of n in increasing prime order, by trial
-    division over the table's primes up to sqrt(n)."""
-    if n > table.limit * table.limit:
-        raise TableTooSmallError(
-            f"factoring {n} needs primes up to {isqrt(n)}, table limit is {table.limit}"
-        )
-    for p in table.primes:
-        p = int(p)
+    factors = []
+    for p in primes_upto(isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:
@@ -94,14 +63,10 @@ def _prime_powers(n: int, table: PrimeTable):
             while n % p == 0:
                 n //= p
                 e += 1
-            yield p, e
+            factors.append((p, e))
     if n > 1:
-        yield n, 1
-
-
-def factorize(n: int, table: PrimeTable) -> Factorization:
-    _check_n(n)
-    return Factorization(n=n, factors=tuple(_prime_powers(n, table)))
+        factors.append((n, 1))
+    return tuple(factors)
 
 
 @dataclass(frozen=True)

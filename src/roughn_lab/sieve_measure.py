@@ -22,7 +22,7 @@ import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
 from .errors import EmptySupportError
-from .primes_core import primes_upto
+from .primes_core import TABLE_LIMIT_MAX, WORD_MAX, primes_upto
 from .reporting import columns_of, write_csv
 
 PARAM_DEFAULTS = {
@@ -74,6 +74,8 @@ class SieveParams:
                 raise ValueError(f"{key} must be finite")
         if self.x < 10:
             raise ValueError("window start x must be >= 10")
+        if 2 * self.x > WORD_MAX:  # an int comparison: float(x) may overflow
+            raise ValueError(f"window end 2x must not exceed {WORD_MAX}")
         if not 1 <= self.K:
             raise ValueError("need at least one sieved shift (K >= 1)")
         if self.w < 2 or self.w > 10**4:
@@ -267,13 +269,16 @@ def _hits(n0: int, step: int, k: int, m: int) -> slice:
 
 
 def weight_support(params: SieveParams) -> np.ndarray:
-    """The support {n in [x, 2x] : W | n}, ascending."""
+    """The support {n in [x, 2x] : W | n}, ascending, of at most
+    TABLE_LIMIT_MAX points."""
     x, W = params.x, params.W
     n0 = x + (-x) % W
     if n0 > 2 * x:
         raise EmptySupportError(
             f"no multiple of W={W} lies in [{x}, {2 * x}]; refusing to widen the window"
         )
+    if (2 * x - n0) // W + 1 > TABLE_LIMIT_MAX:
+        raise ValueError(f"weight support above memory budget ({TABLE_LIMIT_MAX} points)")
     return np.arange(n0, 2 * x + 1, W, dtype=np.int64)
 
 

@@ -2,8 +2,12 @@ import csv
 import hashlib
 import json
 import math
+import os
 import pickle
+import resource
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,6 +17,7 @@ from checkpoint_helpers import checkpoint_roundtrip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import roughn_lab
 from roughn_lab import cli_harness as ch
 from roughn_lab import cramer_models
 from roughn_lab.reporting import write_csv, write_json
@@ -285,6 +290,40 @@ def test_non_finite_float_parameter_exits_2(subcommand, key, value, tmp_path, ca
     assert rc == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert list(out.iterdir()) == []
+
+
+# inputs whose prime sieve or weight support lies beyond its memory budget, or
+# whose window [x, 2x] leaves the machine word
+OVER_BUDGET = {
+    "window-search": "x = 1000000000000000000\n",  # sieving primes up to 10^9
+    "moments": "x = 100000000\nc = 1.2\ngamma = 0\n",  # R_1 = x^1.2, about 4e9
+    "sieve-scan": "x = 1000000000000000000\n",  # about 4.8e15 support points
+    "sample": f"x = {10**400}\n",
+}
+CHILD_ADDRESS_SPACE = 1536 * 2**20
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE, CHILD_ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize("subcommand", OVER_BUDGET)
+def test_over_budget_input_exits_2(subcommand, tmp_path):
+    # the child's address-space limit turns an allocation that slips past a
+    # budget into a MemoryError there, before it can press on the host's memory
+    params = tmp_path / "over.params"
+    params.write_text(OVER_BUDGET[subcommand])
+    src = str(Path(roughn_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "roughn_lab", subcommand, "--params", str(params),
+         "--out", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=300,
+        preexec_fn=limit_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert "invalid configuration" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_help_exits_zero():

@@ -6,9 +6,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughn_lab.errors import TableTooSmallError
 from roughn_lab.primes_core import (
-    Factorization,
+    TABLE_LIMIT_MAX,
     build_prime_table,
     factor_window,
     factorize,
@@ -37,22 +36,17 @@ def trial_factorize(n):
 TABLE = build_prime_table(2 * 10**5)
 
 
-@pytest.fixture(scope="module")
-def table():
-    return TABLE
-
-
 def test_table_small_cases():
     t = build_prime_table(10)
-    assert t.primes.tolist() == [2, 3, 5, 7]
-    t2 = build_prime_table(2)
-    assert t2.primes.tolist() == [2]
+    assert t.tolist() == [2, 3, 5, 7]
+    assert t.dtype == np.int64 and not t.flags.writeable
+    assert build_prime_table(2).tolist() == [2]
 
 
 def test_table_prime_count_100():
     # frozen from the trial-division oracle
     assert len([p for p in range(2, 101) if trial_factorize(p) == ((p, 1),)]) == 25
-    assert len(build_prime_table(100).primes) == 25
+    assert len(build_prime_table(100)) == 25
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -65,48 +59,47 @@ def test_primes_upto_matches_sympy_at_1e6():
     assert primes_upto(10**6) == tuple(sympy.primerange(10**6 + 1))
 
 
-def test_table_invariants(table):
-    primes = table.primes
-    assert np.all(np.diff(primes) > 0)
-    assert primes[primes < 2000].tolist() == [
+def test_table_invariants():
+    assert np.all(np.diff(TABLE) > 0)
+    assert TABLE[TABLE < 2000].tolist() == [
         n for n in range(2, 2000) if trial_factorize(n) == ((n, 1),)]
 
 
 def test_table_rejects_bad_limit():
     with pytest.raises(ValueError):
         build_prime_table(1)
+    with pytest.raises(ValueError, match="memory budget"):
+        build_prime_table(TABLE_LIMIT_MAX + 1)
 
 
-def test_factorize_matches_oracle_below_1e5(table):
+def test_factorize_matches_oracle_below_1e5():
     for n in range(1, 10**5 + 1, 17):
-        f = factorize(n, table)
-        assert f.factors == trial_factorize(n) if n > 1 else f.factors == ()
+        f = factorize(n)
+        assert f == trial_factorize(n) if n > 1 else f == ()
         prod = 1
-        for p, e in f.factors:
+        for p, e in f:
             prod *= p**e
         assert prod == n
-    assert factorize(1, table).factors == ()
-    assert factorize(12, table).factors == ((2, 2), (3, 1))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
 
 
-def test_factorize_large_candidate(table):
-    # 9999991 exceeds the table limit; factored by trial division over table primes
+def test_factorize_large_candidate():
+    # 9999991 is prime; trial division runs over every prime up to its isqrt
     expected = trial_factorize(9999991)
-    assert factorize(9999991, table).factors == expected
+    assert factorize(9999991) == expected
 
 
-def test_factorize_errors(table):
-    with pytest.raises(ValueError):
-        factorize(0, table)
-    small = build_prime_table(10)
-    with pytest.raises(TableTooSmallError):
-        factorize(10**6 + 3, small)
+def test_factorize_errors():
+    for n in (0, -1, 2**63):
+        with pytest.raises(ValueError):
+            factorize(n)
 
 
 def test_factorization_methods():
-    f = Factorization(n=360, factors=((2, 3), (3, 2), (5, 1)))
-    assert f.big_omega() == 6
-    assert factorize(360, TABLE).big_omega() == 6
+    f = factorize(360)
+    assert f == ((2, 3), (3, 2), (5, 1))
+    assert sum(e for _, e in f) == 6
 
 
 def assert_window_matches(wf, lo, hi, factors_of):
@@ -119,9 +112,8 @@ def assert_window_matches(wf, lo, hi, factors_of):
         assert wf.big_omega[n - lo] == sum(e for _, e in fs), n
 
 
-def test_factor_window_consistency(table):
-    assert_window_matches(factor_window(10, 20), 10, 20,
-                          lambda n: factorize(n, table).factors)
+def test_factor_window_consistency():
+    assert_window_matches(factor_window(10, 20), 10, 20, factorize)
     assert_window_matches(factor_window(2, 2), 2, 2, trial_factorize)
 
 
@@ -130,13 +122,12 @@ def test_factor_window_big_omega_oracle():
     assert_window_matches(factor_window(lo, hi), lo, hi, trial_factorize)
 
 
-def test_factor_window_random_windows(table):
+def test_factor_window_random_windows():
     rng = random.Random(123)
     for _ in range(40):
         lo = rng.randrange(2, 4 * 10**4)
         hi = lo + rng.randrange(0, 10**3)
-        assert_window_matches(factor_window(lo, hi), lo, hi,
-                              lambda n: factorize(n, table).factors)
+        assert_window_matches(factor_window(lo, hi), lo, hi, factorize)
 
 
 # windows reach 4e10, so the sieve runs over primes up to 2e5, as many as TABLE holds
@@ -155,7 +146,7 @@ def windows(draw):
     elif kind == "from_two":
         lo = 2
     else:
-        p = draw(st.sampled_from(TABLE.primes[:2000].tolist()))
+        p = draw(st.sampled_from(TABLE[:2000].tolist()))
         e_max = 1
         while p ** (e_max + 1) <= WINDOW_TOP - width:
             e_max += 1
