@@ -27,9 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__, bump_functions, cramer_models, moments_concentration, sieve_measure
+from . import (__version__, bump_functions, cramer_models, moments_concentration, primes_core,
+               sieve_measure)
 from .errors import BudgetExceededError
-from .primes_core import factor_window, primes_upto
+from .primes_core import factor_window, primes_between
 from .reporting import columns_of, replace_on_success, write_csv, write_json
 
 CHECKPOINT_MAGIC = b"RLCK2"
@@ -40,7 +41,7 @@ SAMPLE_COUNT = 10**5
 GAP_N = 10**5
 GAP_TRIALS = 100
 SCAN_CHUNKS = 32  # sieve-scan chunks at most
-RECORD_CHUNKS = 16  # record-search chunks at most
+RECORD_CHUNKS = 16  # record-search chunks, more where a window would pass WINDOW_WIDTH_MAX
 PIK_GRID = (10**3, 10**4, 10**5, 10**6)
 
 # table-building subcommands use a reduced quadrature grid; the c0 command
@@ -58,14 +59,16 @@ class Checkpoint:
 
 def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
     """The sha256 of the run's configuration and of the code that shapes its
-    chunks: the package version and this module's size constants, read at
-    call time, so a checkpoint from other code is refused."""
+    chunks: the package version, this module's size constants and the
+    window budget, read at call time, so a checkpoint from other code is
+    refused."""
     h = hashlib.sha256()
     h.update(subcommand.encode())
     h.update(struct.pack("<q", seed))
     h.update(params_text.encode())
     h.update(json.dumps([__version__, SAMPLE_COUNT, GAP_N, GAP_TRIALS, _FAST_BUMP,
-                         SCAN_CHUNKS, RECORD_CHUNKS], sort_keys=True).encode())
+                         SCAN_CHUNKS, RECORD_CHUNKS, primes_core.WINDOW_WIDTH_MAX],
+                        sort_keys=True).encode())
     return h.digest()
 
 
@@ -212,7 +215,7 @@ def _sample_tuples(params: sieve_measure.SieveParams) -> list[tuple[int, int]]:
     pool = list(params.medium_primes(1))
     if len(pool) < 4:
         cap = max(4 * params.w, 30)
-        pool = [p for p in primes_upto(cap) if p > params.w][:6]
+        pool = primes_between(params.w, cap)[:6]
     probes = []
     for i in range(10):
         p = pool[i % len(pool)]
@@ -417,11 +420,19 @@ def _cmd_refute_679(args: argparse.Namespace, params_text: str) -> int:
 
 
 def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
-    params, spec, table = _table_setup(params_text)
+    params = sieve_measure.parse_params(params_text)
+    k_max = params.k_max
+    # a chunk of m support points, W apart, reads the window of
+    # (m - 1) * W + k_max - 1 integers from its first point + 2
+    per_chunk = (primes_core.WINDOW_WIDTH_MAX - k_max + 1) // params.W + 1
+    if per_chunk < 1:
+        raise ValueError(f"k_max = {k_max} needs a window wider than budget "
+                         f"({primes_core.WINDOW_WIDTH_MAX})")
+    size = len(sieve_measure.weight_support(params))
+    n_chunks, bounds = _chunks(size, max(RECORD_CHUNKS, -(-size // per_chunk)))
+    table = sieve_measure.build_weight_table(params, bump_functions.make_bump(**_FAST_BUMP))
     out = Path(args.out)
     support = table.support
-    k_max = params.k_max
-    n_chunks, bounds = _chunks(len(support), RECORD_CHUNKS)
 
     def run_chunk(i):
         lo_i, hi_i = bounds[i]
@@ -435,7 +446,7 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
         ratios = np.concatenate([ratios for ratios, in chunks])
         best_idx = int(np.argmin(ratios))
         draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
-        drawn_idx = np.unique((draws - support[0]) // params.W).astype(np.int64)
+        drawn_idx = np.flatnonzero(np.bincount((draws - support[0]) // params.W))
         samp_pos = drawn_idx[int(np.argmin(ratios[drawn_idx]))]
         witness = int(support[samp_pos])
         omegas = factor_window(witness + 2, witness + k_max).big_omega.tolist()

@@ -108,7 +108,7 @@ def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]
         return params.large_primes(k)
     if range_tag == "power":
         mods = []
-        for p in primes_upto(int(t_cut)):
+        for p in primes_upto(int(t_cut)).tolist():
             j_min = params.a + 1 if p <= params.w else 2
             q = p**j_min
             while q <= t_cut:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
@@ -22,7 +23,7 @@ import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
 from .errors import EmptySupportError
-from .primes_core import TABLE_LIMIT_MAX, WORD_MAX, primes_upto
+from .primes_core import TABLE_LIMIT_MAX, WORD_MAX, primes_between
 from .reporting import columns_of, write_csv
 
 PARAM_DEFAULTS = {
@@ -40,6 +41,7 @@ _INT_KEYS = ("x", "K", "w", "a", "k_max")
 
 EXACT_MODE_MAX_X = 10**4
 ETA_QUANT_BITS = 40
+_FLOAT_MAX_QUARTIC_ROOT = math.sqrt(math.sqrt(sys.float_info.max))
 
 
 @dataclass(frozen=True)
@@ -92,18 +94,18 @@ class SieveParams:
             raise ValueError("T_exponent must lie in (0, 1]")
         if self.A <= 0:
             raise ValueError("constant A must be positive")
+        # moments prints (132 A log k)^s for k <= 3, s <= 4; past this A it overflows
+        if not 132.0 * self.A * math.log(3) <= _FLOAT_MAX_QUARTIC_ROOT:
+            raise ValueError("constant A too large: the moments bound (132 A log 3)^4 overflows")
         if self.k_max < 2:
             raise ValueError("k_max must be >= 2")
-        tiny = primes_upto(self.w)
+        tiny = tuple(primes_between(1, self.w))
         W = 1
         for p in tiny:
             W *= p**self.a
         object.__setattr__(self, "tiny_primes", tiny)
         object.__setattr__(self, "W", W)
-        rs = tuple(
-            max(float(self.w), float(self.x) ** (self.c / float(k) ** self.gamma))
-            for k in range(1, self.K + 1)
-        )
+        rs = tuple(max(float(self.w), self._level(k)) for k in range(1, self.K + 1))
         object.__setattr__(self, "R_values", rs)
         object.__setattr__(self, "T", float(self.x) ** self.T_exponent)
         if self.T < self.w:
@@ -121,6 +123,18 @@ class SieveParams:
                 f"infeasible parameters: W*prod(R_k^2) = x^{theta:.3f}, needs exponent < 1"
             )
 
+    def _level(self, k: int) -> float:
+        """x^(c/k^gamma), refused where it would pass the float range."""
+        try:
+            e = self.c / float(k) ** self.gamma
+        except OverflowError:  # k^gamma past the float range: take c/k^gamma from logs
+            e = math.exp(math.log(self.c) - self.gamma * math.log(k))
+        # the log of the level; beyond 700 the level is far above any prime budget
+        if e * math.log(self.x) > 700.0:
+            raise ValueError(
+                f"level R_{k} = x^(c/k^gamma) above the prime table budget ({TABLE_LIMIT_MAX})")
+        return float(self.x) ** e
+
     def R(self, k: int) -> float:
         if not 1 <= k <= self.K:
             raise ValueError(f"shift index k={k} outside [1, {self.K}]")
@@ -133,13 +147,11 @@ class SieveParams:
 
     def medium_primes(self, k: int) -> tuple[int, ...]:
         """The primes in (w, R_k], with R_k read from range_level."""
-        r = self.range_level(k)
-        return tuple(p for p in primes_upto(int(r)) if self.w < p <= r)
+        return tuple(primes_between(self.w, int(self.range_level(k))))
 
     def large_primes(self, k: int) -> tuple[int, ...]:
         """The primes in (R_k, T], with R_k read from range_level."""
-        r = self.range_level(k)
-        return tuple(p for p in primes_upto(int(self.T)) if r < p <= self.T)
+        return tuple(primes_between(int(self.range_level(k)), int(self.T)))
 
     def as_dict(self) -> dict:
         return {key: getattr(self, key) for key in PARAM_DEFAULTS}
@@ -479,7 +491,7 @@ def axiom_check(
         )
 
     if which == "D":
-        pool = [p for p in primes_upto(int(params.T)) if p > params.w]
+        pool = primes_between(params.w, int(params.T))
         triples = []
         for p in pool:
             for a in (2, 3):

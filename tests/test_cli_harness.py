@@ -16,10 +16,11 @@ import pytest
 from checkpoint_helpers import checkpoint_roundtrip
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_golden_omega import GOLDEN
 
 import roughn_lab
 from roughn_lab import cli_harness as ch
-from roughn_lab import cramer_models
+from roughn_lab import cramer_models, primes_core, sieve_measure
 from roughn_lab.reporting import write_csv, write_json
 
 TOY_PARAMS = """\
@@ -465,6 +466,107 @@ def test_cramer_gaps_roundtrip(tmp_path):
     rep = checkpoint_roundtrip("cramer-gaps", tmp_path, [50], seed=1)
     assert rep["identical"] is True
     assert rep["files"]["gaps.csv"] is True
+
+
+def test_record_search_past_sixteen_chunks_keeps_golden_bytes(tmp_path, monkeypatch):
+    # under a 500-integer window budget a chunk holds at most
+    # (500 - 20 + 1) // 6 + 1 = 81 of TOY's 1667 support points (W = 6,
+    # k_max = 20), so the run takes 21 chunks, each window within budget
+    print_before = ch.config_fingerprint("record-search", 7, TOY_PARAMS)
+    monkeypatch.setattr(primes_core, "WINDOW_WIDTH_MAX", 500)
+    assert ch.config_fingerprint("record-search", 7, TOY_PARAMS) != print_before
+    params = tmp_path / "toy.params"
+    params.write_text(TOY_PARAMS)
+    widths = []
+    window_of = ch.factor_window
+
+    def recorded(lo, hi):
+        widths.append(hi - lo + 1)
+        return window_of(lo, hi)
+
+    monkeypatch.setattr(ch, "factor_window", recorded)
+    probe = tmp_path / "probe"
+    assert ch.main(["record-search", "--params", str(params), "--out", str(probe),
+                    "--seed", "7", "--max-chunks", "1"]) == 3
+    assert json.loads((probe / "record_search.json").read_text())["of_chunks"] == 21
+    rep = checkpoint_roundtrip("record-search", tmp_path / "runs", [1, 9, 4],
+                               params_path=str(params), seed=7)
+    assert rep["identical"] is True
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in (tmp_path / "runs" / "uninterrupted").iterdir()}
+    assert got == GOLDEN[("record-search", "toy")]
+    assert max(widths) <= 500 and len(widths) > 21
+
+
+def test_record_search_refuses_a_too_wide_window_before_the_table(
+        toy_file, tmp_path, monkeypatch, capsys):
+    # k_max = 20 reads 19 integers past a support point; a budget of 19 admits
+    # one point per chunk, and 18 none
+    def no_table(*args, **kwargs):
+        raise AssertionError("weight table built for a refused configuration")
+
+    monkeypatch.setattr(sieve_measure, "build_weight_table", no_table)
+    monkeypatch.setattr(primes_core, "WINDOW_WIDTH_MAX", 18)
+    rc = ch.main(["record-search", "--params", toy_file, "--out", str(tmp_path)])
+    assert rc == 2
+    assert "window wider than budget" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _moments_bound_overflows(A):
+    try:
+        (132.0 * A * math.log(3)) ** 4
+    except OverflowError:
+        return True
+    return False
+
+
+def _largest_finite_moments_A():
+    A = sys.float_info.max ** 0.25 / (132.0 * math.log(3))
+    while _moments_bound_overflows(A):
+        A = math.nextafter(A, 0.0)
+    while not _moments_bound_overflows(math.nextafter(A, math.inf)):
+        A = math.nextafter(A, math.inf)
+    return A
+
+
+# each float key at the probe values, the type's extremes and the neighbours
+# of its range checks; c also at the neighbours of the level guard
+# (c * log x = 700 at x = 10^4) and gamma with K = 2, where k^gamma overflows
+PROBE_VALUES = (1e-300, 5e-324, 1e-9, 0.999999, 1.0, 1e300, 0.0, -0.0, -5e-324,
+                sys.float_info.max, -sys.float_info.max)
+BOUNDARY_CASES = (
+    [("c", v, 1) for v in PROBE_VALUES + (math.nextafter(700 / math.log(10**4), 0.0),
+                                          700 / math.log(10**4),
+                                          math.nextafter(700 / math.log(10**4), math.inf))]
+    + [("gamma", v, K) for v in PROBE_VALUES for K in (1, 2)]
+    + [("c", 1e300, 2), ("c", sys.float_info.max, 2)]
+    + [("T_exponent", v, 1) for v in PROBE_VALUES + (math.nextafter(1.0, 2.0),)]
+    + [("A", v, 1) for v in PROBE_VALUES + (_largest_finite_moments_A(),
+                                            math.nextafter(_largest_finite_moments_A(), math.inf))]
+)
+
+
+@pytest.mark.parametrize("key, value, K", BOUNDARY_CASES,
+                         ids=[f"{k}={v!r}-K{K}" for k, v, K in BOUNDARY_CASES])
+def test_float_parameter_boundaries_exit_0_or_2(key, value, K, tmp_path):
+    """parse_params either accepts the value or refuses it with ValueError,
+    main's exit 2; any other exception would end in a traceback.  An accepted
+    A leaves every moments bound finite, so moments runs on it and exits 0,
+    or 2 where a bound underflows to 0 and a ratio is infinite."""
+    text = TOY_PARAMS.replace("K = 1", f"K = {K}").replace(f"\n{key} = ", f"\n{key} = {value!r} #")
+    try:
+        params = sieve_measure.parse_params(text)
+    except ValueError:
+        assert not (key == "A" and value == _largest_finite_moments_A())
+        return
+    assert getattr(params, key) == value
+    assert (key, value) not in (("c", 1e300), ("A", 1e300))
+    if key == "A":
+        path = tmp_path / "a.params"
+        path.write_text(text)
+        rc = ch.main(["moments", "--params", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 0 if value >= 1e-9 else rc in (0, 2)
 
 
 def test_resume_with_altered_seed_refuses(toy_file, tmp_path, capsys):

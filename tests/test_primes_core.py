@@ -6,8 +6,13 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from math import isqrt
+
+from roughn_lab import primes_core
 from roughn_lab.primes_core import (
     TABLE_LIMIT_MAX,
+    WORD_MAX,
+    _split_end,
     build_prime_table,
     factor_window,
     factorize,
@@ -52,11 +57,13 @@ def test_table_prime_count_100():
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.integers(-2, 20000))
 def test_primes_upto_matches_sympy(n):
-    assert primes_upto(n) == tuple(sympy.primerange(max(n + 1, 0)))
+    assert primes_upto(n).tolist() == list(sympy.primerange(max(n + 1, 0)))
 
 
 def test_primes_upto_matches_sympy_at_1e6():
-    assert primes_upto(10**6) == tuple(sympy.primerange(10**6 + 1))
+    primes = primes_upto(10**6)
+    assert primes.tolist() == list(sympy.primerange(10**6 + 1))
+    assert primes.dtype == np.int64 and not primes.flags.writeable
 
 
 def test_table_invariants():
@@ -169,3 +176,88 @@ def test_factor_window_errors():
     with pytest.raises(ValueError):
         factor_window(1, 5)
 
+
+
+def assert_window_matches_sympy(lo, hi):
+    wf = factor_window(lo, hi)
+    factored = [sympy.factorint(n) for n in range(lo, hi + 1)]
+    assert wf.omega.tolist() == [len(f) for f in factored], (lo, hi)
+    assert wf.big_omega.tolist() == [sum(f.values()) for f in factored], (lo, hi)
+    assert wf.omega.dtype == wf.big_omega.dtype == np.uint8
+
+
+def test_split_end_is_the_integer_four_thirds_power():
+    rng = random.Random(5)
+    cubes = [m**3 + d for m in (10**5, 2**20, 10**6 + 3, 2**21 - 1) for d in (-1, 0, 1)]
+    for a in list(range(1, 3000)) + cubes + [rng.randrange(2, WORD_MAX) for _ in range(300)]:
+        b = _split_end(a)
+        assert b**3 <= a**4 < (b + 1) ** 3, a
+
+
+def test_factor_window_from_two_crosses_split_points():
+    # segments from 2 end at 2, 4, 8, 18, 50, 189, 1092, 11258, 252347, ...
+    ends, a = [], 2
+    while a <= 20000:
+        ends.append(_split_end(a))
+        a = ends[-1] + 1
+    assert ends == [2, 4, 8, 18, 50, 189, 1092, 11258, 252347]
+    assert_window_matches_sympy(2, 20000)
+    for lo, hi in ((3, 700), (17, 2000), (49, 51), (185, 1100), (1000, 12000)):
+        assert_window_matches_sympy(lo, hi)
+
+
+def floor_log_tally(n, r):
+    """sum of e * floor(4 log2 p) over the prime powers p^e || n with p <= r."""
+    return sum(e * ((p**4).bit_length() - 1) for p, e in sympy.factorint(n).items() if p <= r)
+
+
+def test_factor_window_at_the_threshold_margin():
+    # each window holds an n = F * q, q a prime above sqrt(hi), whose tally of
+    # F is one below the threshold, and with rounded logs would reach it
+    for lo, hi, n in ((1997, 2037, 2021), (10970, 11010, 11009), (14958, 14998, 14986)):
+        threshold = (hi * hi - 1).bit_length()
+        assert floor_log_tally(n, isqrt(hi)) == threshold - 1
+        assert max(sympy.factorint(n)) > isqrt(hi)
+        assert_window_matches_sympy(lo, hi)
+
+
+def test_factor_window_large_windows_narrower_than_their_primes():
+    rng = random.Random(11)
+    for exp in range(12, 17):
+        lo = rng.randrange(10**exp // 2, 10**exp - 100)
+        assert_window_matches_sympy(lo, lo + 30)
+
+
+@pytest.mark.parametrize("p", [1000003, 4000037, 31622743, 99999989])
+def test_factor_window_square_of_a_large_prime_on_either_edge(p):
+    # p is above every window's width, so its one hit and its square come
+    # from the large-prime pass; p^2 ranges over 10^12 .. 10^16
+    for k in (1, 2, 3):
+        if k * p * p > 10**16:
+            continue
+        n = k * p * p
+        assert_window_matches_sympy(n, n + 24)
+        assert_window_matches_sympy(n - 24, n)
+
+
+def test_factor_window_near_the_top_of_the_word(monkeypatch):
+    """Windows ending at 2^63 - 1 and around 7 * 2^60, whose tallies reach
+    249 and 251 of the low byte's 255.  Sieving them needs primes up to
+    3.04e9, past the table budget, so the sieve gets the primes up to 10^6;
+    the counts are then exact at every n whose primes lie below 10^6 but for
+    at most one above sqrt(hi), and the test checks those."""
+    monkeypatch.setattr(primes_core, "primes_upto", lambda n: build_prime_table(min(n, 10**6)))
+    for lo, hi in ((WORD_MAX - 60, WORD_MAX), (7 * 2**60 - 30, 7 * 2**60 + 30)):
+        wf = factor_window(lo, hi)
+        checked = []
+        for n in range(lo, hi + 1):
+            f = sympy.factorint(n)
+            if sum(p > 10**6 for p in f) == 0 or (
+                    sum(p > 10**6 for p in f) == 1 and max(f) > isqrt(hi)):
+                assert wf.omega[n - lo] == len(f), n
+                assert wf.big_omega[n - lo] == sum(f.values()), n
+                checked.append(n)
+        assert len(checked) >= 5
+    assert floor_log_tally(7 * 2**60, 10**6) == 251
+    assert floor_log_tally(WORD_MAX, 10**6) == 249
+    assert factor_window(7 * 2**60, 7 * 2**60).big_omega.tolist() == [61]
