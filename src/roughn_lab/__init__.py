@@ -14,7 +14,6 @@ from . import (  # noqa: F401
     bump_functions,
     cli_harness,
     cramer_models,
-    errors,
     moments_concentration,
     primes_core,
     sieve_measure,

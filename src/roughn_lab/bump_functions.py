@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import NumericFailureError, OutOfRangeError
 from .reporting import write_csv
 
 BASE_HALF_WIDTH = 0.5
@@ -114,7 +113,7 @@ def make_bump(
 
     norm = float(corr[(grid_points - 1) // 2])
     if not np.isfinite(norm) or norm <= 0:
-        raise NumericFailureError(f"autocorrelation normalization came out {norm}")
+        raise RuntimeError(f"autocorrelation normalization came out {norm}")
     # enforce exact evenness; the correlation of an even base is even
     corr = 0.5 * (corr + corr[::-1])
     corr_prime = 0.5 * (corr_prime - corr_prime[::-1])
@@ -144,9 +143,9 @@ def make_bump(
         base_grid=base_grid,
     )
     if abs(eta_value(0.0, spec) - 1.0) > 1e-12:
-        raise NumericFailureError("eta(0) failed to normalize to 1")
+        raise RuntimeError("eta(0) failed to normalize to 1")
     if eta_hat_grid.min() < -1e-10:
-        raise NumericFailureError(
+        raise RuntimeError(
             f"eta_hat dipped to {eta_hat_grid.min():.3e}; should be >= 0 up to quadrature noise"
         )
     return spec
@@ -213,7 +212,7 @@ def eta_tilde_prime(u, spec: BumpSpec):
 def eta_hat(t, spec: BumpSpec):
     arr = np.atleast_1d(np.asarray(t, dtype=float))
     if np.any(np.abs(arr) > spec.t_max):
-        raise OutOfRangeError(f"|t| beyond cached truncation t_max={spec.t_max}")
+        raise ValueError(f"|t| beyond cached truncation t_max={spec.t_max}")
     vals = _eta_hat_from_samples(np.abs(arr), spec.u_grid, spec.eta, spec.h)
     return vals if np.ndim(t) else float(vals[0])
 
@@ -310,14 +309,14 @@ def c0_compute(spec: BumpSpec) -> C0Result:
 
     for name, v in (("c0_time", c0_time), ("c0_freq", c0_freq)):
         if not np.isfinite(v):
-            raise NumericFailureError(f"{name} quadrature returned {v}")
+            raise RuntimeError(f"{name} quadrature returned {v}")
     result = C0Result(c0_time=c0_time, c0_freq=c0_freq, err_time=err_time, err_freq=err_freq)
     if result.c0_time < 1.0 - 1e-9:
-        raise NumericFailureError(
+        raise RuntimeError(
             f"c0_time={result.c0_time} violates the lower bound 1 (err {err_time:.2e})"
         )
     if abs(result.c0_time - result.c0_freq) > result.combined_error():
-        raise NumericFailureError(
+        raise RuntimeError(
             "dual-route disagreement "
             f"{abs(c0_time - c0_freq):.3e} exceeds combined estimate {result.combined_error():.3e}"
         )

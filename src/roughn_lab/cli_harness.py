@@ -29,7 +29,6 @@ import numpy as np
 
 from . import (__version__, bump_functions, cramer_models, moments_concentration, primes_core,
                sieve_measure)
-from .errors import BudgetExceededError
 from .primes_core import factor_window, primes_between
 from .reporting import columns_of, replace_on_success, write_csv, write_json
 
@@ -539,9 +538,6 @@ def main(argv=None) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         return _HANDLERS[args.subcommand](args, _load_params_text(args))
-    except BudgetExceededError as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
     except (ValueError, FileNotFoundError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2

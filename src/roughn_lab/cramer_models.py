@@ -3,8 +3,10 @@ integers with a fixed number of prime factors.
 
 A site n >= 3 is occupied with probability 1/f(n); runs of the model measure
 the normalized gap statistic (S_{k+1} - S_k) / (f(S_k) log S_k).  The rest of
-the module counts omega-level sets exactly and scans short windows for
-integers with unusually many prime factors, recording hits and misses alike.
+the module counts omega-level sets exactly, from one factor_window over
+[2, x] whose width budget is the count's only cap, and scans short windows
+for integers with unusually many prime factors, recording hits and misses
+alike.
 """
 
 from __future__ import annotations
@@ -16,13 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .primes_core import factor_window, factorize
 from .reporting import columns_of, write_csv
 
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
-COUNT_BUDGET_MAX = 10**7
 GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv, written one part per trial
 
 
@@ -181,8 +181,6 @@ def count_pi_k(x: int, k: int) -> int:
     """Number of 2 <= n <= x with exactly k distinct prime factors."""
     if x < 2:
         raise ValueError("need x >= 2")
-    if x > COUNT_BUDGET_MAX:
-        raise BudgetExceededError(f"omega counting is capped at x <= {COUNT_BUDGET_MAX}")
     if k < 1:
         raise ValueError("need k >= 1")
     hist = _omega_histogram(x)

@@ -4,7 +4,8 @@ Stirling tables, the partition sum G with its exponential-formula twin,
 the ordered-simplex product rho_r, and full-enumeration moments of
 divisor-count sums under a weight table.  Everything here is either exact
 integer/rational arithmetic or a finite weighted enumeration; sampling
-never enters.
+never enters.  A refused input, such as a partition sum past s3 = 10,
+raises ValueError; two exact routes that disagree raise RuntimeError.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, NumericFailureError
 from .primes_core import WindowOmega, primes_upto
 from .reporting import columns_of, write_csv, write_json
 from .sieve_measure import SieveParams, WeightTable, range_sum
@@ -208,7 +208,7 @@ def partition_sum_G(s3: int, R: float) -> float:
     if s3 < 1:
         raise ValueError("s3 must be >= 1")
     if s3 > 10:
-        raise BudgetExceededError("partition enumeration is capped at s3 <= 10")
+        raise ValueError("partition enumeration is capped at s3 <= 10")
     if not (R > 2 and math.isfinite(R)):
         raise ValueError("R must be finite and exceed 2")
     R_frac = Fraction(R)
@@ -239,7 +239,7 @@ def partition_sum_G(s3: int, R: float) -> float:
     if direct != egf:
         rel = abs(float(direct - egf)) / max(abs(float(direct)), 1e-300)
         if rel > 1e-10:
-            raise NumericFailureError(
+            raise RuntimeError(
                 f"partition sum routes disagree: direct={direct}, egf={egf}"
             )
     return float(direct)

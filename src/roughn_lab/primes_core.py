@@ -2,8 +2,9 @@
 the cached prime arrays it backs (primes_upto, primes_between), exact
 factorization of single integers by trial division over
 primes_upto(isqrt(n)), and windowed omega/Omega counts over contiguous
-windows via a division-free log-tally sieve (factor_window), which takes its
-primes p <= sqrt(hi) from primes_upto.
+windows via a division-free log-tally sieve (factor_window), one pass over
+any window up to WINDOW_WIDTH_MAX wide, which takes its primes p <= sqrt(hi)
+from primes_upto.
 
 Everything in this module stays machine-word sized (n <= 2**63 - 1).  Exact
 big-integer work lives in moments_concentration, on top of the factorizations
@@ -97,43 +98,8 @@ class WindowOmega:
 WINDOW_WIDTH_MAX = 10**7
 
 
-def _split_end(a: int) -> int:
-    """floor(a**(4/3)), the largest b with b**3 <= a**4, by integer Newton
-    steps from above; a float power is inexact past 2**53."""
-    n = a**4
-    b = 1 << -(-n.bit_length() // 3)
-    while (c := (2 * b + n // (b * b)) // 3) < b:
-        b = c
-    return b
-
-
 def factor_window(lo: int, hi: int) -> WindowOmega:
     """Count prime factors over [lo, hi] with a division-free log-tally sieve.
-
-    The window is sieved in segments [a, b] with b**3 <= a**4 (one segment
-    unless lo is small; pik's [2, 10^6] takes ten), as _sieve_segment
-    needs.  No integer of the window is divided.
-    """
-    if lo < 2 or hi < lo:
-        raise ValueError("window needs 2 <= lo <= hi")
-    if hi > WORD_MAX:
-        raise ValueError("window end outside machine-word range")
-    if hi - lo + 1 > WINDOW_WIDTH_MAX:
-        raise ValueError(f"window wider than budget ({WINDOW_WIDTH_MAX})")
-    om = np.empty(hi - lo + 1, dtype=np.uint8)
-    bom = np.empty_like(om)
-    a = lo
-    while a <= hi:
-        b = min(hi, _split_end(a))
-        _sieve_segment(a, b, om[a - lo : b - lo + 1], bom[a - lo : b - lo + 1])
-        a = b + 1
-    om.setflags(write=False)
-    bom.setflags(write=False)
-    return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)
-
-
-def _sieve_segment(lo: int, hi: int, om: np.ndarray, bom: np.ndarray) -> None:
-    """Write omega and Omega of [lo, hi], where hi**3 <= lo**4, into om and bom.
 
     Every power q = p^e <= hi of a prime p <= sqrt(hi) adds lg(p) =
     floor(4 log2 p) = (p**4).bit_length() - 1 to the low byte of a uint16
@@ -142,21 +108,27 @@ def _sieve_segment(lo: int, hi: int, om: np.ndarray, bom: np.ndarray) -> None:
     adds 1 to a uint8 count of extra powers.  The primes come from one numpy
     pass, (-lo) % P < width, which keeps every p <= width and, of the larger
     ones, only the few with a multiple in the window; the Python loop runs
-    over those primes and their powers alone.
+    over those primes and their powers alone.  No integer of the window is
+    divided.
 
-    A prime cofactor is left where the tally is below B = ceil(2 log2 hi) =
-    (hi*hi - 1).bit_length().  Let F be the part of n that the sieve finds.
-    Each prime power in F loses less than 1 to the floor, so the tally lies
-    in (4 log2 F - Omega(n), 4 log2 F].  Either the cofactor n / F is 1, so
-    F = n >= lo and, as Omega(n) <= log2 hi, the tally exceeds
-    4 log2 lo - log2 hi; or it is a single prime above sqrt(hi), so
-    F < sqrt(hi) and the tally is below 2 log2 hi <= B.  The first bound is
-    at least 2 log2 hi when hi**3 <= lo**4, and the integer tally above it
-    then at least B; factor_window splits a window that starts lower.  The
-    tally is at most 4 log2 hi < 252 for hi < 2**63, so it never carries
-    into the high byte.
+    A prime cofactor is left in n where the tally is below 2L, L =
+    n.bit_length(); the test runs once per bit length in [lo, hi].  Let F be
+    the part of n that the sieve finds.  Each prime power in F loses less
+    than 1 to the floor, so the tally lies in (4 log2 F - Omega(n),
+    4 log2 F].  Either F = n, and as Omega(n) <= log2 n the tally exceeds
+    3 log2 n >= 3(L - 1), so the integer tally is at least 3L - 2 >= 2L
+    (L >= 2 for n >= 2); or n / F is a single prime above sqrt(hi) >=
+    sqrt(n), so F < sqrt(n) and the tally is below 2 log2 n < 2L.  Neither
+    case bounds lo.  The tally is at most 4 log2 hi < 252 for hi < 2**63, so
+    it never carries into the high byte.
     """
+    if lo < 2 or hi < lo:
+        raise ValueError("window needs 2 <= lo <= hi")
+    if hi > WORD_MAX:
+        raise ValueError("window end outside machine-word range")
     width = hi - lo + 1
+    if width > WINDOW_WIDTH_MAX:
+        raise ValueError(f"window wider than budget ({WINDOW_WIDTH_MAX})")
     word = np.zeros(width, dtype=np.uint16)
     extra = np.zeros(width, dtype=np.uint8)
     primes = primes_upto(isqrt(hi))
@@ -169,6 +141,14 @@ def _sieve_segment(lo: int, hi: int, om: np.ndarray, bom: np.ndarray) -> None:
             word[s::q] += lg
             extra[s::q] += 1
             q *= p
-    cofactor = word.astype(np.uint8) < (hi * hi - 1).bit_length()
-    np.add(word >> 8, cofactor, out=om, casting="unsafe")
-    np.add(om, extra, out=bom)
+    # the low byte becomes the cofactor flag, one bit-length slice at a time
+    cofactor = word.astype(np.uint8)
+    for bits in range(lo.bit_length(), hi.bit_length() + 1):
+        s = slice(max(lo, 1 << bits - 1) - lo, min(hi, (1 << bits) - 1) - lo + 1)
+        np.less(cofactor[s], 2 * bits, out=cofactor[s])
+    word >>= 8
+    om = np.add(word, cofactor, dtype=np.uint8, casting="unsafe")
+    bom = np.add(om, extra)
+    om.setflags(write=False)
+    bom.setflags(write=False)
+    return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)

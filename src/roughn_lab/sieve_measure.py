@@ -22,7 +22,6 @@ from typing import Optional
 import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
-from .errors import EmptySupportError
 from .primes_core import TABLE_LIMIT_MAX, WORD_MAX, primes_between
 from .reporting import columns_of, write_csv
 
@@ -94,9 +93,12 @@ class SieveParams:
             raise ValueError("T_exponent must lie in (0, 1]")
         if self.A <= 0:
             raise ValueError("constant A must be positive")
-        # moments prints (132 A log k)^s for k <= 3, s <= 4; past this A it overflows
+        # moments prints (132 A log k)^s for k = 2, 3 and s <= 4: refuse an A
+        # whose largest bound overflows or whose smallest leaves the normal floats
         if not 132.0 * self.A * math.log(3) <= _FLOAT_MAX_QUARTIC_ROOT:
             raise ValueError("constant A too large: the moments bound (132 A log 3)^4 overflows")
+        if (132.0 * self.A * math.log(2)) ** 4 < sys.float_info.min:
+            raise ValueError("constant A too small: the moments bound (132 A log 2)^4 underflows")
         if self.k_max < 2:
             raise ValueError("k_max must be >= 2")
         tiny = tuple(primes_between(1, self.w))
@@ -247,7 +249,7 @@ class WeightTable:
     def __post_init__(self):
         total = math.fsum(self.nu.tolist())
         if total <= 0:
-            raise EmptySupportError("weight table total mass is zero")
+            raise ValueError("weight table total mass is zero")
         object.__setattr__(self, "total", total)
         object.__setattr__(self, "empty_medium_shifts", tuple(
             k for k in range(1, self.params.K + 1) if not self.params.medium_primes(k)))
@@ -286,7 +288,7 @@ def weight_support(params: SieveParams) -> np.ndarray:
     x, W = params.x, params.W
     n0 = x + (-x) % W
     if n0 > 2 * x:
-        raise EmptySupportError(
+        raise ValueError(
             f"no multiple of W={W} lies in [{x}, {2 * x}]; refusing to widen the window"
         )
     if (2 * x - n0) // W + 1 > TABLE_LIMIT_MAX:
@@ -389,7 +391,7 @@ def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     if len(table.support) == 0:
-        raise EmptySupportError("cannot sample from an empty table")
+        raise ValueError("cannot sample from an empty table")
     cum = np.cumsum(table.nu)
     rng = np.random.Generator(np.random.PCG64(seed))
     u = rng.random(count) * cum[-1]

@@ -19,7 +19,6 @@ from roughn_lab.bump_functions import (
     write_eta_hat_profile_csv,
     write_eta_profile_csv,
 )
-from roughn_lab.errors import OutOfRangeError
 
 
 # --- independent oracles ---
@@ -152,7 +151,7 @@ def test_eta_hat_against_filon_oracle(bump_spec):
 
 
 def test_eta_hat_out_of_range(bump_spec):
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(ValueError, match="beyond cached truncation"):
         eta_hat(bump_spec.t_max + 1.0, bump_spec)
 
 

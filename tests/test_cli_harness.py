@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import json
@@ -530,11 +531,25 @@ def _largest_finite_moments_A():
     return A
 
 
+def _moments_bound_underflows(A):
+    return (132.0 * A * math.log(2)) ** 4 < sys.float_info.min
+
+
+def _smallest_normal_moments_A():
+    A = sys.float_info.min ** 0.25 / (132.0 * math.log(2))
+    while _moments_bound_underflows(A):
+        A = math.nextafter(A, math.inf)
+    while not _moments_bound_underflows(math.nextafter(A, 0.0)):
+        A = math.nextafter(A, 0.0)
+    return A
+
+
 # each float key at the probe values, the type's extremes and the neighbours
 # of its range checks; c also at the neighbours of the level guard
 # (c * log x = 700 at x = 10^4) and gamma with K = 2, where k^gamma overflows
 PROBE_VALUES = (1e-300, 5e-324, 1e-9, 0.999999, 1.0, 1e300, 0.0, -0.0, -5e-324,
                 sys.float_info.max, -sys.float_info.max)
+ACCEPTED_A_ENDS = (_smallest_normal_moments_A(), _largest_finite_moments_A())
 BOUNDARY_CASES = (
     [("c", v, 1) for v in PROBE_VALUES + (math.nextafter(700 / math.log(10**4), 0.0),
                                           700 / math.log(10**4),
@@ -542,8 +557,11 @@ BOUNDARY_CASES = (
     + [("gamma", v, K) for v in PROBE_VALUES for K in (1, 2)]
     + [("c", 1e300, 2), ("c", sys.float_info.max, 2)]
     + [("T_exponent", v, 1) for v in PROBE_VALUES + (math.nextafter(1.0, 2.0),)]
-    + [("A", v, 1) for v in PROBE_VALUES + (_largest_finite_moments_A(),
-                                            math.nextafter(_largest_finite_moments_A(), math.inf))]
+    + [("A", v, 1) for v in PROBE_VALUES + (1e-100,
+                                            math.nextafter(ACCEPTED_A_ENDS[0], 0.0),
+                                            ACCEPTED_A_ENDS[0],
+                                            ACCEPTED_A_ENDS[1],
+                                            math.nextafter(ACCEPTED_A_ENDS[1], math.inf))]
 )
 
 
@@ -552,21 +570,92 @@ BOUNDARY_CASES = (
 def test_float_parameter_boundaries_exit_0_or_2(key, value, K, tmp_path):
     """parse_params either accepts the value or refuses it with ValueError,
     main's exit 2; any other exception would end in a traceback.  An accepted
-    A leaves every moments bound finite, so moments runs on it and exits 0,
-    or 2 where a bound underflows to 0 and a ratio is infinite."""
+    A leaves every moments bound a finite normal float, so moments runs on it
+    and exits 0."""
     text = TOY_PARAMS.replace("K = 1", f"K = {K}").replace(f"\n{key} = ", f"\n{key} = {value!r} #")
     try:
         params = sieve_measure.parse_params(text)
-    except ValueError:
-        assert not (key == "A" and value == _largest_finite_moments_A())
+    except ValueError as exc:
+        assert not (key == "A" and value in ACCEPTED_A_ENDS)
+        if key == "A" and 0 < value < ACCEPTED_A_ENDS[0]:
+            assert "constant A too small" in str(exc)
         return
     assert getattr(params, key) == value
-    assert (key, value) not in (("c", 1e300), ("A", 1e300))
+    assert (key, value) not in (("c", 1e300), ("A", 1e300), ("A", 1e-300), ("A", 5e-324))
     if key == "A":
         path = tmp_path / "a.params"
         path.write_text(text)
         rc = ch.main(["moments", "--params", str(path), "--out", str(tmp_path / "out")])
-        assert rc == 0 if value >= 1e-9 else rc in (0, 2)
+        assert rc == 0
+
+
+# each int key at the neighbours of its range checks, at +-2^63, 2^62 and 0
+INT_RANGE_NEIGHBOURS = {
+    "x": (9, 10, primes_core.WORD_MAX // 2, primes_core.WORD_MAX // 2 + 1),
+    "K": (1, 2, 3),  # K < w = 3
+    "w": (1, 2, 10**4, 10**4 + 1),
+    "a": (1, 16, 17),
+    "k_max": (1, 2),
+}
+INT_CASES = [(key, v) for key, near in INT_RANGE_NEIGHBOURS.items()
+             for v in sorted(set(near + (-2**63, 2**63, 2**62, 0)))]
+
+
+@pytest.mark.parametrize("key, value", INT_CASES, ids=[f"{k}={v}" for k, v in INT_CASES])
+def test_int_parameter_boundaries_parse_or_raise_value_error(key, value):
+    """parse_params keeps an int key or refuses it with ValueError, main's
+    exit 2; an OverflowError or any other exception would end in a traceback."""
+    text = TOY_PARAMS.replace(f"\n{key} = ", f"\n{key} = {value} #")
+    try:
+        params = sieve_measure.parse_params(text)
+    except ValueError:
+        return
+    assert getattr(params, key) == value
+
+
+def _except_types(func: ast.FunctionDef) -> set:
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            kinds = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            names.update(kind.id for kind in kinds)
+    return names
+
+
+def _raised_types(tree: ast.Module) -> set:
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                names.add(exc.id)
+    return names
+
+
+def test_exit_code_ledger(toy_file, tmp_path):
+    """One argv per exit path of main, and no except clause in main for an
+    exception type that nothing in src/ raises: such a branch is dead."""
+    bad = tmp_path / "bad.params"
+    bad.write_text(TOY_PARAMS.replace("x = 10000", "x = 9"))
+    out = str(tmp_path / "out")
+    for argv, rc in (
+        (["sieve-scan", "--params", toy_file, "--out", out], 0),
+        (["no-such-subcommand"], 2),  # argparse
+        (["sieve-scan", "--params", str(bad), "--out", out], 2),  # ValueError
+        (["sieve-scan", "--params", str(tmp_path / "missing.params"), "--out", out], 2),  # no file
+        (["sieve-scan", "--params", toy_file, "--out", out, "--max-chunks", "0"], 3),
+    ):
+        assert ch.main(argv) == rc, argv
+    src = Path(roughn_lab.__file__).resolve().parent
+    raised = {"SystemExit"}  # argparse's parse_args and parser.error
+    for path in src.glob("*.py"):
+        raised |= _raised_types(ast.parse(path.read_text()))
+    tree = ast.parse(Path(ch.__file__).read_text())
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    caught = _except_types(main)
+    assert caught == {"SystemExit", "ValueError", "FileNotFoundError"}
+    assert caught <= raised, caught - raised
 
 
 def test_resume_with_altered_seed_refuses(toy_file, tmp_path, capsys):

@@ -24,7 +24,6 @@ from roughn_lab.cramer_models import (
     write_pik_csv,
     write_witness_csv,
 )
-from roughn_lab.errors import BudgetExceededError
 from roughn_lab.primes_core import WindowOmega
 from roughn_lab.reporting import write_csv
 
@@ -84,8 +83,9 @@ def test_primorial_vanishing():
 
 
 def test_count_budget_and_domain():
-    with pytest.raises(BudgetExceededError):
-        count_pi_k(10**7 + 1, 2)
+    # the window [2, x] is the only budget: x = 10^7 + 1 is exactly WINDOW_WIDTH_MAX wide
+    with pytest.raises(ValueError, match="window wider than budget"):
+        count_pi_k(10**7 + 2, 2)
     with pytest.raises(ValueError):
         count_pi_k(1, 1)
     with pytest.raises(ValueError):

@@ -12,7 +12,6 @@ from roughn_lab import primes_core
 from roughn_lab.primes_core import (
     TABLE_LIMIT_MAX,
     WORD_MAX,
-    _split_end,
     build_prime_table,
     factor_window,
     factorize,
@@ -186,24 +185,17 @@ def assert_window_matches_sympy(lo, hi):
     assert wf.omega.dtype == wf.big_omega.dtype == np.uint8
 
 
-def test_split_end_is_the_integer_four_thirds_power():
-    rng = random.Random(5)
-    cubes = [m**3 + d for m in (10**5, 2**20, 10**6 + 3, 2**21 - 1) for d in (-1, 0, 1)]
-    for a in list(range(1, 3000)) + cubes + [rng.randrange(2, WORD_MAX) for _ in range(300)]:
-        b = _split_end(a)
-        assert b**3 <= a**4 < (b + 1) ** 3, a
-
-
 def test_factor_window_from_two_crosses_split_points():
-    # segments from 2 end at 2, 4, 8, 18, 50, 189, 1092, 11258, 252347, ...
-    ends, a = [], 2
-    while a <= 20000:
-        ends.append(_split_end(a))
-        a = ends[-1] + 1
-    assert ends == [2, 4, 8, 18, 50, 189, 1092, 11258, 252347]
+    # windows from 2 and from small lo span many bit lengths, so many thresholds
     assert_window_matches_sympy(2, 20000)
     for lo, hi in ((3, 700), (17, 2000), (49, 51), (185, 1100), (1000, 12000)):
         assert_window_matches_sympy(lo, hi)
+
+
+@pytest.mark.parametrize("e", range(2, 41))
+def test_factor_window_across_a_bit_length_boundary(e):
+    # the cofactor threshold 2 * n.bit_length() steps up at n = 2^e
+    assert_window_matches_sympy(max(2, 2**e - 40), 2**e + 40)
 
 
 def floor_log_tally(n, r):
@@ -213,10 +205,10 @@ def floor_log_tally(n, r):
 
 def test_factor_window_at_the_threshold_margin():
     # each window holds an n = F * q, q a prime above sqrt(hi), whose tally of
-    # F is one below the threshold, and with rounded logs would reach it
-    for lo, hi, n in ((1997, 2037, 2021), (10970, 11010, 11009), (14958, 14998, 14986)):
-        threshold = (hi * hi - 1).bit_length()
-        assert floor_log_tally(n, isqrt(hi)) == threshold - 1
+    # F is one below the threshold 2 * n.bit_length(), and with rounded logs
+    # would reach it
+    for lo, hi, n in ((2001, 2041, 2021), (3579, 3619, 3599), (14966, 15006, 14986)):
+        assert floor_log_tally(n, isqrt(hi)) == 2 * n.bit_length() - 1
         assert max(sympy.factorint(n)) > isqrt(hi)
         assert_window_matches_sympy(lo, hi)
 

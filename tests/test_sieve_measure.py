@@ -10,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from roughn_lab.bump_functions import eta_tilde, make_bump
-from roughn_lab.errors import EmptySupportError
 from roughn_lab.sieve_measure import (
     SieveParams,
     _hits,
@@ -228,7 +227,7 @@ def test_exact_mode_rejects_large_windows(spec):
 
 def test_empty_support_fails_loudly(spec):
     fake = SimpleNamespace(x=10, W=210)
-    with pytest.raises(EmptySupportError):
+    with pytest.raises(ValueError, match="no multiple of W=210"):
         build_weight_table(fake, spec)
 
 
