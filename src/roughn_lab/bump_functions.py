@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .reporting import write_csv
-
 BASE_HALF_WIDTH = 0.5
 
 
@@ -338,12 +336,3 @@ def fourier_inverse_check(spec: BumpSpec, us) -> tuple[float, float]:
             worst_twist, abs(twisted - eta_tilde(u, spec)), abs(twisted.imag)
         )
     return worst_plain, worst_twist
-
-
-def write_eta_profile_csv(spec: BumpSpec, path) -> None:
-    write_csv(path, ["u", "eta", "eta_tilde", "eta_tilde_prime"],
-              [spec.u_grid, spec.eta, spec.eta_tilde, spec.eta_tilde_prime])
-
-
-def write_eta_hat_profile_csv(spec: BumpSpec, path) -> None:
-    write_csv(path, ["t", "eta_hat"], [spec.t_grid, spec.eta_hat_grid])

@@ -35,6 +35,7 @@ from .reporting import columns_of, replace_on_success, write_csv, write_json
 CHECKPOINT_MAGIC = b"RLCK2"
 CHECKPOINT_NAME = "checkpoint.rlck"
 CHECKPOINT_SECS = 300  # the chunked subcommands' --checkpoint-secs default
+SEED_MAX = 2**63 - 1  # the fingerprint packs the seed as a signed 64-bit integer
 
 SAMPLE_COUNT = 10**5
 GAP_N = 10**5
@@ -42,6 +43,7 @@ GAP_TRIALS = 100
 SCAN_CHUNKS = 32  # sieve-scan chunks at most
 RECORD_CHUNKS = 16  # record-search chunks, more where a window would pass WINDOW_WIDTH_MAX
 PIK_GRID = (10**3, 10**4, 10**5, 10**6)
+GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv, written one part per trial
 
 # table-building subcommands use a reduced quadrature grid; the c0 command
 # keeps the full default so both routes run at reporting accuracy
@@ -187,12 +189,19 @@ def _run_chunked(
 
 # --- shared setup ---
 
+def _make_out_dir(out: str) -> None:
+    try:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path, or one of its parents a file
+        raise ValueError(f"cannot make output directory {out}: {exc.strerror}") from exc
+
+
 def _load_params_text(args: argparse.Namespace) -> str:
     if args.params is None:
         return ""
     path = Path(args.params)
     if not path.is_file():
-        raise FileNotFoundError(f"parameter file not found: {path}")
+        raise ValueError(f"parameter file not found: {path}")
     return path.read_text()
 
 
@@ -244,7 +253,8 @@ def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
     def finalize(chunks):
         nu = np.concatenate([nu for nu, in chunks])
         table = sieve_measure.WeightTable(params, spec, support, nu)
-        sieve_measure.write_weights_csv(table, out / "weights.csv")
+        write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"],
+                  [support, nu, np.cumsum(nu) / table.total])
         write_json(out / "sieve_summary.json", {
             "params": params.as_dict(),
             "W": params.W,
@@ -278,7 +288,8 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
         freq = sieve_measure.draw_frequency(table, draws, d, k)
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / len(draws))
         rows.append((d, k, exact, freq, sigma))
-    sieve_measure.write_probs_csv(rows, out / "probs.csv")
+    write_csv(out / "probs.csv", ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"],
+              columns_of(rows, 5))
     write_json(out / "sample_summary.json", {
         "count": len(draws),
         "seed": args.seed,
@@ -292,17 +303,16 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
 def _cmd_moments(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
     out = Path(args.out)
-    reports = []
-    for k in (1, 2, 3):
-        for tag in ("medium", "large"):
-            for s in (1, 2, 4):
-                reports.append(moments_concentration.exact_centered_moment(
-                    table, k, tag, s))
-    moments_concentration.write_moments_csv(reports, out / "moments.csv")
-    kappa = moments_concentration.stirling_bound_kappa()
-    c3 = moments_concentration.fit_c3(reports)
-    constants = moments_concentration.validate_constants(2.0**21 * math.e, 3.0, 3.0)
-    moments_concentration.write_constants_json(out / "constants.json", kappa, c3, constants)
+    reports = [moments_concentration.exact_centered_moment(table, k, tag, s)
+               for k in (1, 2, 3) for tag in ("medium", "large") for s in (1, 2, 4)]
+    write_csv(out / "moments.csv", ["k", "range", "s", "exact_moment", "paper_bound", "ratio"],
+              columns_of([(r.k, r.range_tag, r.s, r.exact_moment, r.paper_bound, r.ratio)
+                          for r in reports], 6))
+    write_json(out / "constants.json", {
+        "kappa_fit": moments_concentration.stirling_bound_kappa(),
+        "C3_fit": moments_concentration.fit_c3(reports),
+        "constants": moments_concentration.validate_constants(2.0**21 * math.e, 3.0, 3.0),
+    })
     return 0
 
 
@@ -319,8 +329,9 @@ def _cmd_c0(args: argparse.Namespace, params_text: str) -> int:
         "err_freq": res.err_freq,
         "at_least_one": res.c0_time >= 1.0 - 1e-9,
     })
-    bump_functions.write_eta_profile_csv(spec, out / "eta_profile.csv")
-    bump_functions.write_eta_hat_profile_csv(spec, out / "eta_hat_profile.csv")
+    write_csv(out / "eta_profile.csv", ["u", "eta", "eta_tilde", "eta_tilde_prime"],
+              [spec.u_grid, spec.eta, spec.eta_tilde, spec.eta_tilde_prime])
+    write_csv(out / "eta_hat_profile.csv", ["t", "eta_hat"], [spec.t_grid, spec.eta_hat_grid])
     return 0
 
 
@@ -340,6 +351,16 @@ def _cmd_axioms(args: argparse.Namespace, params_text: str) -> int:
     return 0
 
 
+def _write_gaps_csv(kept, path) -> None:
+    """gaps.csv from each trial's kept (S_k, gap) arrays, such as a report's
+    kept: trial t is the t-th entry of kept, and k counts that trial's gaps
+    from 1.  Each trial is one part of write_csv's rows, and each of its
+    columns a view, so no run-sized array is built."""
+    k = np.arange(1, max((len(gap) for _, gap in kept), default=0) + 1, dtype=np.int64)
+    write_csv(path, GAP_COLUMNS, *((np.broadcast_to(np.int64(t), len(gap)), k[:len(gap)],
+                                    s_k, gap) for t, (s_k, gap) in enumerate(kept)))
+
+
 def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
     out = Path(args.out)
     config = cramer_models.CramerConfig(rate="log", N=GAP_N, trials=GAP_TRIALS,
@@ -350,7 +371,7 @@ def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
 
     def finalize(chunks):
         rep = cramer_models.gap_report(config, chunks)
-        cramer_models.write_gaps_csv(rep.kept, out / "gaps.csv")
+        _write_gaps_csv(rep.kept, out / "gaps.csv")
         write_json(out / "gap_report.json", {
             "trials": rep.trials,
             "N": config.N,
@@ -382,7 +403,7 @@ def _cmd_pik(args: argparse.Namespace, params_text: str) -> int:
             rows.extend(cramer_models.density_profile([x], k=k))
         total = sum(cramer_models.count_pi_k(x, k) for k in range(1, 12))
         identities[str(x)] = (total == x - 1)
-    cramer_models.write_pik_csv(rows, out / "pik.csv")
+    write_csv(out / "pik.csv", ["x", "k", "count", "lower_bound", "ratio"], columns_of(rows, 5))
     write_json(out / "pik_report.json", {
         "partition_identity": identities,
         "pi_2_of_30": cramer_models.count_pi_k(30, 2),
@@ -402,7 +423,10 @@ def _cmd_window_search(args: argparse.Namespace, params_text: str) -> int:
         cramer_models.window_search(x, "weak", C0=2.0, d=1.5),
         cramer_models.window_search(x, "weak", C0=1.2, d=1.01),
     ]
-    cramer_models.write_witness_csv(hits, out / "witness.csv")
+    rows = [(w.x, w.variant, ";".join(f"{key}={val}" for key, val in sorted(w.params.items())),
+             "none" if w.witness is None else w.witness) for w in hits]
+    write_csv(out / "witness.csv", ["x", "variant", "params", "witness_or_none"],
+              columns_of(rows, 4))
     return 0
 
 
@@ -526,6 +550,8 @@ def main(argv=None) -> int:
             parser.error(f"--checkpoint-secs must be >= 0, got {args.checkpoint_secs}")
         if args.max_chunks is not None and args.max_chunks < 0:
             parser.error(f"--max-chunks must be >= 0, got {args.max_chunks}")
+        if not 0 <= args.seed <= SEED_MAX:
+            parser.error(f"--seed must be in [0, {SEED_MAX}], got {args.seed}")
         if args.subcommand not in CHUNKED_SUBCOMMANDS:
             for flag, value in (("--resume", args.resume), ("--max-chunks", args.max_chunks),
                                 ("--checkpoint-secs", args.checkpoint_secs)):
@@ -536,9 +562,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
+        _make_out_dir(args.out)
         return _HANDLERS[args.subcommand](args, _load_params_text(args))
-    except (ValueError, FileNotFoundError) as exc:
+    except ValueError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
         return 2
 

@@ -19,11 +19,9 @@ from typing import Optional
 import numpy as np
 
 from .primes_core import factor_window, factorize
-from .reporting import columns_of, write_csv
 
 RATE_NAMES = ("log", "semiprime", "custom")
 WINDOW_VARIANTS = ("A-omega", "B-Omega", "weak")
-GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv, written one part per trial
 
 
 def loglog(v: float) -> float:
@@ -109,7 +107,7 @@ class GapReport:
     ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
     empty_trials); mean_gap pools every kept gap, NaN when there is none; and
     kept holds the per-trial (S_k, gap) int64 arrays the report was built
-    from, the arrays themselves and not copies, for write_gaps_csv."""
+    from, the arrays themselves and not copies, for the CLI's gaps.csv."""
 
     seed: int
     trials: int
@@ -340,28 +338,3 @@ def erdos_style_refuter(
                      "chain_holds": None}
     return RefuterResult(n=n, delta=delta, k=found_k, omega_value=found_omega,
                          threshold=found_threshold, searched_up_to=k_hi, chain=chain)
-
-
-# --- emitters ---
-
-def write_gaps_csv(kept, path) -> None:
-    """gaps.csv from each trial's kept (S_k, gap) arrays, such as a report's
-    kept: trial t is the t-th entry of kept, and k counts that trial's gaps
-    from 1.  Each trial is one part of write_csv's rows, and each of its
-    columns a view, so no run-sized array is built."""
-    k = np.arange(1, max((len(gap) for _, gap in kept), default=0) + 1, dtype=np.int64)
-    write_csv(path, GAP_COLUMNS, *((np.broadcast_to(np.int64(t), len(gap)), k[:len(gap)],
-                                    s_k, gap) for t, (s_k, gap) in enumerate(kept)))
-
-
-def write_pik_csv(rows, path) -> None:
-    write_csv(path, ["x", "k", "count", "lower_bound", "ratio"], columns_of(rows, 5))
-
-
-def write_witness_csv(witnesses, path) -> None:
-    rows = []
-    for w in witnesses:
-        params = ";".join(f"{key}={val}" for key, val in sorted(w.params.items()))
-        rows.append((w.x, w.variant, params,
-                     w.witness if w.witness is not None else "none"))
-    write_csv(path, ["x", "variant", "params", "witness_or_none"], columns_of(rows, 4))

@@ -20,7 +20,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .primes_core import WindowOmega, primes_upto
-from .reporting import columns_of, write_csv, write_json
 from .sieve_measure import SieveParams, WeightTable, range_sum
 
 STIRLING_MAX_S = 64
@@ -363,19 +362,3 @@ def validate_constants(C1: float, C2: float, C3: float) -> dict:
         "C1_requirement": requirement,
         "ok": C1 >= requirement * (1.0 - 1e-12),
     }
-
-
-# --- emitters ---
-
-def write_moments_csv(reports: Sequence[MomentReport], path) -> None:
-    rows = [
-        (rep.k, rep.range_tag, rep.s, rep.exact_moment, rep.paper_bound, rep.ratio)
-        for rep in reports
-    ]
-    write_csv(path, ["k", "range", "s", "exact_moment", "paper_bound", "ratio"],
-              columns_of(rows, 6))
-
-
-def write_constants_json(path, kappa: float, c3_fit: Optional[float], constants: dict) -> None:
-    payload = {"kappa_fit": kappa, "C3_fit": c3_fit, "constants": constants}
-    write_json(path, payload)

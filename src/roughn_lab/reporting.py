@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON emission shared by the library and the CLI.
+"""Deterministic CSV/JSON emission used by the CLI.
 
 All real numbers are written with 17 significant digits and a '.' decimal
 separator so that repeated runs produce byte-identical files.  A CSV is

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -23,7 +23,6 @@ import numpy as np
 
 from .bump_functions import BumpSpec, eta_tilde
 from .primes_core import TABLE_LIMIT_MAX, WORD_MAX, primes_between
-from .reporting import columns_of, write_csv
 
 PARAM_DEFAULTS = {
     "x": 10**7,
@@ -243,8 +242,6 @@ class WeightTable:
     nu: np.ndarray
     total: float = field(init=False)
     empty_medium_shifts: tuple[int, ...] = field(init=False)
-    exact_nu: Optional[dict] = None
-    exact_total: Optional[Fraction] = None
 
     def __post_init__(self):
         total = math.fsum(self.nu.tolist())
@@ -316,35 +313,35 @@ def weights_at(points: np.ndarray, step: int, terms: dict) -> np.ndarray:
     return nu
 
 
-def build_weight_table(
-    params: SieveParams, spec: BumpSpec, exact: bool = False
-) -> WeightTable:
+def build_weight_table(params: SieveParams, spec: BumpSpec) -> WeightTable:
     support = weight_support(params)
-    terms = shift_terms(params, spec)
-    table = WeightTable(params, spec, support, weights_at(support, params.W, terms))
-    if not exact:
-        return table
+    return WeightTable(params, spec, support,
+                       weights_at(support, params.W, shift_terms(params, spec)))
+
+
+def exact_weights(table: WeightTable) -> tuple[dict, Fraction]:
+    """n -> nu(n) over the table's support in exact rationals, and their total:
+    the float route's divisor sums with every eta_tilde coefficient rounded
+    to a multiple of 2^-ETA_QUANT_BITS.  Refused above EXACT_MODE_MAX_X."""
+    params = table.params
     if params.x > EXACT_MODE_MAX_X:
         raise ValueError(
             f"exact-rational mode only supports windows with x <= {EXACT_MODE_MAX_X}"
         )
     scale = 1 << ETA_QUANT_BITS
-    quant = {
-        k: [(d, Fraction(round(coef * scale), scale)) for d, coef in k_terms]
-        for k, k_terms in terms.items()
-    }
+    quant = [[(d, Fraction(round(coef * scale), scale)) for d, coef in k_terms]
+             for k_terms in shift_terms(params, table.spec).values()]
     exact_map = {}
-    for n in support.tolist():
+    for n in table.support.tolist():
         val = Fraction(1)
-        for k in range(1, params.K + 1):
+        for k, k_quant in enumerate(quant, start=1):
             inner = Fraction(1)
-            for d, coef in quant[k]:
+            for d, coef in k_quant:
                 if (n + k) % d == 0:
                     inner += coef
             val *= inner * inner
         exact_map[n] = val
-    return replace(table, exact_nu=exact_map,
-                   exact_total=sum(exact_map.values(), Fraction(0)))
+    return exact_map, sum(exact_map.values(), Fraction(0))
 
 
 def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
@@ -521,15 +518,3 @@ def axiom_check(
         )
 
     raise ValueError(f"unknown axiom {which!r}; expected one of A, B, C, D")
-
-
-# --- CSV emitters ---
-
-def write_weights_csv(table: WeightTable, path) -> None:
-    cum = np.cumsum(table.nu) / table.total
-    write_csv(path, ["n", "nu(n)", "cumulative-mass"], [table.support, table.nu, cum])
-
-
-def write_probs_csv(rows, path) -> None:
-    write_csv(path, ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"],
-              columns_of(rows, 5))

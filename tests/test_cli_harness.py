@@ -101,8 +101,15 @@ def test_c0_report(tmp_path):
     rep = json.loads((tmp_path / "c0_report.json").read_text())
     assert rep["relative_difference"] <= 1e-6
     assert rep["at_least_one"] is True
-    assert (tmp_path / "eta_profile.csv").is_file()
-    assert (tmp_path / "eta_hat_profile.csv").is_file()
+    header, eta_rows = read_rows(tmp_path / "eta_profile.csv")
+    assert header == ["u", "eta", "eta_tilde", "eta_tilde_prime"]
+    assert len(eta_rows) == 4097  # make_bump's default grid_points
+    header, eta_hat_rows = read_rows(tmp_path / "eta_hat_profile.csv")
+    assert header == ["t", "eta_hat"]
+    assert len(eta_hat_rows) == 4001  # and t_points
+    # 17 significant digits; the u = 0 row, mid-grid, carries eta = 1 exactly
+    u, eta = eta_rows[len(eta_rows) // 2][:2]
+    assert float(u) == 0.0 and float(eta) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_axioms_report(toy_file, tmp_path):
@@ -173,7 +180,7 @@ def test_cramer_gaps_report_is_the_library_report(tmp_path, monkeypatch):
     assert got["mean_gap"] == rep.mean_gap
     assert got["gap_count"] == rep.gap_count
     assert got["warmup"] == rep.warmup
-    cramer_models.write_gaps_csv(rep.kept, tmp_path / "lib.csv")
+    ch._write_gaps_csv(rep.kept, tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "gaps.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
@@ -227,6 +234,12 @@ def test_window_search_outputs(toy_file, tmp_path):
     assert header == ["x", "variant", "params", "witness_or_none"]
     assert len(rows) == 6
     assert {r[1] for r in rows} == {"A-omega", "B-Omega", "weak"}
+    # a search without a hit writes none, one with a hit its witness n <= x
+    for x, variant, params, witness in rows:
+        if (variant, params) == ("weak", "C0=2.0;d=1.5"):
+            assert witness == "none"
+        else:
+            assert witness.isdigit() and int(witness) <= int(x)
 
 
 def test_refute_679_outputs(tmp_path):
@@ -354,6 +367,29 @@ def test_bad_workers_or_checkpoint_secs_exit_2(flags, tmp_path, capsys):
     assert rc == 2
     assert "must be >=" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ch.SUBCOMMANDS)
+@pytest.mark.parametrize("seed", [-1, 2**63])
+def test_seed_outside_signed_64_bits_exits_2(subcommand, seed, toy_file, tmp_path, capsys):
+    # the checkpoint fingerprint packs the seed as a signed 64-bit integer, and
+    # the samplers take no negative seed: both are refused before --out is made
+    out = tmp_path / "out"
+    params = ["--params", toy_file] if subcommand in ch.PARAMS_SUBCOMMANDS else []
+    rc = ch.main([subcommand, "--out", str(out), "--seed", str(seed)] + params)
+    assert rc == 2
+    assert "--seed must be in [0, 9223372036854775807]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-a-file"])
+def test_out_naming_a_file_exits_2(below, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / below if below else taken
+    assert ch.main(["pik", "--out", str(out)]) == 2
+    assert f"cannot make output directory {out}" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
 
 
 @pytest.mark.parametrize("subcommand", [s for s in ch.SUBCOMMANDS
@@ -643,6 +679,7 @@ def test_exit_code_ledger(toy_file, tmp_path):
         (["no-such-subcommand"], 2),  # argparse
         (["sieve-scan", "--params", str(bad), "--out", out], 2),  # ValueError
         (["sieve-scan", "--params", str(tmp_path / "missing.params"), "--out", out], 2),  # no file
+        (["pik", "--out", str(bad)], 2),  # --out names a file
         (["sieve-scan", "--params", toy_file, "--out", out, "--max-chunks", "0"], 3),
     ):
         assert ch.main(argv) == rc, argv
@@ -654,7 +691,7 @@ def test_exit_code_ledger(toy_file, tmp_path):
     main = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "main")
     caught = _except_types(main)
-    assert caught == {"SystemExit", "ValueError", "FileNotFoundError"}
+    assert caught == {"SystemExit", "ValueError"}
     assert caught <= raised, caught - raised
 
 

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from roughn_lab import cramer_models
+from roughn_lab.cli_harness import GAP_COLUMNS, _write_gaps_csv
 from roughn_lab.cramer_models import (
-    GAP_COLUMNS,
     CramerConfig,
     GapReport,
     count_pi_k,
@@ -20,9 +20,6 @@ from roughn_lab.cramer_models import (
     simulate_gaps,
     trial_gaps,
     window_search,
-    write_gaps_csv,
-    write_pik_csv,
-    write_witness_csv,
 )
 from roughn_lab.primes_core import WindowOmega
 from roughn_lab.reporting import write_csv
@@ -373,13 +370,13 @@ def test_refuter_domain_checks():
         erdos_style_refuter(10**6, -0.5)
 
 
-# --- emitters ---
+# --- gaps.csv ---
 
 def test_gaps_csv_layout(tmp_path):
     cfg = CramerConfig(rate="log", N=5000, trials=2, seed=7)
     rep = simulate_gaps(cfg)
     path = tmp_path / "gaps.csv"
-    write_gaps_csv(rep.kept, path)
+    _write_gaps_csv(rep.kept, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,k,S_k,gap"
     assert len(lines) == 1 + rep.gap_count
@@ -407,7 +404,7 @@ def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
     # bit for bit: the mean numpy takes over the concatenated gaps
     want_mean = float(columns[3].mean()) if len(columns[3]) else math.nan
     assert rep.mean_gap.hex() == want_mean.hex()
-    write_gaps_csv(rep.kept, tmp_path / "streamed.csv")
+    _write_gaps_csv(rep.kept, tmp_path / "streamed.csv")
     write_csv(tmp_path / "oracle.csv", GAP_COLUMNS, columns)
     streamed = (tmp_path / "streamed.csv").read_bytes()
     assert streamed == (tmp_path / "oracle.csv").read_bytes()
@@ -415,23 +412,3 @@ def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
         assert rep.empty_trials and not rep.empty()
     if kwargs.get("warmup") == 10:
         assert rep.empty() and streamed == b"trial,k,S_k,gap\n"
-
-
-def test_pik_csv_layout(tmp_path):
-    rows = density_profile([10**3, 10**4])
-    path = tmp_path / "pik.csv"
-    write_pik_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,k,count,lower_bound,ratio"
-    assert len(lines) == 3
-
-
-def test_witness_csv_handles_none(tmp_path):
-    hits = [window_search(10**6, "A-omega", epsilon=1.0, C=2.0),
-            window_search(10**6, "A-omega", epsilon=10.0, C=1.0)]
-    path = tmp_path / "witness.csv"
-    write_witness_csv(hits, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,variant,params,witness_or_none"
-    assert lines[1].split(",")[3] != "none"
-    assert lines[2].split(",")[3] == "none"

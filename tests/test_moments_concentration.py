@@ -27,7 +27,6 @@ from roughn_lab.moments_concentration import (
     stirling_bound_kappa,
     stirling_identity_check,
     validate_constants,
-    write_moments_csv,
 )
 from roughn_lab.primes_core import factor_window
 from roughn_lab.sieve_measure import SieveParams, build_weight_table, prob_divides
@@ -372,7 +371,7 @@ def test_max_log_ratio_witness_matches_brute_scan(toy_table):
     assert ratios[arg] == pytest.approx(best_val, rel=1e-12)
 
 
-# --- constants and emitters ---
+# --- constants ---
 
 def test_validate_constants_branches():
     big = validate_constants(2.0**21 * math.e, 3.0, 3.0)
@@ -382,12 +381,3 @@ def test_validate_constants_branches():
     assert not small["ok"]
     with pytest.raises(ValueError):
         validate_constants(1.0, 1.0, 1.0)
-
-
-def test_moments_csv_layout(tmp_path, toy_table):
-    reports = [exact_centered_moment(toy_table, k, "large", 2) for k in (1, 2, 3)]
-    path = tmp_path / "moments.csv"
-    write_moments_csv(reports, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "k,range,s,exact_moment,paper_bound,ratio"
-    assert len(lines) == 4

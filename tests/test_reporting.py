@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from roughn_lab import cli_harness as ch
 from roughn_lab import reporting
-from roughn_lab.cramer_models import GAP_COLUMNS, CramerConfig, trial_gaps
+from roughn_lab.cli_harness import GAP_COLUMNS
+from roughn_lab.cramer_models import CramerConfig, trial_gaps
 from roughn_lab.reporting import columns_of, float_digits, format_cell, write_csv
 from test_cramer_models import gap_columns
 

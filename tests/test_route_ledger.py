@@ -35,6 +35,9 @@ ROUTES = {
     "sieve_measure.nu_exact": "perfbench/workloads.py::measure_checks",
     "sieve_measure.WeightTable.nu_of":
         "tests/test_sieve_measure.py::test_nu_outside_window_raises_and_nu_of_is_zero",
+    # the exact-rational weights, checked against the float table
+    "sieve_measure.exact_weights":
+        "tests/test_sieve_measure.py::test_exact_rational_mode_matches_float_total",
     "sieve_measure.tiny_prime_rigidity":
         "tests/test_acceptance.py::test_criterion_04_tiny_prime_rigidity_exact",
     # the bump's pointwise derivative, oracle of c0's time route

@@ -15,15 +15,14 @@ from roughn_lab.sieve_measure import (
     _hits,
     axiom_check,
     build_weight_table,
+    exact_weights,
     nu_exact,
     parse_params,
     prob_divides,
     sample,
     shift_terms,
     tiny_prime_rigidity,
-    write_probs_csv,
     weights_at,
-    write_weights_csv,
 )
 
 
@@ -209,20 +208,20 @@ def test_nu_outside_window_raises_and_nu_of_is_zero(toy_table, toy_params, spec)
     assert toy_table.nu_of(toy_table.support[0] + 1) == 0.0
 
 
-def test_exact_rational_mode_matches_float_total(toy_params, spec):
-    table = build_weight_table(toy_params, spec, exact=True)
-    assert table.exact_total is not None
-    rel = abs(float(table.exact_total) - table.total) / table.total
+def test_exact_rational_mode_matches_float_total(toy_table):
+    exact_nu, exact_total = exact_weights(toy_table)
+    rel = abs(float(exact_total) - toy_table.total) / toy_table.total
     assert rel <= 1e-9
-    n = int(table.support[3])
-    assert float(table.exact_nu[n]) == pytest.approx(table.nu_of(n), abs=1e-9)
+    n = int(toy_table.support[3])
+    assert float(exact_nu[n]) == pytest.approx(toy_table.nu_of(n), abs=1e-9)
 
 
 def test_exact_mode_rejects_large_windows(spec):
     params = SieveParams(x=2 * 10**4, K=1, w=3, a=1, c=0.25, gamma=1.0,
                          T_exponent=0.5, A=2.0, k_max=10)
+    table = build_weight_table(params, spec)
     with pytest.raises(ValueError):
-        build_weight_table(params, spec, exact=True)
+        exact_weights(table)
 
 
 def test_empty_support_fails_loudly(spec):
@@ -348,23 +347,3 @@ def test_axiom_d_requires_admissible_prime_powers(spec):
 def test_axiom_unknown_name_rejected(toy_table):
     with pytest.raises(ValueError):
         axiom_check("E", toy_table)
-
-
-# --- emitters ---
-
-def test_weights_csv_layout(tmp_path, toy_table):
-    path = tmp_path / "weights.csv"
-    write_weights_csv(toy_table, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "n,nu(n),cumulative-mass"
-    assert len(lines) == 1 + len(toy_table.support)
-    assert float(lines[-1].split(",")[2]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_probs_csv_layout(tmp_path, toy_table):
-    path = tmp_path / "probs.csv"
-    rows = [(11, 1, prob_divides(11, 1, toy_table), 0.09, 0.001)]
-    write_probs_csv(rows, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "d_star,k_star,exact_prob,mc_estimate,mc_sigma"
-    assert len(lines) == 2
