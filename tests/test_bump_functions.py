@@ -214,3 +214,18 @@ def test_make_bump_rejects_bad_grids():
         make_bump(grid_points=100)
     with pytest.raises(ValueError):
         make_bump(t_max=-3.0)
+
+
+def test_profile_csvs(tmp_path, bump_spec):
+    # the c0 subcommand writes both profiles of the default bump
+    assert ch.main(["c0", "--out", str(tmp_path)]) == 0
+    head1 = (tmp_path / "eta_profile.csv").read_text().splitlines()
+    head2 = (tmp_path / "eta_hat_profile.csv").read_text().splitlines()
+    assert head1[0] == "u,eta,eta_tilde,eta_tilde_prime"
+    assert head2[0] == "t,eta_hat"
+    assert len(head1) == bump_spec.grid_points + 1
+    assert len(head2) == bump_spec.t_points + 1
+    # formatting is 17 significant digits; the u=0 row carries eta=1 exactly
+    mid = head1[1 + (bump_spec.grid_points - 1) // 2].split(",")
+    assert float(mid[0]) == 0.0
+    assert float(mid[1]) == pytest.approx(1.0, abs=1e-12)

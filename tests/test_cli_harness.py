@@ -101,15 +101,9 @@ def test_c0_report(tmp_path):
     rep = json.loads((tmp_path / "c0_report.json").read_text())
     assert rep["relative_difference"] <= 1e-6
     assert rep["at_least_one"] is True
-    header, eta_rows = read_rows(tmp_path / "eta_profile.csv")
-    assert header == ["u", "eta", "eta_tilde", "eta_tilde_prime"]
-    assert len(eta_rows) == 4097  # make_bump's default grid_points
-    header, eta_hat_rows = read_rows(tmp_path / "eta_hat_profile.csv")
-    assert header == ["t", "eta_hat"]
-    assert len(eta_hat_rows) == 4001  # and t_points
-    # 17 significant digits; the u = 0 row, mid-grid, carries eta = 1 exactly
-    u, eta = eta_rows[len(eta_rows) // 2][:2]
-    assert float(u) == 0.0 and float(eta) == pytest.approx(1.0, abs=1e-12)
+    # the layout of both profiles is checked in test_bump_functions::test_profile_csvs
+    assert (tmp_path / "eta_profile.csv").is_file()
+    assert (tmp_path / "eta_hat_profile.csv").is_file()
 
 
 def test_axioms_report(toy_file, tmp_path):
@@ -234,12 +228,7 @@ def test_window_search_outputs(toy_file, tmp_path):
     assert header == ["x", "variant", "params", "witness_or_none"]
     assert len(rows) == 6
     assert {r[1] for r in rows} == {"A-omega", "B-Omega", "weak"}
-    # a search without a hit writes none, one with a hit its witness n <= x
-    for x, variant, params, witness in rows:
-        if (variant, params) == ("weak", "C0=2.0;d=1.5"):
-            assert witness == "none"
-        else:
-            assert witness.isdigit() and int(witness) <= int(x)
+    # none versus witness is checked in test_cramer_models::test_witness_csv_handles_none
 
 
 def test_refute_679_outputs(tmp_path):

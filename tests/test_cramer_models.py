@@ -5,7 +5,9 @@ import random
 
 import numpy as np
 import pytest
+from test_cli_harness import TOY_PARAMS
 
+from roughn_lab import cli_harness as ch
 from roughn_lab import cramer_models
 from roughn_lab.cli_harness import GAP_COLUMNS, _write_gaps_csv
 from roughn_lab.cramer_models import (
@@ -412,3 +414,20 @@ def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
         assert rep.empty_trials and not rep.empty()
     if kwargs.get("warmup") == 10:
         assert rep.empty() and streamed == b"trial,k,S_k,gap\n"
+
+
+def test_witness_csv_handles_none(tmp_path):
+    # window-search writes one row per search: a search without a hit gets
+    # none, one with a hit its witness n <= x
+    params = tmp_path / "toy.params"
+    params.write_text(TOY_PARAMS)
+    out = tmp_path / "out"
+    assert ch.main(["window-search", "--params", str(params), "--out", str(out)]) == 0
+    lines = (out / "witness.csv").read_text().splitlines()
+    assert lines[0] == "x,variant,params,witness_or_none"
+    for line in lines[1:]:
+        x, variant, spec, witness = line.split(",")
+        if (variant, spec) == ("weak", "C0=2.0;d=1.5"):
+            assert witness == "none"
+        else:
+            assert witness.isdigit() and int(witness) <= int(x)
