@@ -165,16 +165,22 @@ def _eta_hat_from_samples(ts, u_grid, eta_samples, h):
 
     eta is even and u_grid symmetric about its middle point, so the u < 0
     half is folded onto u > 0 and the cosines are taken over u >= 0 only.
+    The cosines of 32 t values at a time fill one reused block buffer; each
+    row's sum does not depend on the block it sits in.
     """
     wu = simpson_weights(len(u_grid), h) * eta_samples
     mid = len(u_grid) // 2
     folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
     u_pos = u_grid[mid:]
     out = np.empty(len(ts))
-    for a in range(0, len(ts), 256):  # 256 t values per cosine block
-        block = np.asarray(ts[a : a + 256])
-        out[a : a + 256] = np.einsum("ij,j->i", np.cos(np.outer(block, u_pos)), folded)
-    return out / (2.0 * np.pi)
+    buf = np.empty((min(len(ts), 32), len(u_pos)))
+    for a in range(0, len(ts), 32):
+        block = buf[: len(ts) - a]
+        np.multiply.outer(ts[a : a + 32], u_pos, out=block)
+        np.cos(block, out=block)
+        out[a : a + 32] = np.einsum("ij,j->i", block, folded)
+    out /= 2.0 * np.pi
+    return out
 
 
 def eta_value(u, spec: BumpSpec):

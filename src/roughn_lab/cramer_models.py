@@ -171,8 +171,9 @@ def simulate_gaps(config: CramerConfig) -> GapReport:
 
 @lru_cache(maxsize=8)
 def _omega_histogram(x: int) -> tuple[int, ...]:
-    window = factor_window(2, x)
-    return tuple(int(c) for c in np.bincount(window.omega))
+    # one count per value, so the uint8 omegas are never widened to int64
+    omega = factor_window(2, x).omega
+    return tuple(int(np.count_nonzero(omega == v)) for v in range(int(omega.max()) + 1))
 
 
 def count_pi_k(x: int, k: int) -> int:

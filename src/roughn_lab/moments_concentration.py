@@ -155,7 +155,9 @@ def exact_centered_moment(
     if not moduli:
         return MomentReport(k, range_tag, s, 0.0, bound, 0.0, centered, flagged_empty=True)
     acc = range_sum(table, k, moduli, centered)
-    moment = math.fsum((table.nu * acc**s).tolist()) / table.total
+    acc **= s
+    acc *= table.nu
+    moment = math.fsum(memoryview(acc)) / table.total
     ratio = moment / bound if bound > 0 else 0.0
     return MomentReport(k, range_tag, s, moment, bound, ratio, centered)
 

@@ -16,7 +16,6 @@ int64 would wrap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import isqrt
 
 import numpy as np
@@ -33,25 +32,45 @@ _NO_PRIMES.setflags(write=False)
 
 def build_prime_table(limit: int) -> np.ndarray:
     """The primes p <= limit, ascending, as a read-only int64 array, from a
-    bool sieve; the package's one prime sieve."""
+    bool sieve over the odd numbers; the package's one prime sieve."""
     if limit < 2:
         raise ValueError("prime table limit must be >= 2")
     if limit > TABLE_LIMIT_MAX:
         raise ValueError(f"prime table limit above memory budget ({TABLE_LIMIT_MAX})")
-    sieve = np.ones(limit + 1, dtype=bool)
-    sieve[:2] = False
-    for p in range(2, isqrt(limit) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = False
+    # slot i stands for the odd number 2i + 1; slot 0, the number 1, stands
+    # in for 2, so the one index array becomes the primes in place
+    sieve = np.ones((limit + 1) // 2, dtype=bool)
+    for i in range(1, (isqrt(limit) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = False
     primes = np.flatnonzero(sieve).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
     primes.setflags(write=False)
     return primes
 
 
-@lru_cache(maxsize=32)
+# {limit: the primes up to it} for the largest limit sieved so far, or empty;
+# every smaller limit is served by a slice of that one table
+_largest: dict[int, np.ndarray] = {}
+
+
 def primes_upto(n: int) -> np.ndarray:
-    """The primes p <= n, ascending, as a cached read-only int64 array."""
-    return build_prime_table(n) if n >= 2 else _NO_PRIMES
+    """The primes p <= n, ascending, as a read-only int64 array: a view of
+    the largest table sieved so far, which is replaced only for a larger n."""
+    if n < 2:
+        return _NO_PRIMES
+    if n > max(_largest, default=1):
+        _largest.clear()
+        _largest[n] = build_prime_table(n)
+    (primes,) = _largest.values()
+    return primes[: np.searchsorted(primes, n, side="right")]
+
+
+# drops the table, so that the next call sieves again
+primes_upto.cache_clear = _largest.clear
 
 
 def primes_between(lo: int, hi: int) -> list[int]:
@@ -146,9 +165,12 @@ def factor_window(lo: int, hi: int) -> WindowOmega:
     for bits in range(lo.bit_length(), hi.bit_length() + 1):
         s = slice(max(lo, 1 << bits - 1) - lo, min(hi, (1 << bits) - 1) - lo + 1)
         np.less(cofactor[s], 2 * bits, out=cofactor[s])
+    # omega goes into the flag array and Omega into extra: 4 bytes per integer
+    # at the peak, word's 2 and the two uint8 arrays
     word >>= 8
-    om = np.add(word, cofactor, dtype=np.uint8, casting="unsafe")
-    bom = np.add(om, extra)
+    om = np.add(word, cofactor, out=cofactor, dtype=np.uint8, casting="unsafe")
+    del word
+    bom = np.add(om, extra, out=extra)
     om.setflags(write=False)
     bom.setflags(write=False)
     return WindowOmega(lo=lo, hi=hi, omega=om, big_omega=bom)

@@ -279,7 +279,7 @@ def _block_bytes(cells) -> bytes:
         at += len(matrix)
         block[:, at] = ord("\n" if j == len(cells) - 1 else ",")
         at += 1
-    return block[block != _SKIP].tobytes()
+    return block.tobytes().translate(None, bytes([_SKIP]))
 
 
 def write_csv(path, header, *parts) -> None:

@@ -244,7 +244,7 @@ class WeightTable:
     empty_medium_shifts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        total = math.fsum(self.nu.tolist())
+        total = math.fsum(memoryview(self.nu))
         if total <= 0:
             raise ValueError("weight table total mass is zero")
         object.__setattr__(self, "total", total)
@@ -309,7 +309,7 @@ def weights_at(points: np.ndarray, step: int, terms: dict) -> np.ndarray:
         inner = np.ones(len(points), dtype=np.float64)
         for d, coef in k_terms:
             inner[_hits(points[0], step, k, d)] += coef
-        nu *= inner * inner
+        nu *= np.multiply(inner, inner, out=inner)
     return nu
 
 
@@ -357,7 +357,7 @@ def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
     if d_star == 1:
         return 1.0
     ix = _hits(table.support[0], table.params.W, k_star, d_star)
-    num = math.fsum(table.nu[ix].tolist())
+    num = math.fsum(memoryview(table.nu[ix]))
     return num / table.total
 
 

@@ -2,7 +2,8 @@
 
 One test per acceptance criterion, numbered 01 through 12; running this
 file with -v prints one pass/fail line per criterion.  Tolerances and
-runtime budgets are stated inline next to each assertion.
+runtime budgets are stated inline next to each assertion.  One more test
+recomputes criterion 08's stated false-failure rate.
 """
 
 import json
@@ -158,6 +159,13 @@ def test_criterion_07_simplex_maximizer_is_uniform():
 
 
 def test_criterion_08_monte_carlo_consistency(toy_table):
+    """At least 9 of 10 divisibility tuples within 3 sigma over 10^5 draws.
+
+    Taking each tuple's frequency as normal about its exact probability and
+    the ten tuples as independent, a tuple lands within 3 sigma with
+    probability p = erf(3/sqrt(2)), so a correct sampler fails this check
+    with probability 1 - P(Bin(10, p) >= 9), about 3.2e-04.
+    """
     tuples = [(5, 1), (7, 1), (7, 3), (11, 2), (13, 1),
               (35, 1), (55, 2), (65, 1), (77, 3), (143, 2)]
     draws = sample(toy_table, seed=90210, count=10**5)
@@ -170,6 +178,12 @@ def test_criterion_08_monte_carlo_consistency(toy_table):
             passing += 1
     assert passing >= 9
     print(f"criterion 08 PASS: {passing}/10 tuples within 3 sigma")
+
+
+def test_criterion_08_false_failure_rate():
+    p = math.erf(3 / math.sqrt(2))
+    rate = 1 - sum(math.comb(10, j) * p**j * (1 - p) ** (10 - j) for j in (9, 10))
+    assert f"about {rate:.1e}." in test_criterion_08_monte_carlo_consistency.__doc__
 
 
 def test_criterion_09_record_search_sampler_near_optimal(tmp_path):

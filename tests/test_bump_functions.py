@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from memory_helpers import traced_peak
 
 from roughn_lab import cli_harness as ch
 from roughn_lab.bump_functions import (
@@ -197,6 +198,17 @@ def test_eta_hat_fold_matches_full_grid_oracle(any_spec):
     assert np.max(np.abs(any_spec.eta_hat_grid - want)) <= 1e-14
     got = _eta_hat_from_samples(any_spec.t_grid, any_spec.u_grid, any_spec.eta, any_spec.h)
     assert np.array_equal(got, any_spec.eta_hat_grid)
+
+
+def test_eta_hat_cosines_stay_in_one_block_buffer(bump_spec):
+    # make_bump() defaults: 4001 t values against 2049 u >= 0.  One reused
+    # 32-row cosine buffer is 0.5 MiB; a fresh outer product and cosine array
+    # per 256-row block peaked at 8.5 MB.
+    spec = bump_spec
+    row = (len(spec.u_grid) // 2 + 1) * spec.u_grid.itemsize
+    got, peak = traced_peak(_eta_hat_from_samples, spec.t_grid, spec.u_grid, spec.eta, spec.h)
+    assert np.array_equal(got, spec.eta_hat_grid)
+    assert peak < 64 * row
 
 
 def test_c0_freq_integrand_nonnegative(bump_spec):

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from memory_helpers import traced_peak
 from test_cli_harness import TOY_PARAMS
 
 from roughn_lab import cli_harness as ch
@@ -23,7 +24,7 @@ from roughn_lab.cramer_models import (
     trial_gaps,
     window_search,
 )
-from roughn_lab.primes_core import WindowOmega
+from roughn_lab.primes_core import WindowOmega, factor_window
 from roughn_lab.reporting import write_csv
 
 
@@ -89,6 +90,18 @@ def test_count_budget_and_domain():
         count_pi_k(1, 1)
     with pytest.raises(ValueError):
         count_pi_k(30, 0)
+
+
+def test_omega_histogram_widens_no_omega(monkeypatch):
+    # one bool mask per omega value at a time, where np.bincount's int64
+    # copy of the uint8 omegas took 8 bytes per integer
+    x = 10**6
+    window = factor_window(2, x)
+    monkeypatch.setattr(cramer_models, "factor_window", lambda lo, hi: window)
+    hist, peak = traced_peak(cramer_models._omega_histogram.__wrapped__, x)
+    assert hist == tuple(np.bincount(window.omega).tolist())
+    assert all(type(c) is int for c in hist)
+    assert peak < 2 * x
 
 
 def test_density_profile_default_k_grid():

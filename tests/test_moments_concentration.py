@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory_helpers import traced_peak
 
 from roughn_lab import moments_concentration
 from roughn_lab.bump_functions import make_bump
@@ -29,7 +30,7 @@ from roughn_lab.moments_concentration import (
     validate_constants,
 )
 from roughn_lab.primes_core import factor_window
-from roughn_lab.sieve_measure import SieveParams, build_weight_table, prob_divides
+from roughn_lab.sieve_measure import SieveParams, build_weight_table, prob_divides, range_sum
 
 
 @pytest.fixture(scope="module")
@@ -297,6 +298,20 @@ def test_moment_matches_shuffled_two_pass_oracle(toy_table, toy_params):
         count = sum(1 for m in moduli if (n + 1) % m == 0)
         acc += toy_table.nu[i] * (count - mean_shift) ** 2
     assert rep.exact_moment == pytest.approx(acc / toy_table.total, rel=1e-10)
+
+
+def test_moment_holds_one_float_per_point(spec):
+    # 166,667 support points: range_sum's float64 accumulator, raised to the
+    # s-th power and weighted in place, and no list of floats
+    params = SieveParams(x=10**6, K=1, w=3, a=1, c=0.29, gamma=1.0,
+                         T_exponent=0.5, A=2.0, k_max=20)
+    table = build_weight_table(params, spec)
+    n = len(table.support)
+    for s in (1, 2, 3, 4):
+        rep, peak = traced_peak(exact_centered_moment, table, 1, "medium", s)
+        acc = range_sum(table, 1, range_moduli(params, 1, "medium"), True)
+        assert rep.exact_moment == math.fsum((table.nu * acc**s).tolist()) / table.total
+        assert peak < 9 * n, s
 
 
 def test_even_moment_nonnegative(toy_table):

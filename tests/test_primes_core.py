@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory_helpers import traced_peak
 
 from math import isqrt
 
@@ -65,10 +66,42 @@ def test_primes_upto_matches_sympy_at_1e6():
     assert primes.dtype == np.int64 and not primes.flags.writeable
 
 
+def test_odd_only_sieve_at_every_small_limit():
+    primes = list(sympy.primerange(2000))
+    for limit in range(2, 2000):
+        got = build_prime_table(limit)
+        assert got.tolist() == [p for p in primes if p <= limit], limit
+        assert got.dtype == np.int64 and not got.flags.writeable
+
+
+def test_primes_upto_serves_every_limit_from_one_table(monkeypatch):
+    assert np.shares_memory(primes_upto(10**6), primes_upto(997))
+    small = primes_upto(997)
+    assert small[-1] == 997 and not small.flags.writeable
+    built = []
+    monkeypatch.setattr(primes_core, "build_prime_table",
+                        lambda n: built.append(n) or build_prime_table(n))
+    primes_upto.cache_clear()
+    for n in (1000, 10, 999, 1):
+        primes_upto(n)
+    assert built == [1000]
+    assert primes_upto(1001).tolist() == primes_upto(1000).tolist()
+    assert built == [1000, 1001]
+
+
 def test_table_invariants():
     assert np.all(np.diff(TABLE) > 0)
     assert TABLE[TABLE < 2000].tolist() == [
         n for n in range(2, 2000) if trial_factorize(n) == ((n, 1),)]
+
+
+def test_factor_window_peak_is_four_bytes_per_integer():
+    # the uint16 word and two uint8 arrays, omega and Omega written into the
+    # last two; the prime table is warmed first, since it is not the window's
+    lo, width = 10**9, 10**6
+    primes_upto(isqrt(lo + width - 1))
+    _, peak = traced_peak(factor_window, lo, lo + width - 1)
+    assert peak <= 4 * width + 2**16
 
 
 def test_table_rejects_bad_limit():

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from memory_helpers import traced_peak
 
 from roughn_lab.bump_functions import eta_tilde, make_bump
 from roughn_lab.sieve_measure import (
     SieveParams,
+    WeightTable,
     _hits,
     axiom_check,
     build_weight_table,
@@ -245,6 +247,28 @@ def test_prob_divides_against_hand_count(toy_table):
     mask = (toy_table.support + k) % d == 0
     want = math.fsum(toy_table.nu[mask].tolist()) / toy_table.total
     assert prob_divides(d, k, toy_table) == want
+
+
+def test_exact_sums_make_no_per_point_objects(spec):
+    # 166,667 support points; a list of their floats takes 32 bytes a point
+    params = SieveParams(x=10**6, K=1, w=3, a=1, c=0.29, gamma=1.0,
+                         T_exponent=0.5, A=2.0, k_max=20)
+    table = build_weight_table(params, spec)
+    n = len(table.support)
+    again, peak = traced_peak(WeightTable, params, spec, table.support, table.nu)
+    assert again.total == math.fsum(table.nu.tolist()) and peak < n
+    for d, k in ((2, 2), (5, 1), (11, 3)):
+        got, peak = traced_peak(prob_divides, d, k, table)
+        want = math.fsum(table.nu[(table.support + k) % d == 0].tolist()) / table.total
+        assert got == want and peak < n, (d, k)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.floats(-1e300, 1e300), max_size=64), st.integers(0, 5), st.integers(1, 4))
+def test_fsum_of_memoryview_is_fsum_of_list(values, start, step):
+    a = np.array(values, dtype=np.float64)
+    for view in (a, a[start::step], a[::-step]):
+        assert math.fsum(memoryview(view)).hex() == math.fsum(view.tolist()).hex()
 
 
 def test_monte_carlo_frequencies_within_three_sigma(toy_table):
