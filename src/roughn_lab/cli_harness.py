@@ -254,7 +254,7 @@ def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
         nu = np.concatenate([nu for nu, in chunks])
         table = sieve_measure.WeightTable(params, spec, support, nu)
         write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"],
-                  [support, nu, np.cumsum(nu) / table.total])
+                  [[support, nu, np.cumsum(nu) / table.total]])
         write_json(out / "sieve_summary.json", {
             "params": params.as_dict(),
             "W": params.W,
@@ -281,7 +281,7 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
     out = Path(args.out)
     draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
-    write_csv(out / "samples.csv", ["draw", "n"], [np.arange(len(draws)), draws])
+    write_csv(out / "samples.csv", ["draw", "n"], [[np.arange(len(draws)), draws]])
     rows = []
     for d, k in _sample_tuples(params):
         exact = sieve_measure.prob_divides(d, k, table)
@@ -289,7 +289,7 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / len(draws))
         rows.append((d, k, exact, freq, sigma))
     write_csv(out / "probs.csv", ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"],
-              columns_of(rows, 5))
+              [columns_of(rows, 5)])
     write_json(out / "sample_summary.json", {
         "count": len(draws),
         "seed": args.seed,
@@ -306,8 +306,8 @@ def _cmd_moments(args: argparse.Namespace, params_text: str) -> int:
     reports = [moments_concentration.exact_centered_moment(table, k, tag, s)
                for k in (1, 2, 3) for tag in ("medium", "large") for s in (1, 2, 4)]
     write_csv(out / "moments.csv", ["k", "range", "s", "exact_moment", "paper_bound", "ratio"],
-              columns_of([(r.k, r.range_tag, r.s, r.exact_moment, r.paper_bound, r.ratio)
-                          for r in reports], 6))
+              [columns_of([(r.k, r.range_tag, r.s, r.exact_moment, r.paper_bound, r.ratio)
+                           for r in reports], 6)])
     write_json(out / "constants.json", {
         "kappa_fit": moments_concentration.stirling_bound_kappa(),
         "C3_fit": moments_concentration.fit_c3(reports),
@@ -330,8 +330,8 @@ def _cmd_c0(args: argparse.Namespace, params_text: str) -> int:
         "at_least_one": res.c0_time >= 1.0 - 1e-9,
     })
     write_csv(out / "eta_profile.csv", ["u", "eta", "eta_tilde", "eta_tilde_prime"],
-              [spec.u_grid, spec.eta, spec.eta_tilde, spec.eta_tilde_prime])
-    write_csv(out / "eta_hat_profile.csv", ["t", "eta_hat"], [spec.t_grid, spec.eta_hat_grid])
+              [[spec.u_grid, spec.eta, spec.eta_tilde, spec.eta_tilde_prime]])
+    write_csv(out / "eta_hat_profile.csv", ["t", "eta_hat"], [[spec.t_grid, spec.eta_hat_grid]])
     return 0
 
 
@@ -352,13 +352,19 @@ def _cmd_axioms(args: argparse.Namespace, params_text: str) -> int:
 
 
 def _write_gaps_csv(kept, path) -> None:
-    """gaps.csv from each trial's kept (S_k, gap) arrays, such as a report's
-    kept: trial t is the t-th entry of kept, and k counts that trial's gaps
-    from 1.  Each trial is one part of write_csv's rows, and each of its
-    columns a view, so no run-sized array is built."""
-    k = np.arange(1, max((len(gap) for _, gap in kept), default=0) + 1, dtype=np.int64)
-    write_csv(path, GAP_COLUMNS, *((np.broadcast_to(np.int64(t), len(gap)), k[:len(gap)],
-                                    s_k, gap) for t, (s_k, gap) in enumerate(kept)))
+    """gaps.csv from each trial's kept successes (succ,), such as a report's
+    kept: trial t is the t-th entry of kept, k counts that trial's gaps from
+    1, S_k is succ[:-1] and gap is np.diff(succ).  Each trial is one part of
+    write_csv's rows, made when its rows are written: its gap column is the
+    only array it builds, so one trial's gaps exist at a time."""
+    k = np.arange(1, max((len(succ) for succ, in kept), default=1), dtype=np.int64)
+
+    def parts():
+        for t, (succ,) in enumerate(kept):
+            s_k = succ[:-1]
+            yield np.broadcast_to(np.int64(t), len(s_k)), k[:len(s_k)], s_k, np.diff(succ)
+
+    write_csv(path, GAP_COLUMNS, parts())
 
 
 def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
@@ -390,7 +396,7 @@ def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(args, params_text, (np.int64, np.int64),
+    return _run_chunked(args, params_text, (np.int64,),
                         [None] * GAP_TRIALS, run_chunk, finalize, partial_summary)
 
 
@@ -403,7 +409,7 @@ def _cmd_pik(args: argparse.Namespace, params_text: str) -> int:
             rows.extend(cramer_models.density_profile([x], k=k))
         total = sum(cramer_models.count_pi_k(x, k) for k in range(1, 12))
         identities[str(x)] = (total == x - 1)
-    write_csv(out / "pik.csv", ["x", "k", "count", "lower_bound", "ratio"], columns_of(rows, 5))
+    write_csv(out / "pik.csv", ["x", "k", "count", "lower_bound", "ratio"], [columns_of(rows, 5)])
     write_json(out / "pik_report.json", {
         "partition_identity": identities,
         "pi_2_of_30": cramer_models.count_pi_k(30, 2),
@@ -426,7 +432,7 @@ def _cmd_window_search(args: argparse.Namespace, params_text: str) -> int:
     rows = [(w.x, w.variant, ";".join(f"{key}={val}" for key, val in sorted(w.params.items())),
              "none" if w.witness is None else w.witness) for w in hits]
     write_csv(out / "witness.csv", ["x", "variant", "params", "witness_or_none"],
-              columns_of(rows, 4))
+              [columns_of(rows, 4)])
     return 0
 
 
@@ -476,7 +482,7 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
         profile_rows = [(k, om, math.log(k), om / math.log(k))
                         for k, om in zip(range(2, k_max + 1), omegas)]
         write_csv(out / "omega_profile.csv", ["k", "Omega", "log_k", "ratio"],
-                  columns_of(profile_rows, 4))
+                  [columns_of(profile_rows, 4)])
         write_json(out / "record_search.json", {
             "exhaustive": {"witness": int(support[best_idx]),
                            "value": float(ratios[best_idx])},

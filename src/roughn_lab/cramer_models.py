@@ -106,8 +106,8 @@ class GapReport:
     """A run's gap statistics.  max_ratios holds each trial's largest kept
     ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
     empty_trials); mean_gap pools every kept gap, NaN when there is none; and
-    kept holds the per-trial (S_k, gap) int64 arrays the report was built
-    from, the arrays themselves and not copies, for the CLI's gaps.csv."""
+    kept holds each trial's int64 successes from the warmup on, the arrays
+    the report was built from and not copies, for the CLI's gaps.csv."""
 
     seed: int
     trials: int
@@ -116,7 +116,7 @@ class GapReport:
     mean_gap: float
     gap_count: int
     empty_trials: tuple[int, ...]
-    kept: tuple[tuple[np.ndarray, np.ndarray], ...]
+    kept: tuple[tuple[np.ndarray], ...]
 
     def empty(self) -> bool:
         return self.gap_count == 0
@@ -126,34 +126,40 @@ class GapReport:
         return sum(1 for r in self.max_ratios if r <= cutoff)
 
 
-def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray, ...]:
-    """One trial of the Bernoulli model: its kept (S_k, gap) int64 arrays.
+def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray]:
+    """One trial of the Bernoulli model: (succ,), its int64 successes from
+    the first at or beyond the warmup index on.  The kept gaps are
+    np.diff(succ), each starting at its S_k in succ[:-1].
 
     The trial draws from its own generator seeded with seed XOR trial, so its
-    gaps never depend on which other trials ran, or in what order.  Gaps are
-    kept only from successes at or beyond the warmup index.
+    gaps never depend on which other trials ran, or in what order.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
     S = np.flatnonzero(rng.random(len(config.sites)) < config.sites) + 3
-    # S increases, so the successes at or beyond the warmup are a suffix
-    first = np.searchsorted(S[:-1], config.warmup_index())
-    return S[first:-1], np.diff(S[first:])
+    # S increases, so the successes at or beyond the warmup are a suffix;
+    # searching S[:-1] keeps the last success even below the warmup, where it
+    # starts no gap
+    return (S[np.searchsorted(S[:-1], config.warmup_index()):],)
 
 
 def gap_report(config: CramerConfig, kept) -> GapReport:
-    """The report of a run whose t-th trial kept the (S_k, gap) arrays kept[t]."""
-    # one trial at a time, so no run-sized array is ever held
-    max_ratios = tuple(float((gap / (config.rate_values(s_k) * np.log(s_k))).max())
-                       if len(gap) else float("nan") for s_k, gap in kept)
-    gap_count = sum(len(gap) for _, gap in kept)
-    # every partial sum of the int64 gaps is an integer below 2^53, so this is
-    # the pooled mean numpy would take of them all, bit for bit
-    total = sum(int(gap.sum()) for _, gap in kept)
+    """The report of a run whose t-th trial kept the successes (succ,) = kept[t]."""
+    # one trial, and one trial's gaps, at a time, so no run-sized array is held
+    max_ratios = []
+    for succ, in kept:
+        s_k = succ[:-1]
+        max_ratios.append(float((np.diff(succ) / (config.rate_values(s_k) * np.log(s_k))).max())
+                          if len(s_k) else float("nan"))
+    gap_count = sum(len(succ[:-1]) for succ, in kept)
+    # a trial's gaps telescope to its last success less its first, and every
+    # partial sum of the int64 gaps is an integer below 2^53, so this is the
+    # pooled mean numpy would take of them all, bit for bit
+    total = sum(int(succ[-1] - succ[0]) for succ, in kept if len(succ))
     return GapReport(
         seed=config.seed,
         trials=config.trials,
         warmup=config.warmup_index(),
-        max_ratios=max_ratios,
+        max_ratios=tuple(max_ratios),
         mean_gap=float(np.float64(total) / gap_count) if gap_count else float("nan"),
         gap_count=gap_count,
         empty_trials=tuple(t for t, r in enumerate(max_ratios) if math.isnan(r)),

@@ -187,6 +187,13 @@ def _set_partitions(n: int):
         yield rest + [[item]]
 
 
+@lru_cache(maxsize=None)
+def _partition_shapes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """(sorted block sizes, number of partitions of {0..n-1} with them) for
+    every shape, tallied once per n; partition_sum_G's cap keeps n <= 10."""
+    return tuple(Counter(tuple(sorted(map(len, part))) for part in _set_partitions(n)).items())
+
+
 def _poly_mul(a: list, b: list, cap: int) -> list:
     out = [Fraction(0)] * min(cap + 1, len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -216,11 +223,10 @@ def partition_sum_G(s3: int, R: float) -> float:
     # the factor of a block of size b, 2^(2b+1) / R^(2b-1), built once per size
     factor = [None] + [Fraction(2 ** (2 * b + 1)) / R_frac ** (2 * b - 1)
                        for b in range(1, s3 + 1)]
-    # a partition's term depends only on its block sizes, so tally the
-    # partitions by sorted size tuple and multiply once per tuple
-    shapes = Counter(tuple(sorted(map(len, part))) for part in _set_partitions(s3))
+    # a partition's term depends only on its block sizes, so multiply once
+    # per size tuple, weighted by its partition count
     direct = Fraction(0)
-    for sizes, count in shapes.items():
+    for sizes, count in _partition_shapes(s3):
         term = Fraction(count)
         for b in sizes:
             term *= factor[b]

@@ -2,14 +2,15 @@
 
 All real numbers are written with 17 significant digits and a '.' decimal
 separator so that repeated runs produce byte-identical files.  A CSV is
-written column by column, from one or more consecutive parts of its rows:
-each column of each part is classified and checked once, so a non-finite
-value is refused before the file is opened.  The rows are then written a
-block at a time, and numpy makes each block's bytes.  Each column of the
-block becomes a byte matrix with one column per cell: row i holds byte i of
-every cell, and 0xFF, a byte UTF-8 never uses, stands where a cell has no
-byte i.  The matrices are laid side by side, transposed, with a separator
-after each, and the block's bytes are the others in row order.
+written column by column, from consecutive parts of its rows, read one at a
+time: each column of a part is classified and checked once, so a non-finite
+value is refused before any of that part's rows is written.  The part's rows
+are then written a block at a time, and numpy makes each block's bytes.
+Each column of the block becomes a byte matrix with one column per cell: row
+i holds byte i of every cell, and 0xFF, a byte UTF-8 never uses, stands
+where a cell has no byte i.  The matrices are laid side by side, transposed,
+with a separator after each, and the block's bytes are the others in row
+order.
 
 Integer cells get their digits from repeated division by 10.  Float cells
 get '%.17g''s digits exactly: the decade k of |x| from a log10 estimate
@@ -282,30 +283,33 @@ def _block_bytes(cells) -> bytes:
     return block.tobytes().translate(None, bytes([_SKIP]))
 
 
-def write_csv(path, header, *parts) -> None:
-    """Write a CSV from its rows, given as one or more consecutive parts.
+def write_csv(path, header, parts) -> None:
+    """Write a CSV from its rows, given as an iterable of consecutive parts.
 
     A part holds one column per header name, all of one length; a column is
     a numpy array or a sequence of cells, and an array's cells are its
     tolist() values.  The bytes are those of format_cell applied to every
-    cell, in UTF-8.  Every column of every part is checked before the file
-    is opened; then each part's rows are written CSV_BLOCK_ROWS at a time.
+    cell, in UTF-8.  parts is read one part at a time: each part is checked
+    before its rows are written, CSV_BLOCK_ROWS at a time, and the header and
+    every earlier row are in the file when a part is read, so only one part
+    need exist at once.  A bad part leaves no file, and an earlier file at
+    path as it was.
     """
-    checked = []
-    for columns in parts:
-        if len(columns) != len(header):
-            raise ValueError(f"{len(header)} CSV header names but {len(columns)} columns")
-        part = [_csv_column(column) for column in columns]
-        lengths = {n for n, _ in part}
-        if len(lengths) > 1:
-            raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
-        checked.append((lengths.pop() if lengths else 0, [cells for _, cells in part]))
     with replace_on_success(path) as fh:
         fh.write((",".join(header) + "\n").encode())
-        for n_rows, part in checked:
+        fh.flush()
+        for columns in parts:
+            if len(columns) != len(header):
+                raise ValueError(f"{len(header)} CSV header names but {len(columns)} columns")
+            part = [_csv_column(column) for column in columns]
+            lengths = {n for n, _ in part}
+            if len(lengths) > 1:
+                raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
+            n_rows = lengths.pop() if lengths else 0
             for lo in range(0, n_rows, CSV_BLOCK_ROWS):
                 hi = min(lo + CSV_BLOCK_ROWS, n_rows)
-                fh.write(_block_bytes([cells(lo, hi) for cells in part]))
+                fh.write(_block_bytes([cells(lo, hi) for _, cells in part]))
+            fh.flush()
 
 
 def columns_of(rows, width: int) -> list:

@@ -179,15 +179,14 @@ def test_cramer_gaps_report_is_the_library_report(tmp_path, monkeypatch):
 
 
 def test_cramer_gaps_finalize_holds_no_run_sized_copy(tmp_path, monkeypatch):
-    # the report and gaps.csv come from the trials' own arrays: the finalize
-    # step's traced peak (tracemalloc counts numpy buffers) stays far below
-    # what any copy of the kept (S_k, gap) arrays would take
+    # the report and gaps.csv come from the trials' own successes, one trial's
+    # gaps at a time: the finalize step's traced peak (tracemalloc counts numpy
+    # buffers) stays far below what any run-sized gap column would take
     seen = {}
     run_chunked = ch._run_chunked
 
     def traced(cfg, params_text, dtypes, lengths, run_chunk, finalize, partial_summary):
         def measured(chunks):
-            seen["kept"] = sum(column.nbytes for chunk in chunks for column in chunk)
             tracemalloc.start()
             try:
                 finalize(chunks)
@@ -199,8 +198,43 @@ def test_cramer_gaps_finalize_holds_no_run_sized_copy(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ch, "_run_chunked", traced)
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--checkpoint-secs", "0"]) == 0
-    assert seen["kept"] > 10**7  # default size: N = 10^5, 100 trials
-    assert seen["peak"] < seen["kept"] / 8
+    gap_count = read_strict_json(tmp_path / "gap_report.json")["gap_count"]
+    assert gap_count > 9 * 10**5  # default size: N = 10^5, 100 trials
+    assert seen["peak"] < 2 * gap_count
+
+
+def test_cramer_gaps_resume_holds_each_trial_once(tmp_path, monkeypatch):
+    # a default-size run stopped at 50 of 100 trials and resumed keeps each
+    # trial as its successes alone: 8 bytes per kept gap and 8 per trial (a
+    # trial's last success starts no gap), where the S_k and gap columns took
+    # 16 per gap.  The traced peak from load_checkpoint through finalize may
+    # pass that by 24 bytes per site: the shared site table (8) and one
+    # trial's uniform draws and mask (9), which no trial keeps.
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "50"]) == 3
+    seen = {}
+    load_checkpoint, run_chunked = ch.load_checkpoint, ch._run_chunked
+
+    def traced_load(path):
+        tracemalloc.start()
+        return load_checkpoint(path)
+
+    def traced(cfg, params_text, dtypes, lengths, run_chunk, finalize, partial_summary):
+        def measured(chunks):
+            try:
+                finalize(chunks)
+                seen["peak"] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        return run_chunked(cfg, params_text, dtypes, lengths, run_chunk, measured,
+                           partial_summary)
+
+    monkeypatch.setattr(ch, "load_checkpoint", traced_load)
+    monkeypatch.setattr(ch, "_run_chunked", traced)
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--resume",
+                    str(tmp_path / ch.CHECKPOINT_NAME)]) == 0
+    gap_count = read_strict_json(tmp_path / "gap_report.json")["gap_count"]
+    assert gap_count > 9 * 10**5
+    assert seen["peak"] <= 8 * gap_count + 8 * ch.GAP_TRIALS + 24 * ch.GAP_N
 
 
 def test_write_json_refuses_nan_before_writing(tmp_path):
@@ -856,14 +890,16 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     good = tmp_path / ch.CHECKPOINT_NAME
     trial = ch.load_checkpoint(good).chunks[1]
-    s_k, gap = trial
+    succ, = trial
+    s_k, gap = succ[:-1], np.diff(succ)
     cases = {
         "cursor past the last trial": [trial] * (ch.GAP_TRIALS + 1),
-        "gap column of the wrong dtype": (s_k, gap.astype(np.float64)),
-        "columns of unequal lengths": (s_k, gap[:-1]),
-        "one column in place of two": (s_k,),
-        "a string gap column": (s_k, gap.astype(str)),
-        # the earlier layout, which also kept each gap's float64 ratio
+        "successes of the wrong dtype": (succ.astype(np.float64),),
+        "no column": (),
+        "a string successes column": (succ.astype(str),),
+        # the earlier layouts: the S_k and gap columns, and before that the
+        # float64 ratio of each gap too
+        "a two-column trial": (s_k, gap),
         "a three-column trial": (s_k, gap, gap / (np.log(s_k) * np.log(s_k))),
     }
     for case, value in cases.items():
@@ -881,6 +917,25 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
         assert "refusing to resume" in err, case
         assert "Traceback" not in err, case
         assert not (tmp_path / "out" / "gap_report.json").exists(), case
+
+
+def test_parent_format_cramer_gaps_checkpoint_exits_2(tmp_path, capsys):
+    # a checkpoint of the earlier layout, each trial's int64 S_k and gap
+    # columns, under this run's fingerprint: the shape check refuses it and
+    # no output file changes
+    out = tmp_path / "out"
+    assert ch.main(["cramer-gaps", "--out", str(out), "--max-chunks", "3"]) == 3
+    ckpt = ch.load_checkpoint(out / ch.CHECKPOINT_NAME)
+    earlier = [(succ[:-1], np.diff(succ)) for succ, in ckpt.chunks]
+    path = tmp_path / "earlier.rlck"
+    ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, earlier))
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    assert ch.main(["cramer-gaps", "--out", str(out), "--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "does not fit this run" in err and "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    assert read_strict_json(out / "gap_report.json")["partial"] is True
 
 
 def pickle_format_checkpoint(subcommand: str, seed: int, params_text: str, cursor: int,
@@ -936,15 +991,15 @@ def test_failed_write_leaves_no_report(tmp_path):
     for column in (np.array([1.0, 2.0, float("nan")]), [1.0, 2.0, float("nan")],
                    [1, 2, float("nan")]):
         with pytest.raises(ValueError):
-            write_csv(path, ["i", "a"], [np.arange(3), column])
+            write_csv(path, ["i", "a"], [[np.arange(3), column]])
         assert list(tmp_path.iterdir()) == []
 
 
 def test_failed_write_keeps_previous_report(tmp_path):
     path = tmp_path / "report.csv"
-    write_csv(path, ["a"], [[1]])
+    write_csv(path, ["a"], [[[1]]])
     with pytest.raises(ValueError):
-        write_csv(path, ["a"], [np.array([2.0, float("inf")])])
+        write_csv(path, ["a"], [[np.array([2.0, float("inf")])]])
     assert path.read_text() == "a\n1\n"
     assert list(tmp_path.iterdir()) == [path]
 

@@ -141,23 +141,28 @@ def test_simulation_is_deterministic():
     b = simulate_gaps(cfg)
     assert a.max_ratios == b.max_ratios
     assert len(a.kept) == len(b.kept) == 10
-    for trial_a, trial_b in zip(a.kept, b.kept):
-        assert len(trial_a) == len(trial_b) == 2
-        for col_a, col_b in zip(trial_a, trial_b):
-            assert col_a.dtype == col_b.dtype == np.int64
-            assert np.array_equal(col_a, col_b)
+    for (succ_a,), (succ_b,) in zip(a.kept, b.kept, strict=True):
+        assert succ_a.dtype == succ_b.dtype == np.int64
+        assert np.array_equal(succ_a, succ_b)
     c = simulate_gaps(CramerConfig(rate="log", N=2 * 10**4, trials=10, seed=34))
     assert c.max_ratios != a.max_ratios
 
 
+def kept_columns(succ) -> tuple[np.ndarray, np.ndarray]:
+    """A trial's kept (S_k, gap) int64 arrays from its successes (succ,)."""
+    return succ[:-1], np.diff(succ)
+
+
 def gap_columns(kept) -> tuple[np.ndarray, ...]:
     """The earlier gaps.csv columns, in GAP_COLUMNS order, concatenated over
-    the run from each trial's kept (S_k, gap) arrays: trial t is the t-th
-    entry of kept, and k counts that trial's gaps from 1."""
-    lengths = [len(s_k) for s_k, _ in kept]
+    the run from each trial's kept successes (succ,): trial t is the t-th
+    entry of kept, k counts that trial's gaps from 1, and S_k and gap come
+    from kept_columns."""
+    pairs = [kept_columns(succ) for succ, in kept]
+    lengths = [len(s_k) for s_k, _ in pairs]
     trial = np.repeat(np.arange(len(kept), dtype=np.int64), lengths)
     k = np.concatenate([np.arange(1, n + 1, dtype=np.int64) for n in lengths])
-    return (trial, k, *(np.concatenate(column) for column in zip(*kept)))
+    return (trial, k, *(np.concatenate(column) for column in zip(*pairs)))
 
 
 def oracle_trials(config):
@@ -191,7 +196,8 @@ def test_trials_and_max_ratios_match_earlier_kernel(kwargs):
     config = CramerConfig(**{"rate": "log", **kwargs})
     want = oracle_trials(config)
     kept = [trial_gaps(config, t) for t in range(config.trials)]
-    for (s_k, gap), (want_s, want_gap, _) in zip(kept, want, strict=True):
+    for (succ,), (want_s, want_gap, _) in zip(kept, want, strict=True):
+        s_k, gap = kept_columns(succ)
         assert s_k.dtype == gap.dtype == np.int64
         assert np.array_equal(s_k, want_s) and np.array_equal(gap, want_gap)
     want_max = [float(r.max()) if len(r) else math.nan for _, _, r in want]
@@ -420,7 +426,7 @@ def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
     want_mean = float(columns[3].mean()) if len(columns[3]) else math.nan
     assert rep.mean_gap.hex() == want_mean.hex()
     _write_gaps_csv(rep.kept, tmp_path / "streamed.csv")
-    write_csv(tmp_path / "oracle.csv", GAP_COLUMNS, columns)
+    write_csv(tmp_path / "oracle.csv", GAP_COLUMNS, [columns])
     streamed = (tmp_path / "streamed.csv").read_bytes()
     assert streamed == (tmp_path / "oracle.csv").read_bytes()
     if kwargs.get("warmup") == 3:

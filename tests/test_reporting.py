@@ -116,7 +116,7 @@ def test_write_csv_matches_per_cell_oracle(table, block):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(reporting, "CSV_BLOCK_ROWS", block):
         path = Path(tmp) / "t.csv"
-        write_csv(path, header, columns)
+        write_csv(path, header, [columns])
         assert path.read_text() == oracle(header, columns)
 
 
@@ -132,7 +132,7 @@ def test_write_csv_parts_write_the_whole_table(table, cuts, block):
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(reporting, "CSV_BLOCK_ROWS", block):
         path = Path(tmp) / "t.csv"
-        write_csv(path, header, *parts)
+        write_csv(path, header, parts)
         assert path.read_text() == oracle(header, columns)
 
 
@@ -143,7 +143,7 @@ def test_write_csv_parts_write_the_whole_table(table, cuts, block):
 ], ids=["no-parts", "one-empty-part", "empty-parts-around-rows"])
 def test_write_csv_zero_row_parts(tmp_path, parts):
     path = tmp_path / "t.csv"
-    write_csv(path, ["i", "x"], *parts)
+    write_csv(path, ["i", "x"], parts)
     rows = "".join(f"{i},{x}\n" for part in parts for i, x in zip(*part))
     assert path.read_text() == "i,x\n" + rows
 
@@ -157,20 +157,63 @@ def test_bad_last_part_is_refused_before_writing(tmp_path, last):
     path = tmp_path / "t.csv"
     first = [np.arange(3), np.ones(3)]
     with pytest.raises(ValueError):
-        write_csv(path, ["i", "x"], first, first, last)
+        write_csv(path, ["i", "x"], [first, first, last])
     assert list(tmp_path.iterdir()) == []
-    write_csv(path, ["i", "x"], first)
+    write_csv(path, ["i", "x"], [first])
     previous = path.read_bytes()
     with pytest.raises(ValueError):
-        write_csv(path, ["i", "x"], first, first, last)
+        write_csv(path, ["i", "x"], [first, first, last])
     assert path.read_bytes() == previous
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_parts_are_read_after_the_earlier_rows_are_written(tmp_path):
+    # each part is made only once every row before it is in the .tmp file
+    path = tmp_path / "t.csv"
+    tmp = Path(f"{path}.tmp")
+    sizes = [3, 0, 20_000, 1, 5]
+    written = []
+
+    def parts():
+        for i, n in enumerate(sizes):
+            written.append(tmp.stat().st_size)
+            yield [np.full(n, i), np.arange(n) + 0.5]
+
+    write_csv(path, ["i", "x"], parts())
+    want = "i,x\n"
+    expected_sizes = []
+    for i, n in enumerate(sizes):
+        expected_sizes.append(len(want))
+        want += "".join(f"{i},{x + 0.5}\n" for x in range(n))
+    assert written == expected_sizes
+    assert path.read_text() == want
+
+
+@pytest.mark.parametrize("middle", [
+    [np.arange(2), np.array([1.0, float("inf")])],
+    [np.arange(2), np.ones(3)],
+    [np.arange(2), np.ones(2), np.ones(2)],
+], ids=["inf", "long-column", "extra-column"])
+def test_bad_middle_part_leaves_no_file(tmp_path, middle):
+    path = tmp_path / "t.csv"
+    good = [np.arange(3), np.ones(3)]
+    pulled = []
+
+    def parts():
+        for part in (good, middle, good):
+            pulled.append(len(part[0]))
+            yield part
+
+    with pytest.raises(ValueError):
+        write_csv(path, ["i", "x"], parts())
+    assert pulled == [3, 2]
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("rows", [[], [(1, "a", 0.5)], [(1, "a", 0.5), (2, "b", -0.0)]])
 def test_columns_of_rows_writes_the_rows(tmp_path, rows):
     path = tmp_path / "t.csv"
-    write_csv(path, ["i", "s", "x"], columns_of(rows, 3))
+    write_csv(path, ["i", "s", "x"], [columns_of(rows, 3)])
     expected = ["i,s,x"] + [",".join(format_cell(v) for v in row) for row in rows]
     assert path.read_text() == "\n".join(expected) + "\n"
 
@@ -182,7 +225,7 @@ def test_columns_of_rows_writes_the_rows(tmp_path, rows):
 ])
 def test_misshapen_columns_are_refused_before_writing(tmp_path, header, columns):
     with pytest.raises(ValueError):
-        write_csv(tmp_path / "t.csv", header, columns)
+        write_csv(tmp_path / "t.csv", header, [columns])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -220,7 +263,7 @@ def test_full_size_tables_match_percent_oracle(tmp_path, header, make_columns):
     columns = make_columns()
     assert len(columns[0]) > 100_000
     path = tmp_path / "t.csv"
-    write_csv(path, header, columns)
+    write_csv(path, header, [columns])
     assert path.read_bytes() == percent_oracle(header, columns).encode()
 
 
@@ -229,7 +272,7 @@ def test_full_size_tables_match_percent_oracle(tmp_path, header, make_columns):
 def written_floats(values, dtype=np.float64) -> str:
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.csv"
-        write_csv(path, ["x"], [np.array(values, dtype=dtype)])
+        write_csv(path, ["x"], [[np.array(values, dtype=dtype)]])
         return path.read_text()
 
 
@@ -332,5 +375,5 @@ def test_longdouble_columns_are_refused_before_writing(tmp_path):
     # float64 rounding
     column = np.array([0.1, 0.5], dtype=np.longdouble)
     with pytest.raises(ValueError, match="refusing"):
-        write_csv(tmp_path / "t.csv", ["x"], [column])
+        write_csv(tmp_path / "t.csv", ["x"], [[column]])
     assert list(tmp_path.iterdir()) == []

@@ -56,7 +56,9 @@ ROUTES = {
     "moments_concentration.stirling_identity_check":
         "tests/test_acceptance.py::test_criterion_05_stirling_suite_exact",
     # the constants library, which no subcommand reaches
-    "moments_concentration._set_partitions": "perfbench/step.py::constants_library",
+    "moments_concentration._set_partitions":
+        "tests/test_moments_concentration.py::per_partition_sum",
+    "moments_concentration._partition_shapes": "perfbench/step.py::constants_library",
     "moments_concentration._poly_mul": "perfbench/step.py::constants_library",
     "moments_concentration.partition_sum_G": "perfbench/step.py::constants_library",
     "moments_concentration.SimplexReport.maximizer_is_uniform":
