@@ -4,7 +4,7 @@ Subcommands cover every module: weight-table scans, sampling, moments,
 the normalization constant, axiom reports, gap simulations, omega-level
 counts, window searches, the downward-shift refuter, and record searches.
 Long scans run as fixed chunk sequences: each chunk's result is a tuple of
-equal-length int64 or float64 arrays, and a checkpoint holds the completed
+equal-length float64 or uint8 arrays, and a checkpoint holds the completed
 chunks as raw arrays under a JSON header and a sha256, so no checkpoint can
 run code.  An interrupted run resumed from its checkpoint produces
 byte-identical output to an uninterrupted one.  Exit codes: 0 success, 2 invalid configuration,
@@ -23,7 +23,7 @@ import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -35,6 +35,7 @@ from .reporting import columns_of, replace_on_success, write_csv, write_json
 CHECKPOINT_MAGIC = b"RLCK2"
 CHECKPOINT_NAME = "checkpoint.rlck"
 CHECKPOINT_SECS = 300  # the chunked subcommands' --checkpoint-secs default
+CHECKPOINT_DTYPES = ("<f8", "|u1")  # what the chunked runs write: float64 results, packed bits
 SEED_MAX = 2**63 - 1  # the fingerprint packs the seed as a signed 64-bit integer
 
 SAMPLE_COUNT = 10**5
@@ -95,8 +96,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a short, garbled or foreign file raises ValueError.
 
-    The header is JSON and every array an int64 or float64 view of the body,
-    so no byte of the file is run as code.
+    The header is JSON and every array a view of the body in one of
+    CHECKPOINT_DTYPES, so no byte of the file is run as code.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -117,11 +118,11 @@ def load_checkpoint(path) -> Checkpoint:
             and isinstance(meta["subcommand"], str) and isinstance(meta["fingerprint"], str)
             and isinstance(meta["chunks"], list)
             and all(isinstance(chunk, list) and all(
-                isinstance(spec, list) and len(spec) == 2 and spec[0] in ("<i8", "<f8")
+                isinstance(spec, list) and len(spec) == 2 and spec[0] in CHECKPOINT_DTYPES
                 and type(spec[1]) is int and spec[1] >= 0 for spec in chunk)
                 for chunk in meta["chunks"])):
         raise ValueError(f"{path} has a malformed checkpoint header")
-    sizes = [8 * n for chunk in meta["chunks"] for _, n in chunk]
+    sizes = [np.dtype(dtype).itemsize * n for chunk in meta["chunks"] for dtype, n in chunk]
     if sum(sizes) != len(body):
         raise ValueError(f"{path} has a body that does not match its header")
     offsets = itertools.accumulate(sizes, initial=0)
@@ -134,7 +135,7 @@ def _run_chunked(
     args: argparse.Namespace,
     params_text: str,
     dtypes: tuple,
-    lengths: list[Optional[int]],
+    lengths: list[int],
     run_chunk: Callable[[int], tuple],
     finalize: Callable[[list], None],
     partial_summary: Callable[[int], None],
@@ -142,10 +143,9 @@ def _run_chunked(
     """Drive a fixed chunk sequence with checkpoint support.
 
     run_chunk(i) returns chunk i's result: one 1-D array per entry of
-    dtypes, all of length lengths[i] (of one free length where that is
-    None).  Chunk boundaries depend only on the configuration, so any
-    interleaving of interrupts and resumes collects the same results and
-    finalize writes the same bytes.  A resumed run takes the checkpoint's
+    dtypes, all of length lengths[i].  Chunk boundaries depend only on the
+    configuration, so any interleaving of interrupts and resumes collects the
+    same results and finalize writes the same bytes.  A resumed run takes the checkpoint's
     chunks only if each has exactly that shape.
     """
     fingerprint = config_fingerprint(args.subcommand, args.seed, params_text)
@@ -161,9 +161,8 @@ def _run_chunked(
         chunks = ckpt.chunks
         if not (len(chunks) <= len(lengths) and all(
                 len(chunk) == len(dtypes)
-                and all(column.dtype == dtype and len(column) == len(chunk[0])
+                and all(column.dtype == dtype and len(column) == lengths[i]
                         for column, dtype in zip(chunk, dtypes))
-                and lengths[i] in (None, len(chunk[0]))
                 for i, chunk in enumerate(chunks))):
             raise ValueError(
                 f"checkpoint state does not fit this run ({len(lengths)} chunks, "
@@ -351,20 +350,25 @@ def _cmd_axioms(args: argparse.Namespace, params_text: str) -> int:
     return 0
 
 
-def _write_gaps_csv(kept, path) -> None:
-    """gaps.csv from each trial's kept successes (succ,), such as a report's
-    kept: trial t is the t-th entry of kept, k counts that trial's gaps from
-    1, S_k is succ[:-1] and gap is np.diff(succ).  Each trial is one part of
-    write_csv's rows, made when its rows are written: its gap column is the
-    only array it builds, so one trial's gaps exist at a time."""
-    k = np.arange(1, max((len(succ) for succ, in kept), default=1), dtype=np.int64)
+def _write_gaps_csv(config: cramer_models.CramerConfig, trials, path) -> list:
+    """gaps.csv from each trial's bit string (bits,), such as trial_gaps
+    returns, and each trial's summary, taken in the same pass: trial t is the
+    t-th entry of trials, k counts that trial's gaps from 1, and S_k and gap
+    are succ[:-1] and np.diff(succ) of its decoded successes.  Each trial is
+    decoded once, as write_csv reaches its part, so one trial's successes
+    exist at a time."""
+    summaries = []
 
     def parts():
-        for t, (succ,) in enumerate(kept):
+        for t, (bits,) in enumerate(trials):
+            succ = cramer_models.trial_successes(config, bits)
+            summaries.append(cramer_models.trial_summary(config, succ))
             s_k = succ[:-1]
-            yield np.broadcast_to(np.int64(t), len(s_k)), k[:len(s_k)], s_k, np.diff(succ)
+            yield (np.broadcast_to(np.int64(t), len(s_k)),
+                   np.arange(1, len(succ), dtype=np.int64), s_k, np.diff(succ))
 
     write_csv(path, GAP_COLUMNS, parts())
+    return summaries
 
 
 def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
@@ -376,8 +380,7 @@ def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
         return cramer_models.trial_gaps(config, t)
 
     def finalize(chunks):
-        rep = cramer_models.gap_report(config, chunks)
-        _write_gaps_csv(rep.kept, out / "gaps.csv")
+        rep = cramer_models.gap_report(config, _write_gaps_csv(config, chunks, out / "gaps.csv"))
         write_json(out / "gap_report.json", {
             "trials": rep.trials,
             "N": config.N,
@@ -396,8 +399,8 @@ def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(args, params_text, (np.int64,),
-                        [None] * GAP_TRIALS, run_chunk, finalize, partial_summary)
+    return _run_chunked(args, params_text, (np.uint8,), [config.trial_bytes] * GAP_TRIALS,
+                        run_chunk, finalize, partial_summary)
 
 
 def _cmd_pik(args: argparse.Namespace, params_text: str) -> int:

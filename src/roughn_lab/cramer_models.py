@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -92,6 +92,11 @@ class CramerConfig:
             vals = np.interp(ns, knots_n, knots_f)
         return vals * self.scale
 
+    @property
+    def trial_bytes(self) -> int:
+        """The length of a trial's bit string: one bit per site 3..N."""
+        return -(-(self.N - 2) // 8)
+
     @cached_property
     def sites(self) -> np.ndarray:
         """1/f(n) for the sites n = 3..N, index n - 3: each site's chance of
@@ -101,13 +106,26 @@ class CramerConfig:
         return inv
 
 
+# sites drawn per generator call; a multiple of 8, so each block packs to whole bytes
+DRAW_BLOCK = 1 << 13
+
+
+class TrialSummary(NamedTuple):
+    """One trial's share of a report: its largest kept ratio (NaN without a
+    gap), its kept gap count, and its last success less its first (0 with
+    fewer than two successes), the sum of its kept gaps."""
+
+    max_ratio: float
+    gap_count: int
+    span: int
+
+
 @dataclass(frozen=True, eq=False)
 class GapReport:
     """A run's gap statistics.  max_ratios holds each trial's largest kept
     ratio gap / (f(S_k) log S_k), NaN for an empty trial (listed in
-    empty_trials); mean_gap pools every kept gap, NaN when there is none; and
-    kept holds each trial's int64 successes from the warmup on, the arrays
-    the report was built from and not copies, for the CLI's gaps.csv."""
+    empty_trials), and mean_gap pools every kept gap, NaN when there is
+    none; so two reports compare by identity, never by those NaNs."""
 
     seed: int
     trials: int
@@ -116,7 +134,6 @@ class GapReport:
     mean_gap: float
     gap_count: int
     empty_trials: tuple[int, ...]
-    kept: tuple[tuple[np.ndarray], ...]
 
     def empty(self) -> bool:
         return self.gap_count == 0
@@ -127,50 +144,73 @@ class GapReport:
 
 
 def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray]:
-    """One trial of the Bernoulli model: (succ,), its int64 successes from
-    the first at or beyond the warmup index on.  The kept gaps are
-    np.diff(succ), each starting at its S_k in succ[:-1].
+    """One trial of the Bernoulli model: (bits,), the np.packbits of its
+    sites 3..N, bit n - 3 set where site n is a success: config.trial_bytes
+    = ceil((N - 2) / 8) uint8 bytes, all the trial's outcome.
+    trial_successes decodes it.
 
     The trial draws from its own generator seeded with seed XOR trial, so its
-    gaps never depend on which other trials ran, or in what order.
+    gaps never depend on which other trials ran, or in what order.  The
+    uniforms come DRAW_BLOCK at a time, the same stream in the same order as
+    one call for every site, so the same successes.
     """
     rng = np.random.Generator(np.random.PCG64(config.seed ^ trial))
-    S = np.flatnonzero(rng.random(len(config.sites)) < config.sites) + 3
+    sites = config.sites
+    bits = np.empty(config.trial_bytes, dtype=np.uint8)
+    for lo in range(0, len(sites), DRAW_BLOCK):
+        block = sites[lo:lo + DRAW_BLOCK]
+        bits[lo // 8:(lo + len(block) + 7) // 8] = np.packbits(rng.random(len(block)) < block)
+    return (bits,)
+
+
+def trial_successes(config: CramerConfig, bits: np.ndarray) -> np.ndarray:
+    """A trial's int64 successes from its bit string (see trial_gaps), from
+    the first at or beyond the warmup index on.  The kept gaps are
+    np.diff(succ), each starting at its S_k in succ[:-1]."""
+    S = np.flatnonzero(np.unpackbits(bits, count=config.N - 2))
+    S += 3
     # S increases, so the successes at or beyond the warmup are a suffix;
     # searching S[:-1] keeps the last success even below the warmup, where it
     # starts no gap
-    return (S[np.searchsorted(S[:-1], config.warmup_index()):],)
+    return S[np.searchsorted(S[:-1], config.warmup_index()):]
 
 
-def gap_report(config: CramerConfig, kept) -> GapReport:
-    """The report of a run whose t-th trial kept the successes (succ,) = kept[t]."""
-    # one trial, and one trial's gaps, at a time, so no run-sized array is held
-    max_ratios = []
-    for succ, in kept:
-        s_k = succ[:-1]
-        max_ratios.append(float((np.diff(succ) / (config.rate_values(s_k) * np.log(s_k))).max())
-                          if len(s_k) else float("nan"))
-    gap_count = sum(len(succ[:-1]) for succ, in kept)
-    # a trial's gaps telescope to its last success less its first, and every
-    # partial sum of the int64 gaps is an integer below 2^53, so this is the
-    # pooled mean numpy would take of them all, bit for bit
-    total = sum(int(succ[-1] - succ[0]) for succ, in kept if len(succ))
+def trial_summary(config: CramerConfig, succ: np.ndarray) -> TrialSummary:
+    """The summary of a trial whose successes from the warmup on are succ."""
+    s_k = succ[:-1]
+    return TrialSummary(
+        max_ratio=float((np.diff(succ) / (config.rate_values(s_k) * np.log(s_k))).max())
+        if len(s_k) else float("nan"),
+        gap_count=len(s_k),
+        span=int(succ[-1] - succ[0]) if len(succ) else 0,
+    )
+
+
+def gap_report(config: CramerConfig, summaries) -> GapReport:
+    """The report of a run whose t-th trial has the summary summaries[t]."""
+    max_ratios = tuple(s.max_ratio for s in summaries)
+    gap_count = sum(s.gap_count for s in summaries)
+    # a trial's gaps telescope to its span, and every partial sum of the int64
+    # gaps is an integer below 2^53, so this is the pooled mean numpy would
+    # take of them all, bit for bit
+    total = sum(s.span for s in summaries)
     return GapReport(
         seed=config.seed,
         trials=config.trials,
         warmup=config.warmup_index(),
-        max_ratios=tuple(max_ratios),
+        max_ratios=max_ratios,
         mean_gap=float(np.float64(total) / gap_count) if gap_count else float("nan"),
         gap_count=gap_count,
         empty_trials=tuple(t for t, r in enumerate(max_ratios) if math.isnan(r)),
-        kept=tuple(kept),
     )
 
 
 def simulate_gaps(config: CramerConfig) -> GapReport:
     """Run every trial of the Bernoulli model and report the normalized
     success gaps (see trial_gaps and GapReport)."""
-    return gap_report(config, [trial_gaps(config, t) for t in range(config.trials)])
+    return gap_report(config, [
+        trial_summary(config, trial_successes(config, *trial_gaps(config, t)))
+        for t in range(config.trials)])
 
 
 # --- exact omega-level counts ---

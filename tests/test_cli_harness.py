@@ -17,6 +17,7 @@ import pytest
 from checkpoint_helpers import checkpoint_roundtrip
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from memory_helpers import traced_peak
 from test_golden_omega import GOLDEN
 
 import roughn_lab
@@ -167,14 +168,15 @@ def test_cramer_gaps_report_is_the_library_report(tmp_path, monkeypatch):
     monkeypatch.setattr(ch, "GAP_TRIALS", 20)
     assert ch.main(["cramer-gaps", "--out", str(tmp_path / "cli"), "--seed", "7",
                     "--checkpoint-secs", "0"]) == 0
-    rep = cramer_models.simulate_gaps(
-        cramer_models.CramerConfig(rate="log", N=2000, trials=20, seed=7))
+    config = cramer_models.CramerConfig(rate="log", N=2000, trials=20, seed=7)
+    rep = cramer_models.simulate_gaps(config)
     got = read_strict_json(tmp_path / "cli" / "gap_report.json")
     assert got["max_ratios"] == [None if math.isnan(m) else m for m in rep.max_ratios]
     assert got["mean_gap"] == rep.mean_gap
     assert got["gap_count"] == rep.gap_count
     assert got["warmup"] == rep.warmup
-    ch._write_gaps_csv(rep.kept, tmp_path / "lib.csv")
+    ch._write_gaps_csv(config, [cramer_models.trial_gaps(config, t) for t in range(20)],
+                       tmp_path / "lib.csv")
     assert (tmp_path / "cli" / "gaps.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
@@ -235,6 +237,23 @@ def test_cramer_gaps_resume_holds_each_trial_once(tmp_path, monkeypatch):
     gap_count = read_strict_json(tmp_path / "gap_report.json")["gap_count"]
     assert gap_count > 9 * 10**5
     assert seen["peak"] <= 8 * gap_count + 8 * ch.GAP_TRIALS + 24 * ch.GAP_N
+
+
+def test_cramer_gaps_resume_holds_trials_as_bit_strings(tmp_path):
+    # a default-size run stopped at 50 of 100 trials and resumed holds each
+    # trial as its bit string, ceil((N - 2) / 8) bytes, whether loaded from
+    # the checkpoint or drawn, and decodes one trial at a time in finalize.
+    # Bound: every trial's bits, the shared 1/f table (8 bytes per site), and
+    # 1.5 MB for one trial's decoding, its summary and write_csv's block
+    # buffers (0.95 MB measured), none of which grows with the trial count.
+    # The int64 successes of the earlier layout peaked at 9.39 MB here.
+    assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "50"]) == 3
+    rc, peak = traced_peak(ch.main, ["cramer-gaps", "--out", str(tmp_path), "--resume",
+                                     str(tmp_path / ch.CHECKPOINT_NAME)])
+    assert rc == 0
+    assert read_strict_json(tmp_path / "gap_report.json")["gap_count"] > 9 * 10**5
+    bits = -(-(ch.GAP_N - 2) // 8)
+    assert peak <= ch.GAP_TRIALS * bits + 8 * ch.GAP_N + 1_500_000
 
 
 def test_write_json_refuses_nan_before_writing(tmp_path):
@@ -728,7 +747,7 @@ def test_resume_with_altered_seed_refuses(toy_file, tmp_path, capsys):
 
 
 def test_resume_under_other_gap_size_refuses(tmp_path, monkeypatch, capsys):
-    # trial lengths are free, so only the fingerprint tells the two sizes apart
+    # the fingerprint tells the two sizes apart before the trials' lengths do
     monkeypatch.setattr(ch, "GAP_N", 1000)
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     monkeypatch.setattr(ch, "GAP_N", 2000)
@@ -890,15 +909,20 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     good = tmp_path / ch.CHECKPOINT_NAME
     trial = ch.load_checkpoint(good).chunks[1]
-    succ, = trial
+    bits, = trial
+    config = cramer_models.CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS)
+    succ = cramer_models.trial_successes(config, bits)
     s_k, gap = succ[:-1], np.diff(succ)
     cases = {
         "cursor past the last trial": [trial] * (ch.GAP_TRIALS + 1),
         "successes of the wrong dtype": (succ.astype(np.float64),),
         "no column": (),
         "a string successes column": (succ.astype(str),),
-        # the earlier layouts: the S_k and gap columns, and before that the
-        # float64 ratio of each gap too
+        "a bit string one byte short": (bits[:-1],),
+        "a second column": (bits, bits),
+        # the earlier layouts: the int64 successes, before that the S_k and
+        # gap columns, and before that the float64 ratio of each gap too
+        "an int64 column": (succ,),
         "a two-column trial": (s_k, gap),
         "a three-column trial": (s_k, gap, gap / (np.log(s_k) * np.log(s_k))),
     }
@@ -920,22 +944,27 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
 
 
 def test_parent_format_cramer_gaps_checkpoint_exits_2(tmp_path, capsys):
-    # a checkpoint of the earlier layout, each trial's int64 S_k and gap
-    # columns, under this run's fingerprint: the shape check refuses it and
-    # no output file changes
+    # a checkpoint of an earlier layout under this run's fingerprint: each
+    # trial's int64 successes, or before that its int64 S_k and gap columns.
+    # No run writes int64 columns, so the loader refuses the header, and no
+    # output file changes
     out = tmp_path / "out"
     assert ch.main(["cramer-gaps", "--out", str(out), "--max-chunks", "3"]) == 3
     ckpt = ch.load_checkpoint(out / ch.CHECKPOINT_NAME)
-    earlier = [(succ[:-1], np.diff(succ)) for succ, in ckpt.chunks]
-    path = tmp_path / "earlier.rlck"
-    ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, earlier))
+    config = cramer_models.CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS)
+    successes = [cramer_models.trial_successes(config, bits) for bits, in ckpt.chunks]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
-    capsys.readouterr()
-    assert ch.main(["cramer-gaps", "--out", str(out), "--resume", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "does not fit this run" in err and "Traceback" not in err
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
-    assert read_strict_json(out / "gap_report.json")["partial"] is True
+    for earlier in ([(succ,) for succ in successes],
+                    [(succ[:-1], np.diff(succ)) for succ in successes]):
+        path = tmp_path / "earlier.rlck"
+        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, earlier))
+        capsys.readouterr()
+        assert ch.main(["cramer-gaps", "--out", str(out), "--resume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "malformed checkpoint header; refusing to resume" in err
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert read_strict_json(out / "gap_report.json")["partial"] is True
 
 
 def pickle_format_checkpoint(subcommand: str, seed: int, params_text: str, cursor: int,

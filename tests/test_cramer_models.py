@@ -14,6 +14,7 @@ from roughn_lab.cli_harness import GAP_COLUMNS, _write_gaps_csv
 from roughn_lab.cramer_models import (
     CramerConfig,
     GapReport,
+    TrialSummary,
     count_pi_k,
     density_profile,
     erdos_style_refuter,
@@ -22,6 +23,8 @@ from roughn_lab.cramer_models import (
     pi_k_lower_bound_shape,
     simulate_gaps,
     trial_gaps,
+    trial_successes,
+    trial_summary,
     window_search,
 )
 from roughn_lab.primes_core import WindowOmega, factor_window
@@ -140,12 +143,20 @@ def test_simulation_is_deterministic():
     a = simulate_gaps(cfg)
     b = simulate_gaps(cfg)
     assert a.max_ratios == b.max_ratios
-    assert len(a.kept) == len(b.kept) == 10
-    for (succ_a,), (succ_b,) in zip(a.kept, b.kept, strict=True):
+    for t in range(10):
+        (bits_a,), (bits_b,) = trial_gaps(cfg, t), trial_gaps(cfg, t)
+        assert bits_a.dtype == bits_b.dtype == np.uint8
+        assert np.array_equal(bits_a, bits_b)
+        succ_a, succ_b = trial_successes(cfg, bits_a), trial_successes(cfg, bits_b)
         assert succ_a.dtype == succ_b.dtype == np.int64
         assert np.array_equal(succ_a, succ_b)
     c = simulate_gaps(CramerConfig(rate="log", N=2 * 10**4, trials=10, seed=34))
     assert c.max_ratios != a.max_ratios
+
+
+def kept_successes(config) -> list[tuple[np.ndarray]]:
+    """Each trial's kept successes (succ,), decoded from its bit string."""
+    return [(trial_successes(config, *trial_gaps(config, t)),) for t in range(config.trials)]
 
 
 def kept_columns(succ) -> tuple[np.ndarray, np.ndarray]:
@@ -195,7 +206,7 @@ def test_trials_and_max_ratios_match_earlier_kernel(kwargs):
     # default size: N = 10^5, 100 trials
     config = CramerConfig(**{"rate": "log", **kwargs})
     want = oracle_trials(config)
-    kept = [trial_gaps(config, t) for t in range(config.trials)]
+    kept = kept_successes(config)
     for (succ,), (want_s, want_gap, _) in zip(kept, want, strict=True):
         s_k, gap = kept_columns(succ)
         assert s_k.dtype == gap.dtype == np.int64
@@ -204,6 +215,58 @@ def test_trials_and_max_ratios_match_earlier_kernel(kwargs):
     # bit for bit: the hex form tells apart what == would not
     assert [m.hex() for m in simulate_gaps(config).max_ratios] == \
         [m.hex() for m in want_max]
+
+
+@pytest.mark.parametrize("block", [8, 24])
+@pytest.mark.parametrize("residue", range(8))
+def test_bit_strings_decode_to_earlier_kernel_successes(residue, block, monkeypatch):
+    # N - 2 = 1000 + residue sites, so the last byte holds 1..8 of them; blocks
+    # of 8 and 24 sites make every trial's draw cross many blocks
+    monkeypatch.setattr(cramer_models, "DRAW_BLOCK", block)
+    config = CramerConfig(rate="log", N=1002 + residue, trials=20, seed=11)
+    n_sites = config.N - 2
+    for t, (want_s, want_gap, want_ratio) in enumerate(oracle_trials(config)):
+        bits, = trial_gaps(config, t)
+        assert bits.dtype == np.uint8 and bits.shape == (-(-n_sites // 8),)
+        # the pad bits of the last byte are clear, so equal trials have equal bytes
+        assert not np.unpackbits(bits)[n_sites:].any()
+        succ = trial_successes(config, bits)
+        s_k, gap = kept_columns(succ)
+        assert succ.dtype == np.int64
+        assert np.array_equal(s_k, want_s) and np.array_equal(gap, want_gap)
+        summary = trial_summary(config, succ)
+        assert summary.max_ratio.hex() == float(want_ratio.max()).hex()
+        assert summary.gap_count == len(want_gap)
+        assert summary.span == int(want_gap.sum())
+
+
+def test_empty_trial_bit_string():
+    config = CramerConfig(rate="custom", custom=((3.0, 1e9), (10**4, 1e9)),
+                          N=10**4, trials=1, seed=2)
+    bits, = trial_gaps(config, 0)
+    assert bits.shape == (1250,) and not bits.any()
+    succ = trial_successes(config, bits)
+    assert succ.dtype == np.int64 and len(succ) == 0
+    summary = trial_summary(config, succ)
+    assert math.isnan(summary.max_ratio) and summary[1:] == (0, 0)
+
+
+def test_warmup_at_the_last_success_keeps_it_alone():
+    drawn = CramerConfig(rate="log", N=1003, trials=1, seed=5)
+    bits, = trial_gaps(drawn, 0)
+    everything = np.flatnonzero(np.unpackbits(bits, count=1001)) + 3
+    assert len(everything) > 1
+    last = int(everything[-1])
+    # the warmup does not enter the draw, so the same bits under either config
+    config = CramerConfig(rate="log", N=1003, trials=1, seed=5, warmup=last)
+    assert np.array_equal(trial_gaps(config, 0)[0], bits)
+    succ = trial_successes(config, bits)
+    assert succ.tolist() == [last]
+    summary = trial_summary(config, succ)
+    assert isinstance(summary, TrialSummary)
+    assert math.isnan(summary.max_ratio) and summary[1:] == (0, 0)
+    assert [len(s_k) for s_k, _, _ in oracle_trials(config)] == [0]
+    assert simulate_gaps(config).empty_trials == (0,)
 
 
 def test_doubling_rate_roughly_doubles_mean_gap():
@@ -397,12 +460,12 @@ def test_gaps_csv_layout(tmp_path):
     cfg = CramerConfig(rate="log", N=5000, trials=2, seed=7)
     rep = simulate_gaps(cfg)
     path = tmp_path / "gaps.csv"
-    _write_gaps_csv(rep.kept, path)
+    _write_gaps_csv(cfg, [trial_gaps(cfg, t) for t in range(cfg.trials)], path)
     lines = path.read_text().splitlines()
     assert lines[0] == "trial,k,S_k,gap"
     assert len(lines) == 1 + rep.gap_count
     assert lines[1:] == [",".join(map(str, row)) for row in zip(*(
-        column.tolist() for column in gap_columns(rep.kept)))]
+        column.tolist() for column in gap_columns(kept_successes(cfg))))]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -416,16 +479,16 @@ def test_gaps_csv_layout(tmp_path):
 def test_streamed_gaps_csv_matches_concatenated_oracle(kwargs, tmp_path):
     # default size unless given: N = 10^5, 100 trials
     config = CramerConfig(**{"rate": "log", **kwargs})
-    kept = [trial_gaps(config, t) for t in range(config.trials)]
-    rep = gap_report(config, kept)
-    assert all(a is b for trial, rep_trial in zip(kept, rep.kept, strict=True)
-               for a, b in zip(trial, rep_trial, strict=True))
-    columns = gap_columns(kept)
+    trials = [trial_gaps(config, t) for t in range(config.trials)]
+    # the summaries taken in the gaps.csv pass make the one-call report
+    rep = gap_report(config, _write_gaps_csv(config, trials, tmp_path / "streamed.csv"))
+    assert [m.hex() for m in rep.max_ratios] == \
+        [m.hex() for m in simulate_gaps(config).max_ratios]
+    columns = gap_columns(kept_successes(config))
     assert rep.gap_count == len(columns[3])
     # bit for bit: the mean numpy takes over the concatenated gaps
     want_mean = float(columns[3].mean()) if len(columns[3]) else math.nan
     assert rep.mean_gap.hex() == want_mean.hex()
-    _write_gaps_csv(rep.kept, tmp_path / "streamed.csv")
     write_csv(tmp_path / "oracle.csv", GAP_COLUMNS, [columns])
     streamed = (tmp_path / "streamed.csv").read_bytes()
     assert streamed == (tmp_path / "oracle.csv").read_bytes()

@@ -135,6 +135,37 @@ def test_factorize_errors():
             factorize(n)
 
 
+def test_factorize_two():
+    # no prime is at most isqrt(2), so 2 is the cofactor the trial division leaves
+    assert factorize(2) == ((2, 1),)
+    assert factorize(3) == ((3, 1),)
+    assert factorize(4) == ((2, 2),)
+
+
+def test_factorize_at_the_word_limit_and_one_past(monkeypatch):
+    # 2^63 - 1 = 7^2 * 73 * 127 * 337 * 92737 * 649657.  Its isqrt needs primes
+    # up to 3.04e9, past the table budget, but every prime factor is below
+    # 10^6, so trial division over the primes up to 10^6 factors it completely
+    monkeypatch.setattr(primes_core, "primes_upto", lambda n: build_prime_table(min(n, 10**6)))
+    want = ((7, 2), (73, 1), (127, 1), (337, 1), (92737, 1), (649657, 1))
+    assert want == tuple(sympy.factorint(2**63 - 1).items())
+    assert factorize(2**63 - 1) == want
+    with pytest.raises(ValueError, match="machine-word"):
+        factorize(2**63)
+
+
+def test_table_limit_at_the_budget_and_one_past(monkeypatch):
+    # refused before the sieve is allocated
+    with pytest.raises(ValueError, match="memory budget"):
+        build_prime_table(10**8 + 1)
+    # a sieve at the real budget takes 50 MB, so the budget is lowered to
+    # test exactly at it
+    monkeypatch.setattr(primes_core, "TABLE_LIMIT_MAX", 1000)
+    assert build_prime_table(1000).tolist() == list(sympy.primerange(1001))
+    with pytest.raises(ValueError, match="memory budget"):
+        build_prime_table(1001)
+
+
 def test_factorization_methods():
     f = factorize(360)
     assert f == ((2, 3), (3, 2), (5, 1))
@@ -208,6 +239,21 @@ def test_factor_window_errors():
     with pytest.raises(ValueError):
         factor_window(1, 5)
 
+
+
+def test_window_width_at_the_budget_and_one_past(monkeypatch):
+    # refused before any array is made: a width of 10^7 + 1, and a window
+    # ending one past the machine word
+    with pytest.raises(ValueError, match="wider than budget"):
+        factor_window(2, 10**7 + 2)
+    with pytest.raises(ValueError, match="machine-word"):
+        factor_window(2**63 - 10, 2**63)
+    # a window at the real budget takes 40 MB, so the budget is lowered to
+    # test exactly at it
+    monkeypatch.setattr(primes_core, "WINDOW_WIDTH_MAX", 1000)
+    assert_window_matches_sympy(10**6, 10**6 + 999)
+    with pytest.raises(ValueError, match="wider than budget"):
+        factor_window(10**6, 10**6 + 1000)
 
 
 def assert_window_matches_sympy(lo, hi):

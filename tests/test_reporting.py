@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 from roughn_lab import cli_harness as ch
 from roughn_lab import reporting
 from roughn_lab.cli_harness import GAP_COLUMNS
-from roughn_lab.cramer_models import CramerConfig, trial_gaps
+from roughn_lab.cramer_models import CramerConfig
 from roughn_lab.reporting import columns_of, float_digits, format_cell, write_csv
-from test_cramer_models import gap_columns
+from test_cramer_models import gap_columns, kept_successes
 
 EDGE_FLOATS = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072014e-308,
@@ -237,7 +237,7 @@ MEASURE_BUNDLE = "x = 30000000\nK = 1\nw = 7\nc = 0.3\ngamma = 1\n"
 def default_gap_columns():
     """gaps.csv's columns at cramer-gaps' default size, seed 7."""
     config = CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS, seed=7)
-    return list(gap_columns([trial_gaps(config, t) for t in range(config.trials)]))
+    return list(gap_columns(kept_successes(config)))
 
 
 def default_gap_ratio_columns():
