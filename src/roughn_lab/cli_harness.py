@@ -3,9 +3,11 @@
 Subcommands cover every module: weight-table scans, sampling, moments,
 the normalization constant, axiom reports, gap simulations, omega-level
 counts, window searches, the downward-shift refuter, and record searches.
-Long scans run as fixed chunk sequences: each chunk's result is a tuple of
-equal-length float64 or uint8 arrays, and a checkpoint holds the completed
-chunks as raw arrays under a JSON header and a sha256, so no checkpoint can
+Long scans run as fixed chunk sequences: each chunk's result is one float64
+or uint8 array, and a checkpoint holds the completed chunks' raw bytes under
+a JSON header and a sha256.  A resume reads no byte of the file as JSON: it
+takes the cursor from the body's size and requires the header to equal, byte
+for byte, the one this run would write at that cursor, so no checkpoint can
 run code.  An interrupted run resumed from its checkpoint produces
 byte-identical output to an uninterrupted one.  Exit codes: 0 success, 2 invalid configuration,
 3 chunk budget exhausted (checkpoint written, summary flagged partial).
@@ -21,7 +23,6 @@ import math
 import struct
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -35,7 +36,6 @@ from .reporting import columns_of, replace_on_success, write_csv, write_json
 CHECKPOINT_MAGIC = b"RLCK2"
 CHECKPOINT_NAME = "checkpoint.rlck"
 CHECKPOINT_SECS = 300  # the chunked subcommands' --checkpoint-secs default
-CHECKPOINT_DTYPES = ("<f8", "|u1")  # what the chunked runs write: float64 results, packed bits
 SEED_MAX = 2**63 - 1  # the fingerprint packs the seed as a signed 64-bit integer
 
 SAMPLE_COUNT = 10**5
@@ -49,14 +49,6 @@ GAP_COLUMNS = ("trial", "k", "S_k", "gap")  # gaps.csv, written one part per tri
 # table-building subcommands use a reduced quadrature grid; the c0 command
 # keeps the full default so both routes run at reporting accuracy
 _FAST_BUMP = dict(grid_points=1025, t_points=801, t_max=60.0)
-
-
-@dataclass(frozen=True)
-class Checkpoint:
-    """A run's completed chunks, each a tuple of 1-D arrays; their count is the cursor."""
-    subcommand: str
-    fingerprint: bytes
-    chunks: list[tuple[np.ndarray, ...]]
 
 
 def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
@@ -74,17 +66,23 @@ def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
     return h.digest()
 
 
-def save_checkpoint(path, ckpt: Checkpoint) -> None:
-    """Write magic, u64 header length, JSON header, the sha256 of header and
-    body, then the body: every array's raw bytes in chunk order, hashed and
-    written from the arrays' own buffers, so the body is never copied."""
-    header = json.dumps({
-        "subcommand": ckpt.subcommand,
-        "fingerprint": ckpt.fingerprint.hex(),
-        "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in ckpt.chunks],
+def checkpoint_header(subcommand: str, fingerprint: bytes, chunks) -> bytes:
+    """The JSON header of a checkpoint holding one array per (dtype, length)
+    pair in chunks: the subcommand, the fingerprint in hex and each chunk as
+    [[dtype, length]].  A resume compares it byte for byte, so its key order
+    and spacing are part of the format."""
+    return json.dumps({
+        "subcommand": subcommand,
+        "fingerprint": fingerprint.hex(),
+        "chunks": [[[np.dtype(dtype).str, n]] for dtype, n in chunks],
     }).encode()
-    body = [memoryview(np.ascontiguousarray(col)).cast("B")
-            for chunk in ckpt.chunks for col in chunk]
+
+
+def save_checkpoint(path, header: bytes, chunks: list[np.ndarray]) -> None:
+    """Write magic, u64 header length, header, the sha256 of header and body,
+    then the body: every chunk's raw bytes in order, hashed and written from
+    the arrays' own buffers, so the body is never copied."""
+    body = [memoryview(np.ascontiguousarray(chunk)).cast("B") for chunk in chunks]
     digest = hashlib.sha256(header)
     for block in body:
         digest.update(block)
@@ -93,11 +91,14 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.writelines(body)
 
 
-def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a short, garbled or foreign file raises ValueError.
+def load_checkpoint(path, header_at: Callable[[int], bytes], dtype,
+                    lengths: list[int]) -> list[np.ndarray]:
+    """The chunks of a checkpoint written by this run: views of its body.
 
-    The header is JSON and every array a view of the body in one of
-    CHECKPOINT_DTYPES, so no byte of the file is run as code.
+    Every chunk holds at least one item, so the body's size names the cursor
+    among the sums of the first chunks' sizes, and the header must then be
+    header_at(cursor) byte for byte.  No byte of the file is decoded, so none
+    is run as code; a short, garbled or foreign file raises ValueError.
     """
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
@@ -110,77 +111,56 @@ def load_checkpoint(path) -> Checkpoint:
     # a file cut anywhere leaves a changed body or fewer than 32 digest bytes
     if digest.digest() != raw[body_at - 32:body_at]:
         raise ValueError(f"{path} is truncated or garbled: its sha256 does not match")
-    try:
-        meta = json.loads(header)  # bad UTF-8 or JSON raises a ValueError
-    except RecursionError as exc:  # nesting deeper than the interpreter allows
-        raise ValueError(f"{path} has a malformed checkpoint header") from exc
-    if not (isinstance(meta, dict) and meta.keys() == {"subcommand", "fingerprint", "chunks"}
-            and isinstance(meta["subcommand"], str) and isinstance(meta["fingerprint"], str)
-            and isinstance(meta["chunks"], list)
-            and all(isinstance(chunk, list) and all(
-                isinstance(spec, list) and len(spec) == 2 and spec[0] in CHECKPOINT_DTYPES
-                and type(spec[1]) is int and spec[1] >= 0 for spec in chunk)
-                for chunk in meta["chunks"])):
-        raise ValueError(f"{path} has a malformed checkpoint header")
-    sizes = [np.dtype(dtype).itemsize * n for chunk in meta["chunks"] for dtype, n in chunk]
-    if sum(sizes) != len(body):
-        raise ValueError(f"{path} has a body that does not match its header")
-    offsets = itertools.accumulate(sizes, initial=0)
-    chunks = [tuple(np.frombuffer(body, dtype=dtype, count=n, offset=next(offsets))
-                    for dtype, n in chunk) for chunk in meta["chunks"]]
-    return Checkpoint(meta["subcommand"], bytes.fromhex(meta["fingerprint"]), chunks)
+    dtype = np.dtype(dtype)
+    ends = list(itertools.accumulate((dtype.itemsize * n for n in lengths), initial=0))
+    cursor = ends.index(len(body)) if len(body) in ends else None
+    if cursor is None or header != header_at(cursor):
+        raise ValueError(f"{path} is not a checkpoint of this run")
+    return [np.frombuffer(body, dtype, n, offset) for n, offset in zip(lengths[:cursor], ends)]
 
 
 def _run_chunked(
     args: argparse.Namespace,
     params_text: str,
-    dtypes: tuple,
+    dtype,
     lengths: list[int],
-    run_chunk: Callable[[int], tuple],
+    run_chunk: Callable[[int], np.ndarray],
     finalize: Callable[[list], None],
     partial_summary: Callable[[int], None],
 ) -> int:
     """Drive a fixed chunk sequence with checkpoint support.
 
-    run_chunk(i) returns chunk i's result: one 1-D array per entry of
-    dtypes, all of length lengths[i].  Chunk boundaries depend only on the
+    run_chunk(i) returns chunk i's result: one 1-D array of dtype and
+    length lengths[i], never empty.  Chunk boundaries depend only on the
     configuration, so any interleaving of interrupts and resumes collects the
-    same results and finalize writes the same bytes.  A resumed run takes the checkpoint's
-    chunks only if each has exactly that shape.
+    same results and finalize writes the same bytes.
     """
     fingerprint = config_fingerprint(args.subcommand, args.seed, params_text)
+
+    def header_at(cursor):
+        return checkpoint_header(args.subcommand, fingerprint,
+                                 [(dtype, n) for n in lengths[:cursor]])
+
     ckpt_path = Path(args.out) / CHECKPOINT_NAME
     chunks = []
     if args.resume:
         try:
-            ckpt = load_checkpoint(args.resume)
+            chunks = load_checkpoint(args.resume, header_at, dtype, lengths)
         except (OSError, ValueError) as exc:  # a directory or unreadable path too
             raise ValueError(f"{exc}; refusing to resume") from exc
-        if ckpt.fingerprint != fingerprint or ckpt.subcommand != args.subcommand:
-            raise ValueError("checkpoint does not match this configuration; refusing to resume")
-        chunks = ckpt.chunks
-        if not (len(chunks) <= len(lengths) and all(
-                len(chunk) == len(dtypes)
-                and all(column.dtype == dtype and len(column) == lengths[i]
-                        for column, dtype in zip(chunk, dtypes))
-                for i, chunk in enumerate(chunks))):
-            raise ValueError(
-                f"checkpoint state does not fit this run ({len(lengths)} chunks, "
-                f"cursor {len(chunks)}); refusing to resume"
-            )
     start = len(chunks)
     every = CHECKPOINT_SECS if args.checkpoint_secs is None else args.checkpoint_secs
     last_save = time.monotonic()
     for i in range(start, len(lengths)):
         if args.max_chunks is not None and i - start >= args.max_chunks:
-            save_checkpoint(ckpt_path, Checkpoint(args.subcommand, fingerprint, chunks))
+            save_checkpoint(ckpt_path, header_at(i), chunks)
             partial_summary(i)
             print(f"chunk budget reached at {i}/{len(lengths)}; checkpoint: {ckpt_path}",
                   file=sys.stderr)
             return 3
         chunks.append(run_chunk(i))
         if every > 0 and time.monotonic() - last_save >= every:
-            save_checkpoint(ckpt_path, Checkpoint(args.subcommand, fingerprint, chunks))
+            save_checkpoint(ckpt_path, header_at(i + 1), chunks)
             last_save = time.monotonic()
     finalize(chunks)
     return 0
@@ -247,10 +227,10 @@ def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
 
     def run_chunk(i):
         lo, hi = bounds[i]
-        return (sieve_measure.weights_at(support[lo:hi], params.W, terms),)
+        return sieve_measure.weights_at(support[lo:hi], params.W, terms)
 
     def finalize(chunks):
-        nu = np.concatenate([nu for nu, in chunks])
+        nu = np.concatenate(chunks)
         table = sieve_measure.WeightTable(params, spec, support, nu)
         write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"],
                   [[support, nu, np.cumsum(nu) / table.total]])
@@ -272,7 +252,7 @@ def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
             "partial": True,
         })
 
-    return _run_chunked(args, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+    return _run_chunked(args, params_text, np.float64, [hi - lo for lo, hi in bounds],
                         run_chunk, finalize, partial_summary)
 
 
@@ -351,8 +331,8 @@ def _cmd_axioms(args: argparse.Namespace, params_text: str) -> int:
 
 
 def _write_gaps_csv(config: cramer_models.CramerConfig, trials, path) -> list:
-    """gaps.csv from each trial's bit string (bits,), such as trial_gaps
-    returns, and each trial's summary, taken in the same pass: trial t is the
+    """gaps.csv from each trial's bit string, such as trial_gaps returns,
+    and each trial's summary, taken in the same pass: trial t is the
     t-th entry of trials, k counts that trial's gaps from 1, and S_k and gap
     are succ[:-1] and np.diff(succ) of its decoded successes.  Each trial is
     decoded once, as write_csv reaches its part, so one trial's successes
@@ -360,7 +340,7 @@ def _write_gaps_csv(config: cramer_models.CramerConfig, trials, path) -> list:
     summaries = []
 
     def parts():
-        for t, (bits,) in enumerate(trials):
+        for t, bits in enumerate(trials):
             succ = cramer_models.trial_successes(config, bits)
             summaries.append(cramer_models.trial_summary(config, succ))
             s_k = succ[:-1]
@@ -399,7 +379,7 @@ def _cmd_cramer_gaps(args: argparse.Namespace, params_text: str) -> int:
             "trials": GAP_TRIALS, "completed_trials": cursor, "partial": True,
         })
 
-    return _run_chunked(args, params_text, (np.uint8,), [config.trial_bytes] * GAP_TRIALS,
+    return _run_chunked(args, params_text, np.uint8, [config.trial_bytes] * GAP_TRIALS,
                         run_chunk, finalize, partial_summary)
 
 
@@ -472,10 +452,10 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
         lo = int(ns[0]) + 2
         hi = int(ns[-1]) + k_max
         window = factor_window(lo, hi)
-        return (moments_concentration.max_log_ratio(window, ns, k_max),)
+        return moments_concentration.max_log_ratio(window, ns, k_max)
 
     def finalize(chunks):
-        ratios = np.concatenate([ratios for ratios, in chunks])
+        ratios = np.concatenate(chunks)
         best_idx = int(np.argmin(ratios))
         draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
         drawn_idx = np.flatnonzero(np.bincount((draws - support[0]) // params.W))
@@ -504,7 +484,7 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
             "completed_chunks": cursor, "of_chunks": n_chunks, "partial": True,
         })
 
-    return _run_chunked(args, params_text, (np.float64,), [hi - lo for lo, hi in bounds],
+    return _run_chunked(args, params_text, np.float64, [hi - lo for lo, hi in bounds],
                         run_chunk, finalize, partial_summary)
 
 

@@ -143,9 +143,9 @@ class GapReport:
         return sum(1 for r in self.max_ratios if r <= cutoff)
 
 
-def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray]:
-    """One trial of the Bernoulli model: (bits,), the np.packbits of its
-    sites 3..N, bit n - 3 set where site n is a success: config.trial_bytes
+def trial_gaps(config: CramerConfig, trial: int) -> np.ndarray:
+    """One trial of the Bernoulli model: its bit string, the np.packbits of
+    its sites 3..N, bit n - 3 set where site n is a success: config.trial_bytes
     = ceil((N - 2) / 8) uint8 bytes, all the trial's outcome.
     trial_successes decodes it.
 
@@ -160,7 +160,7 @@ def trial_gaps(config: CramerConfig, trial: int) -> tuple[np.ndarray]:
     for lo in range(0, len(sites), DRAW_BLOCK):
         block = sites[lo:lo + DRAW_BLOCK]
         bits[lo // 8:(lo + len(block) + 7) // 8] = np.packbits(rng.random(len(block)) < block)
-    return (bits,)
+    return bits
 
 
 def trial_successes(config: CramerConfig, bits: np.ndarray) -> np.ndarray:
@@ -209,7 +209,7 @@ def simulate_gaps(config: CramerConfig) -> GapReport:
     """Run every trial of the Bernoulli model and report the normalized
     success gaps (see trial_gaps and GapReport)."""
     return gap_report(config, [
-        trial_summary(config, trial_successes(config, *trial_gaps(config, t)))
+        trial_summary(config, trial_successes(config, trial_gaps(config, t)))
         for t in range(config.trials)])
 
 

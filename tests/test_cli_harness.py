@@ -1,6 +1,7 @@
 import ast
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -18,7 +19,7 @@ from checkpoint_helpers import checkpoint_roundtrip
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from memory_helpers import traced_peak
-from test_golden_omega import GOLDEN
+from test_golden_omega import BUNDLES, GOLDEN, PATCHES, SEED
 
 import roughn_lab
 from roughn_lab import cli_harness as ch
@@ -187,7 +188,7 @@ def test_cramer_gaps_finalize_holds_no_run_sized_copy(tmp_path, monkeypatch):
     seen = {}
     run_chunked = ch._run_chunked
 
-    def traced(cfg, params_text, dtypes, lengths, run_chunk, finalize, partial_summary):
+    def traced(cfg, params_text, dtype, lengths, run_chunk, finalize, partial_summary):
         def measured(chunks):
             tracemalloc.start()
             try:
@@ -195,7 +196,7 @@ def test_cramer_gaps_finalize_holds_no_run_sized_copy(tmp_path, monkeypatch):
                 seen["peak"] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        return run_chunked(cfg, params_text, dtypes, lengths, run_chunk, measured,
+        return run_chunked(cfg, params_text, dtype, lengths, run_chunk, measured,
                            partial_summary)
 
     monkeypatch.setattr(ch, "_run_chunked", traced)
@@ -216,18 +217,18 @@ def test_cramer_gaps_resume_holds_each_trial_once(tmp_path, monkeypatch):
     seen = {}
     load_checkpoint, run_chunked = ch.load_checkpoint, ch._run_chunked
 
-    def traced_load(path):
+    def traced_load(path, header_at, dtype, lengths):
         tracemalloc.start()
-        return load_checkpoint(path)
+        return load_checkpoint(path, header_at, dtype, lengths)
 
-    def traced(cfg, params_text, dtypes, lengths, run_chunk, finalize, partial_summary):
+    def traced(cfg, params_text, dtype, lengths, run_chunk, finalize, partial_summary):
         def measured(chunks):
             try:
                 finalize(chunks)
                 seen["peak"] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-        return run_chunked(cfg, params_text, dtypes, lengths, run_chunk, measured,
+        return run_chunked(cfg, params_text, dtype, lengths, run_chunk, measured,
                            partial_summary)
 
     monkeypatch.setattr(ch, "load_checkpoint", traced_load)
@@ -485,29 +486,55 @@ def test_checkpoint_file_layout(toy_file, tmp_path):
              "--seed", "3", "--max-chunks", "2"])
     raw = (tmp_path / ch.CHECKPOINT_NAME).read_bytes()
     assert raw.startswith(ch.CHECKPOINT_MAGIC)
-    ckpt = ch.load_checkpoint(tmp_path / ch.CHECKPOINT_NAME)
-    assert ckpt.subcommand == "sieve-scan"
-    assert len(ckpt.chunks) == 2
-    assert len(ckpt.fingerprint) == 32
+    chunks = load_scan_checkpoint(tmp_path / ch.CHECKPOINT_NAME)
+    assert len(chunks) == 2
     # magic, u64 header length, JSON header, sha256 of header and body, body
     at = body_start(raw)
     header = json.loads(raw[len(ch.CHECKPOINT_MAGIC) + 8:at - 32])
-    assert header["fingerprint"] == ckpt.fingerprint.hex()
-    assert header["chunks"] == [[["<f8", len(nu)]] for nu, in ckpt.chunks]
-    assert raw[at:] == b"".join(nu.tobytes() for nu, in ckpt.chunks)
+    assert header == {
+        "subcommand": "sieve-scan",
+        "fingerprint": ch.config_fingerprint("sieve-scan", 3, TOY_PARAMS).hex(),
+        "chunks": [[["<f8", len(nu)]] for nu in chunks],
+    }
+    assert raw[at:] == b"".join(nu.tobytes() for nu in chunks)
 
 
-def tobytes_checkpoint(ckpt: ch.Checkpoint) -> bytes:
-    """The earlier checkpoint writer's bytes: the body as one tobytes() copy
-    of every array, in chunk order."""
+def read_checkpoint(raw: bytes) -> tuple[str, bytes, list]:
+    """A checkpoint file's subcommand, fingerprint and chunks, each chunk a
+    tuple of arrays, read through its JSON header: a reader independent of
+    the loader, which compares headers instead of reading them."""
+    at = body_start(raw)
+    meta = json.loads(raw[len(ch.CHECKPOINT_MAGIC) + 8:at - 32])
+    chunks = []
+    for chunk in meta["chunks"]:
+        columns = []
+        for dtype, n in chunk:
+            columns.append(np.frombuffer(raw, dtype, n, at))
+            at += np.dtype(dtype).itemsize * n
+        chunks.append(tuple(columns))
+    return meta["subcommand"], bytes.fromhex(meta["fingerprint"]), chunks
+
+
+def load_scan_checkpoint(path, seed: int = 3) -> list:
+    """ch.load_checkpoint as a TOY sieve-scan run at seed calls it."""
+    support = sieve_measure.weight_support(sieve_measure.parse_params(TOY_PARAMS))
+    lengths = [hi - lo for lo, hi in ch._chunks(len(support), ch.SCAN_CHUNKS)[1]]
+    fingerprint = ch.config_fingerprint("sieve-scan", seed, TOY_PARAMS)
+    return ch.load_checkpoint(path, lambda cursor: ch.checkpoint_header(
+        "sieve-scan", fingerprint, [(np.float64, n) for n in lengths[:cursor]]),
+        np.float64, lengths)
+
+
+def tobytes_checkpoint(subcommand: str, fingerprint: bytes, chunks) -> bytes:
+    """A checkpoint file of chunks, each a tuple of arrays, as the earlier
+    writer made it: a header naming every column's dtype and length, and the
+    body as one tobytes() copy of every array, in chunk order."""
     header = json.dumps({
-        "subcommand": ckpt.subcommand,
-        "fingerprint": ckpt.fingerprint.hex(),
-        "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in ckpt.chunks],
+        "subcommand": subcommand,
+        "fingerprint": fingerprint.hex(),
+        "chunks": [[[col.dtype.str, len(col)] for col in chunk] for chunk in chunks],
     }).encode()
-    body = b"".join(col.tobytes() for chunk in ckpt.chunks for col in chunk)
-    return (ch.CHECKPOINT_MAGIC + struct.pack("<Q", len(header)) + header
-            + hashlib.sha256(header + body).digest() + body)
+    return framed(header, b"".join(col.tobytes() for chunk in chunks for col in chunk))
 
 
 @pytest.mark.parametrize("subcommand, budget", [("cramer-gaps", 7), ("sieve-scan", 5)])
@@ -516,16 +543,17 @@ def test_checkpoint_bytes_match_tobytes_writer(subcommand, budget, toy_file, tmp
     if subcommand in ch.PARAMS_SUBCOMMANDS:
         argv += ["--params", toy_file]
     assert ch.main(argv) == 3
-    path = tmp_path / ch.CHECKPOINT_NAME
-    ckpt = ch.load_checkpoint(path)
-    assert len(ckpt.chunks) == budget
-    assert path.read_bytes() == tobytes_checkpoint(ckpt)
-    # strided, empty and big-endian columns too
-    chunks = [(column[::2], column[:0], column.astype(column.dtype.newbyteorder(">")))
-              for chunk in ckpt.chunks for column in chunk]
-    odd = ch.Checkpoint(ckpt.subcommand, ckpt.fingerprint, chunks)
-    ch.save_checkpoint(tmp_path / "odd.rlck", odd)
-    assert (tmp_path / "odd.rlck").read_bytes() == tobytes_checkpoint(odd)
+    raw = (tmp_path / ch.CHECKPOINT_NAME).read_bytes()
+    got_subcommand, fingerprint, chunks = read_checkpoint(raw)
+    assert got_subcommand == subcommand and len(chunks) == budget
+    assert raw == tobytes_checkpoint(subcommand, fingerprint, chunks)
+    # strided, empty and big-endian arrays too, one per chunk
+    odd = [array for column, in chunks for array in (
+        column[::2], column[:0], column.astype(column.dtype.newbyteorder(">")))]
+    header = ch.checkpoint_header(subcommand, fingerprint, [(a.dtype, len(a)) for a in odd])
+    ch.save_checkpoint(tmp_path / "odd.rlck", header, odd)
+    assert (tmp_path / "odd.rlck").read_bytes() == tobytes_checkpoint(
+        subcommand, fingerprint, [(array,) for array in odd])
 
 
 def test_sieve_scan_roundtrip_three_interrupts(toy_file, tmp_path):
@@ -545,6 +573,73 @@ def test_cramer_gaps_roundtrip(tmp_path):
     rep = checkpoint_roundtrip("cramer-gaps", tmp_path, [50], seed=1)
     assert rep["identical"] is True
     assert rep["files"]["gaps.csv"] is True
+
+
+# sha256 of two checkpoints, taken from the writer that read headers back as
+# JSON: sieve-scan on the golden TOY bundle at seed 3 after 2 of its 32
+# chunks, and golden-size cramer-gaps at the golden seed after 7 of its 20
+# trials.  A resume compares header bytes, so a change in the header's
+# spacing, key order or nesting, or in the body, strands every checkpoint
+# written before it.
+CHECKPOINT_GOLDEN = {
+    "sieve-scan": "9836115100bdf5c405bc80b796bbda99d5b35c8b2c9bc348046957a0f537d8fc",
+    "cramer-gaps": "35bf9fb7099d03953e9dfae45a2e6068af6b1c84aa2a5969e03ff78b79874cb2",
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(CHECKPOINT_GOLDEN))
+def test_checkpoint_bytes_match_golden(subcommand, tmp_path, monkeypatch):
+    if subcommand == "sieve-scan":
+        params = tmp_path / "toy.params"
+        params.write_text(BUNDLES["toy"])
+        argv = ["--params", str(params), "--seed", "3", "--max-chunks", "2"]
+    else:
+        for name, value in PATCHES[("cramer-gaps", None)].items():
+            monkeypatch.setattr(ch, name, value)
+        argv = ["--seed", str(SEED), "--max-chunks", "7"]
+    assert ch.main([subcommand, "--out", str(tmp_path)] + argv) == 3
+    raw = (tmp_path / ch.CHECKPOINT_NAME).read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == CHECKPOINT_GOLDEN[subcommand]
+
+
+def test_timed_save_resumes_to_golden_bytes(toy_file, tmp_path, monkeypatch):
+    # a clock that moves one second per reading makes --checkpoint-secs 1 save
+    # after every chunk.  Chunk 6 then fails, so the last save holds chunks
+    # 0-5 under the header of cursor 6: the file that a budget of 6 writes
+    argv = ["sieve-scan", "--params", toy_file, "--seed", str(SEED)]
+    assert ch.main(argv + ["--out", str(tmp_path / "budget"), "--checkpoint-secs", "0",
+                           "--max-chunks", "6"]) == 3
+    weights_at, calls, ticks = sieve_measure.weights_at, itertools.count(), itertools.count()
+
+    def failing_at_six(*args):
+        if next(calls) == 6:
+            raise RuntimeError("chunk 6 fails")
+        return weights_at(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ch.time, "monotonic", lambda: next(ticks))
+        patch.setattr(sieve_measure, "weights_at", failing_at_six)
+        with pytest.raises(RuntimeError, match="chunk 6 fails"):
+            ch.main(argv + ["--out", str(tmp_path / "timed"), "--checkpoint-secs", "1"])
+    saved = tmp_path / "timed" / ch.CHECKPOINT_NAME
+    assert saved.read_bytes() == (tmp_path / "budget" / ch.CHECKPOINT_NAME).read_bytes()
+    out = tmp_path / "resumed"
+    assert ch.main(argv + ["--out", str(out), "--checkpoint-secs", "0",
+                           "--resume", str(saved)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == GOLDEN[("sieve-scan", "toy")]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(size=st.integers(1, 10**12), most=st.integers(1, 10**4))
+def test_chunks_cover_the_range_without_an_empty_chunk(size, most):
+    # the loader names a checkpoint's cursor by its body's size, which is
+    # one-to-one only while every chunk holds an item
+    n, bounds = ch._chunks(size, most)
+    assert n == len(bounds) == min(most, size)
+    assert bounds[0][0] == 0 and bounds[-1][1] == size
+    assert all(lo < hi for lo, hi in bounds)
+    assert all(left[1] == right[0] for left, right in zip(bounds, bounds[1:]))
 
 
 def test_record_search_past_sixteen_chunks_keeps_golden_bytes(tmp_path, monkeypatch):
@@ -747,7 +842,8 @@ def test_resume_with_altered_seed_refuses(toy_file, tmp_path, capsys):
 
 
 def test_resume_under_other_gap_size_refuses(tmp_path, monkeypatch, capsys):
-    # the fingerprint tells the two sizes apart before the trials' lengths do
+    # two trials of 125 bytes are one trial's 250 at the larger size, so the
+    # body's size names cursor 1; the header, fingerprint and lengths, differs
     monkeypatch.setattr(ch, "GAP_N", 1000)
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
     monkeypatch.setattr(ch, "GAP_N", 2000)
@@ -809,7 +905,7 @@ def test_truncated_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, caps
     path = tmp_path / "cut.rlck"
     path.write_bytes(checkpoint_bytes[:cut])
     with pytest.raises(ValueError):
-        ch.load_checkpoint(path)
+        load_scan_checkpoint(path)
     rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
                   "--seed", "3", "--resume", str(path)])
     assert rc == 2
@@ -841,10 +937,35 @@ def test_garbled_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, where)
     path = tmp_path / "garbled.rlck"
     path.write_bytes(bytes(raw))
     with pytest.raises(ValueError):
-        ch.load_checkpoint(path)
+        load_scan_checkpoint(path)
     rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
                   "--seed", "3", "--resume", str(path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize("encoding", [dict(separators=(",", ":")), dict(sort_keys=True),
+                                      dict(indent=1)],
+                         ids=["compact", "sorted keys", "indented"])
+def test_re_encoded_header_exits_2(checkpoint_bytes, toy_file, tmp_path, capsys, encoding):
+    # the same JSON values in other bytes, under a valid digest: a resume
+    # takes only the header that this run would write
+    at = body_start(checkpoint_bytes)
+    header = checkpoint_bytes[len(ch.CHECKPOINT_MAGIC) + 8:at - 32]
+    re_encoded = json.dumps(json.loads(header), **encoding).encode()
+    assert re_encoded != header and json.loads(re_encoded) == json.loads(header)
+    path = tmp_path / "re-encoded.rlck"
+    path.write_bytes(framed(re_encoded, checkpoint_bytes[at:]))
+    with pytest.raises(ValueError):
+        load_scan_checkpoint(path)
+    argv = ["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"), "--seed", "3"]
+    assert ch.main(argv + ["--max-chunks", "2"]) == 3
+    before = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    capsys.readouterr()
+    assert ch.main(argv + ["--resume", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "is not a checkpoint of this run; refusing to resume" in err
+    assert "Traceback" not in err
+    assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == before
 
 
 @settings(max_examples=120, deadline=None, derandomize=True, database=None)
@@ -873,10 +994,7 @@ def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_pa
                                               capsys, case):
     # a well-formed file with a matching fingerprint, holding chunks that do
     # not fit the run
-    good = tmp_path / "good.rlck"
-    good.write_bytes(checkpoint_bytes)
-    ckpt = ch.load_checkpoint(good)
-    chunks = ckpt.chunks
+    _, fingerprint, chunks = read_checkpoint(checkpoint_bytes)
     nu = chunks[1][0]
     if case == "empty payload":  # a chunk with no column
         chunks[1] = ()
@@ -893,7 +1011,7 @@ def test_malformed_sieve_scan_payload_exits_2(checkpoint_bytes, toy_file, tmp_pa
     else:
         chunks[1] = (nu[:-1],)
     path = tmp_path / "bad.rlck"
-    ch.save_checkpoint(path, ch.Checkpoint("sieve-scan", ckpt.fingerprint, chunks))
+    path.write_bytes(tobytes_checkpoint("sieve-scan", fingerprint, chunks))
     rc = ch.main(["sieve-scan", "--params", toy_file, "--out", str(tmp_path / "out"),
                   "--seed", "3", "--resume", str(path)])
     assert rc == 2
@@ -907,8 +1025,9 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
     # a two-trial budget checkpoints trials 0 and 1; each case spoils them in
     # one way
     assert ch.main(["cramer-gaps", "--out", str(tmp_path), "--max-chunks", "2"]) == 3
-    good = tmp_path / ch.CHECKPOINT_NAME
-    trial = ch.load_checkpoint(good).chunks[1]
+    good = (tmp_path / ch.CHECKPOINT_NAME).read_bytes()
+    _, fingerprint, chunks = read_checkpoint(good)
+    trial = chunks[1]
     bits, = trial
     config = cramer_models.CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS)
     succ = cramer_models.trial_successes(config, bits)
@@ -927,14 +1046,13 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
         "a three-column trial": (s_k, gap, gap / (np.log(s_k) * np.log(s_k))),
     }
     for case, value in cases.items():
-        ckpt = ch.load_checkpoint(good)
-        chunks = ckpt.chunks
+        chunks = read_checkpoint(good)[2]
         if isinstance(value, list):
             chunks = value
         else:
             chunks[1] = value
         path = tmp_path / "bad.rlck"
-        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, chunks))
+        path.write_bytes(tobytes_checkpoint("cramer-gaps", fingerprint, chunks))
         rc = ch.main(["cramer-gaps", "--out", str(tmp_path / "out"), "--resume", str(path)])
         assert rc == 2, case
         err = capsys.readouterr().err
@@ -946,22 +1064,22 @@ def test_malformed_cramer_gaps_payload_exits_2(tmp_path, capsys):
 def test_parent_format_cramer_gaps_checkpoint_exits_2(tmp_path, capsys):
     # a checkpoint of an earlier layout under this run's fingerprint: each
     # trial's int64 successes, or before that its int64 S_k and gap columns.
-    # No run writes int64 columns, so the loader refuses the header, and no
-    # output file changes
+    # Its header is not the one this run writes, so the loader refuses it, and
+    # no output file changes
     out = tmp_path / "out"
     assert ch.main(["cramer-gaps", "--out", str(out), "--max-chunks", "3"]) == 3
-    ckpt = ch.load_checkpoint(out / ch.CHECKPOINT_NAME)
+    _, fingerprint, chunks = read_checkpoint((out / ch.CHECKPOINT_NAME).read_bytes())
     config = cramer_models.CramerConfig(rate="log", N=ch.GAP_N, trials=ch.GAP_TRIALS)
-    successes = [cramer_models.trial_successes(config, bits) for bits, in ckpt.chunks]
+    successes = [cramer_models.trial_successes(config, bits) for bits, in chunks]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     for earlier in ([(succ,) for succ in successes],
                     [(succ[:-1], np.diff(succ)) for succ in successes]):
         path = tmp_path / "earlier.rlck"
-        ch.save_checkpoint(path, ch.Checkpoint("cramer-gaps", ckpt.fingerprint, earlier))
+        path.write_bytes(tobytes_checkpoint("cramer-gaps", fingerprint, earlier))
         capsys.readouterr()
         assert ch.main(["cramer-gaps", "--out", str(out), "--resume", str(path)]) == 2
         err = capsys.readouterr().err
-        assert "malformed checkpoint header; refusing to resume" in err
+        assert "is not a checkpoint of this run; refusing to resume" in err
         assert "Traceback" not in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert read_strict_json(out / "gap_report.json")["partial"] is True
@@ -990,9 +1108,7 @@ class TouchOnLoad:
 
 def test_pickle_format_checkpoint_exits_2(checkpoint_bytes, toy_file, tmp_path, capsys):
     # the two chunks of the fixture's run, stored as that layout stored them
-    good = tmp_path / "good.rlck"
-    good.write_bytes(checkpoint_bytes)
-    nu_chunks = [nu for nu, in ch.load_checkpoint(good).chunks]
+    nu_chunks = [nu for nu, in read_checkpoint(checkpoint_bytes)[2]]
     path = tmp_path / "old.rlck"
     path.write_bytes(pickle_format_checkpoint(
         "sieve-scan", 3, TOY_PARAMS, 2, {"nu_chunks": nu_chunks + [None] * 30}))

@@ -144,7 +144,7 @@ def test_simulation_is_deterministic():
     b = simulate_gaps(cfg)
     assert a.max_ratios == b.max_ratios
     for t in range(10):
-        (bits_a,), (bits_b,) = trial_gaps(cfg, t), trial_gaps(cfg, t)
+        bits_a, bits_b = trial_gaps(cfg, t), trial_gaps(cfg, t)
         assert bits_a.dtype == bits_b.dtype == np.uint8
         assert np.array_equal(bits_a, bits_b)
         succ_a, succ_b = trial_successes(cfg, bits_a), trial_successes(cfg, bits_b)
@@ -156,7 +156,7 @@ def test_simulation_is_deterministic():
 
 def kept_successes(config) -> list[tuple[np.ndarray]]:
     """Each trial's kept successes (succ,), decoded from its bit string."""
-    return [(trial_successes(config, *trial_gaps(config, t)),) for t in range(config.trials)]
+    return [(trial_successes(config, trial_gaps(config, t)),) for t in range(config.trials)]
 
 
 def kept_columns(succ) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +226,7 @@ def test_bit_strings_decode_to_earlier_kernel_successes(residue, block, monkeypa
     config = CramerConfig(rate="log", N=1002 + residue, trials=20, seed=11)
     n_sites = config.N - 2
     for t, (want_s, want_gap, want_ratio) in enumerate(oracle_trials(config)):
-        bits, = trial_gaps(config, t)
+        bits = trial_gaps(config, t)
         assert bits.dtype == np.uint8 and bits.shape == (-(-n_sites // 8),)
         # the pad bits of the last byte are clear, so equal trials have equal bytes
         assert not np.unpackbits(bits)[n_sites:].any()
@@ -243,7 +243,7 @@ def test_bit_strings_decode_to_earlier_kernel_successes(residue, block, monkeypa
 def test_empty_trial_bit_string():
     config = CramerConfig(rate="custom", custom=((3.0, 1e9), (10**4, 1e9)),
                           N=10**4, trials=1, seed=2)
-    bits, = trial_gaps(config, 0)
+    bits = trial_gaps(config, 0)
     assert bits.shape == (1250,) and not bits.any()
     succ = trial_successes(config, bits)
     assert succ.dtype == np.int64 and len(succ) == 0
@@ -253,13 +253,13 @@ def test_empty_trial_bit_string():
 
 def test_warmup_at_the_last_success_keeps_it_alone():
     drawn = CramerConfig(rate="log", N=1003, trials=1, seed=5)
-    bits, = trial_gaps(drawn, 0)
+    bits = trial_gaps(drawn, 0)
     everything = np.flatnonzero(np.unpackbits(bits, count=1001)) + 3
     assert len(everything) > 1
     last = int(everything[-1])
     # the warmup does not enter the draw, so the same bits under either config
     config = CramerConfig(rate="log", N=1003, trials=1, seed=5, warmup=last)
-    assert np.array_equal(trial_gaps(config, 0)[0], bits)
+    assert np.array_equal(trial_gaps(config, 0), bits)
     succ = trial_successes(config, bits)
     assert succ.tolist() == [last]
     summary = trial_summary(config, succ)
