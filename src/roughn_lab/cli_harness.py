@@ -16,7 +16,6 @@ byte-identical output to an uninterrupted one.  Exit codes: 0 success, 2 invalid
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import math
@@ -56,6 +55,7 @@ def config_fingerprint(subcommand: str, seed: int, params_text: str) -> bytes:
     chunks: the package version, this module's size constants and the
     window budget, read at call time, so a checkpoint from other code is
     refused."""
+    import hashlib  # loads OpenSSL: only runs that hash pay for it
     h = hashlib.sha256()
     h.update(subcommand.encode())
     h.update(struct.pack("<q", seed))
@@ -82,6 +82,7 @@ def save_checkpoint(path, header: bytes, chunks: list[np.ndarray]) -> None:
     """Write magic, u64 header length, header, the sha256 of header and body,
     then the body: every chunk's raw bytes in order, hashed and written from
     the arrays' own buffers, so the body is never copied."""
+    import hashlib
     body = [memoryview(np.ascontiguousarray(chunk)).cast("B") for chunk in chunks]
     digest = hashlib.sha256(header)
     for block in body:
@@ -100,6 +101,7 @@ def load_checkpoint(path, header_at: Callable[[int], bytes], dtype,
     header_at(cursor) byte for byte.  No byte of the file is decoded, so none
     is run as code; a short, garbled or foreign file raises ValueError.
     """
+    import hashlib
     raw = Path(path).read_bytes()
     if not raw.startswith(CHECKPOINT_MAGIC):
         raise ValueError(f"{path} is not a checkpoint file")
@@ -230,17 +232,26 @@ def _cmd_sieve_scan(args: argparse.Namespace, params_text: str) -> int:
         return sieve_measure.weights_at(support[lo:hi], params.W, terms)
 
     def finalize(chunks):
-        nu = np.concatenate(chunks)
-        table = sieve_measure.WeightTable(params, spec, support, nu)
-        write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"],
-                  [[support, nu, np.cumsum(nu) / table.total]])
+        # refuses a zero total before any file is written
+        total = sieve_measure.total_mass(chunks)
+
+        def parts():  # one per chunk, its cumulative mass carried from the last
+            carry = -0.0
+            for (lo, hi), nu in zip(bounds, chunks):
+                cum = sieve_measure.carried_cumsum(nu, carry)
+                carry = cum[-1]
+                cum /= total
+                ns = support[lo:hi]
+                yield np.arange(ns.start, ns.stop, ns.step, dtype=np.int64), nu, cum
+
+        write_csv(out / "weights.csv", ["n", "nu(n)", "cumulative-mass"], parts())
         write_json(out / "sieve_summary.json", {
             "params": params.as_dict(),
             "W": params.W,
             "support_size": len(support),
-            "total_mass": table.total,
+            "total_mass": total,
             "theta": params.theta,
-            "empty_medium_shifts": list(table.empty_medium_shifts),
+            "empty_medium_shifts": list(sieve_measure.empty_medium_shifts(params)),
             "partial": False,
         })
 
@@ -260,11 +271,24 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
     params, spec, table = _table_setup(params_text)
     out = Path(args.out)
     draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
-    write_csv(out / "samples.csv", ["draw", "n"], [[np.arange(len(draws)), draws]])
+    probes = _sample_tuples(params)
+    hits = [0] * len(probes)
+    off_w = 0  # draws that W does not divide
+
+    def parts():  # a block of draws at a time, each block's hits counted as it goes
+        nonlocal off_w
+        for lo in range(0, len(draws), sieve_measure.DRAW_BLOCK):
+            block = draws[lo:lo + sieve_measure.DRAW_BLOCK]
+            for j, (d, k) in enumerate(probes):
+                hits[j] += sieve_measure.draw_hits(table, block, d, k)
+            off_w += int(np.count_nonzero(block % params.W))
+            yield np.arange(lo, lo + len(block)), block
+
+    write_csv(out / "samples.csv", ["draw", "n"], parts())
     rows = []
-    for d, k in _sample_tuples(params):
+    for (d, k), hit in zip(probes, hits):
         exact = sieve_measure.prob_divides(d, k, table)
-        freq = sieve_measure.draw_frequency(table, draws, d, k)
+        freq = hit / len(draws)
         sigma = math.sqrt(max(exact * (1.0 - exact), 1e-300) / len(draws))
         rows.append((d, k, exact, freq, sigma))
     write_csv(out / "probs.csv", ["d_star", "k_star", "exact_prob", "mc_estimate", "mc_sigma"],
@@ -272,7 +296,7 @@ def _cmd_sample(args: argparse.Namespace, params_text: str) -> int:
     write_json(out / "sample_summary.json", {
         "count": len(draws),
         "seed": args.seed,
-        "all_divisible_by_W": bool(np.all(draws % params.W == 0)),
+        "all_divisible_by_W": off_w == 0,
         "within_3_sigma": sum(1 for d, k, e, f, s in rows if abs(f - e) <= 3 * s),
         "tuples": len(rows),
     })
@@ -449,31 +473,40 @@ def _cmd_record_search(args: argparse.Namespace, params_text: str) -> int:
     def run_chunk(i):
         lo_i, hi_i = bounds[i]
         ns = support[lo_i:hi_i]
-        lo = int(ns[0]) + 2
-        hi = int(ns[-1]) + k_max
-        window = factor_window(lo, hi)
+        window = factor_window(ns[0] + 2, ns[-1] + k_max)
         return moments_concentration.max_log_ratio(window, ns, k_max)
 
     def finalize(chunks):
-        ratios = np.concatenate(chunks)
-        best_idx = int(np.argmin(ratios))
-        draws = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
-        drawn_idx = np.flatnonzero(np.bincount((draws - support[0]) // params.W))
-        samp_pos = drawn_idx[int(np.argmin(ratios[drawn_idx]))]
-        witness = int(support[samp_pos])
+        # the drawn support indices, ascending, repeats kept
+        drawn_idx = sieve_measure.sample(table, args.seed, SAMPLE_COUNT)
+        drawn_idx -= support[0]
+        drawn_idx //= params.W
+        drawn_idx.sort()
+        # (value, support index) of the first minimum over all points and over
+        # the drawn ones, taken chunk by chunk: an earlier chunk wins a tie
+        best = samp = (math.inf, -1)
+        for (lo, hi), ratios in zip(bounds, chunks):
+            i = int(np.argmin(ratios))
+            best = min(best, (ratios[i], lo + i))
+            a, b = np.searchsorted(drawn_idx, (lo, hi)).tolist()
+            if b > a:
+                at = ratios[drawn_idx[a:b] - lo]
+                i = int(np.argmin(at))
+                samp = min(samp, (at[i], int(drawn_idx[a + i])))
+        (best_value, best_idx), (samp_value, samp_pos) = best, samp
+        witness = support[samp_pos]
         omegas = factor_window(witness + 2, witness + k_max).big_omega.tolist()
         profile_rows = [(k, om, math.log(k), om / math.log(k))
                         for k, om in zip(range(2, k_max + 1), omegas)]
         write_csv(out / "omega_profile.csv", ["k", "Omega", "log_k", "ratio"],
                   [columns_of(profile_rows, 4)])
         write_json(out / "record_search.json", {
-            "exhaustive": {"witness": int(support[best_idx]),
-                           "value": float(ratios[best_idx])},
-            "sampled": {"witness": witness, "value": float(ratios[samp_pos])},
+            "exhaustive": {"witness": support[best_idx], "value": float(best_value)},
+            "sampled": {"witness": witness, "value": float(samp_value)},
             "sample_count": SAMPLE_COUNT,
-            "distinct_support_points_sampled": int(len(drawn_idx)),
-            "value_ratio_sampled_over_exhaustive":
-                float(ratios[samp_pos] / ratios[best_idx]),
+            "distinct_support_points_sampled":
+                1 + int(np.count_nonzero(drawn_idx[1:] != drawn_idx[:-1])),
+            "value_ratio_sampled_over_exhaustive": float(samp_value / best_value),
             "k_max": k_max,
             "seed": args.seed,
             "partial": False,

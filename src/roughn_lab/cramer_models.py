@@ -90,7 +90,8 @@ class CramerConfig:
             knots_n = np.array([p[0] for p in self.custom], dtype=np.float64)
             knots_f = np.array([p[1] for p in self.custom], dtype=np.float64)
             vals = np.interp(ns, knots_n, knots_f)
-        return vals * self.scale
+        vals *= self.scale  # vals is a new array on every branch
+        return vals
 
     @property
     def trial_bytes(self) -> int:
@@ -100,8 +101,10 @@ class CramerConfig:
     @cached_property
     def sites(self) -> np.ndarray:
         """1/f(n) for the sites n = 3..N, index n - 3: each site's chance of
-        a success, built once per config and shared, read-only, by its trials."""
-        inv = 1.0 / self.rate_values(np.arange(3, self.N + 1, dtype=np.int64))
+        a success, built once per config and shared, read-only, by its trials.
+        The rates are scaled and inverted in place: two arrays of sites at most."""
+        inv = self.rate_values(np.arange(3, self.N + 1, dtype=np.float64))
+        np.divide(1.0, inv, out=inv)
         inv.setflags(write=False)
         return inv
 

@@ -338,12 +338,13 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
 
 # --- the record-search ratio ---
 
-def max_log_ratio(window: WindowOmega, points: np.ndarray, k_max: int) -> np.ndarray:
-    """max over 2 <= k <= k_max of Omega(n+k)/log k at every point n, read
-    from a window that covers n + 2 .. n + k_max."""
+def max_log_ratio(window: WindowOmega, points: range, k_max: int) -> np.ndarray:
+    """max over 2 <= k <= k_max of Omega(n+k)/log k at every point n of the
+    progression points, read from a window that covers n + 2 .. n + k_max:
+    the Omega(n+k) are a strided slice of the window."""
     worst = np.zeros(len(points), dtype=np.float64)
     for k in range(2, k_max + 1):
-        om = window.big_omega[(points + k) - window.lo]
+        om = window.big_omega[points.start + k - window.lo::points.step][:len(points)]
         np.maximum(worst, om / math.log(k), out=worst)
     return worst
 

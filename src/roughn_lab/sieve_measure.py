@@ -8,6 +8,13 @@ is a product of primes in (w, R_k).
 The module builds weight tables, evaluates exact divisibility probabilities,
 samples from the measure, and checks the distributional axioms (A)-(D) at
 desk scale.
+
+The support is an arithmetic progression, held as a range; nu over it is the
+one support-sized array.  The total mass is one fsum over consecutive parts
+of nu, and the cumulative mass a cumsum carried from part to part, so a
+chunked scan and the inverse-CDF draw keep block-sized temporaries: the
+carried cumsum equals the whole array's np.cumsum bit for bit, because numpy
+accumulates left to right and fsum rounds once.
 """
 
 from __future__ import annotations
@@ -39,6 +46,8 @@ _INT_KEYS = ("x", "K", "w", "a", "k_max")
 
 EXACT_MODE_MAX_X = 10**4
 ETA_QUANT_BITS = 40
+DRAW_BLOCK = 1 << 13  # uniforms per generator call in sample
+WALK_BLOCK = 1 << 13  # support points per step of sample's walk over nu
 _FLOAT_MAX_QUARTIC_ROOT = math.sqrt(math.sqrt(sys.float_info.max))
 
 
@@ -230,32 +239,54 @@ def nu_exact(n: int, params: SieveParams, spec: BumpSpec) -> float:
     return value
 
 
+def total_mass(parts) -> float:
+    """The fsum of nu over its consecutive parts, float64 arrays: one
+    correctly rounded sum whatever the split, refused when zero.  Each part
+    is read as native doubles, so an unaligned view of checkpoint bytes sums
+    as its aligned copy would; only a strided part is copied."""
+    total = math.fsum(itertools.chain.from_iterable(
+        memoryview(np.ascontiguousarray(part)).cast("B").cast("d") for part in parts))
+    if total <= 0:
+        raise ValueError("weight table total mass is zero")
+    return total
+
+
+def carried_cumsum(part: np.ndarray, carry: float) -> np.ndarray:
+    """np.cumsum of an array over one of its consecutive parts, given carry,
+    its value just before the part (-0.0 before the first part, which adds
+    nothing to any float).  numpy accumulates left to right, so this is the
+    whole array's cumsum there bit for bit."""
+    cum = np.empty(len(part) + 1, dtype=np.float64)
+    cum[0] = carry
+    cum[1:] = part
+    return np.cumsum(cum, out=cum)[1:]
+
+
+def empty_medium_shifts(params: SieveParams) -> tuple[int, ...]:
+    """The sieved shifts whose medium range (w, R_k] holds no prime."""
+    return tuple(k for k in range(1, params.K + 1) if not params.medium_primes(k))
+
+
 @dataclass(frozen=True, eq=False)
 class WeightTable:
-    """Immutable weight table over the support {n in [x,2x] : W | n}, built
-    from nu there; the total mass (refused when zero) and the shifts with an
-    empty medium range are derived at construction."""
+    """Immutable weight table over the support {n in [x,2x] : W | n}, a
+    range, built from nu there; the total mass (refused when zero) is
+    derived at construction."""
 
     params: SieveParams
     spec: BumpSpec
-    support: np.ndarray
+    support: range
     nu: np.ndarray
     total: float = field(init=False)
-    empty_medium_shifts: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        total = math.fsum(memoryview(self.nu))
-        if total <= 0:
-            raise ValueError("weight table total mass is zero")
-        object.__setattr__(self, "total", total)
-        object.__setattr__(self, "empty_medium_shifts", tuple(
-            k for k in range(1, self.params.K + 1) if not self.params.medium_primes(k)))
+        object.__setattr__(self, "total", total_mass([self.nu]))
 
     def nu_of(self, n: int) -> float:
         p = self.params
         if not (p.x <= n <= 2 * p.x) or n % p.W:
             return 0.0
-        idx = (n - int(self.support[0])) // p.W
+        idx = (n - self.support[0]) // p.W
         if not 0 <= idx < len(self.support):
             return 0.0
         return float(self.nu[idx])
@@ -279,9 +310,9 @@ def _hits(n0: int, step: int, k: int, m: int) -> slice:
     return slice(-(r // g) * pow(step // g, -1, mg) % mg, None, mg)
 
 
-def weight_support(params: SieveParams) -> np.ndarray:
+def weight_support(params: SieveParams) -> range:
     """The support {n in [x, 2x] : W | n}, ascending, of at most
-    TABLE_LIMIT_MAX points."""
+    TABLE_LIMIT_MAX points: range(n0, 2x + 1, W)."""
     x, W = params.x, params.W
     n0 = x + (-x) % W
     if n0 > 2 * x:
@@ -290,7 +321,7 @@ def weight_support(params: SieveParams) -> np.ndarray:
         )
     if (2 * x - n0) // W + 1 > TABLE_LIMIT_MAX:
         raise ValueError(f"weight support above memory budget ({TABLE_LIMIT_MAX} points)")
-    return np.arange(n0, 2 * x + 1, W, dtype=np.int64)
+    return range(n0, 2 * x + 1, W)
 
 
 def shift_terms(params: SieveParams, spec: BumpSpec) -> dict:
@@ -298,18 +329,20 @@ def shift_terms(params: SieveParams, spec: BumpSpec) -> dict:
     return {k: _admissible_divisors(params, spec, k) for k in range(1, params.K + 1)}
 
 
-def weights_at(points: np.ndarray, step: int, terms: dict) -> np.ndarray:
+def weights_at(points: range, step: int, terms: dict) -> np.ndarray:
     """nu at the given support points (any slice of the support, whose
     consecutive points lie step = W apart), from the shift_terms of the
-    measure."""
-    nu = np.ones(len(points), dtype=np.float64)
+    measure.  The first shift's squared sum becomes nu in place, since
+    1 * s^2 is s^2 exactly, so one shift takes one array of the points."""
     if not len(points):
-        return nu
+        return np.ones(0, dtype=np.float64)
+    nu = None
     for k, k_terms in terms.items():
         inner = np.ones(len(points), dtype=np.float64)
         for d, coef in k_terms:
             inner[_hits(points[0], step, k, d)] += coef
-        nu *= np.multiply(inner, inner, out=inner)
+        inner *= inner
+        nu = inner if nu is None else np.multiply(nu, inner, out=nu)
     return nu
 
 
@@ -332,7 +365,7 @@ def exact_weights(table: WeightTable) -> tuple[dict, Fraction]:
     quant = [[(d, Fraction(round(coef * scale), scale)) for d, coef in k_terms]
              for k_terms in shift_terms(params, table.spec).values()]
     exact_map = {}
-    for n in table.support.tolist():
+    for n in table.support:
         val = Fraction(1)
         for k, k_quant in enumerate(quant, start=1):
             inner = Fraction(1)
@@ -371,29 +404,74 @@ def range_sum(table: WeightTable, k: int, moduli, centered: bool) -> np.ndarray:
     return acc
 
 
-def draw_frequency(table: WeightTable, draws: np.ndarray, d_star: int, k_star: int) -> float:
-    """Share of the draws (support points) n with d_star | n + k_star."""
-    counts = np.bincount((draws - table.support[0]) // table.params.W,
-                         minlength=len(table.support))
+def draw_hits(table: WeightTable, draws: np.ndarray, d_star: int, k_star: int) -> int:
+    """How many of the draws (support points) n have d_star | n + k_star:
+    those whose support index lies in _hits' residue class."""
     ix = _hits(table.support[0], table.params.W, k_star, d_star)
-    return int(counts[ix].sum()) / len(draws)
+    if ix.step is None:  # the empty slice: no point qualifies
+        return 0
+    idx = draws - table.support[0]
+    idx //= table.params.W
+    idx %= ix.step
+    return int(np.count_nonzero(idx == ix.start))
+
+
+def walk_ends(nu: np.ndarray) -> np.ndarray:
+    """np.cumsum(nu) at the last point of each WALK_BLOCK-point block,
+    carried from block to block."""
+    ends = np.empty(-(-len(nu) // WALK_BLOCK), dtype=np.float64)
+    carry = -0.0
+    for j in range(len(ends)):
+        carry = ends[j] = carried_cumsum(nu[j * WALK_BLOCK:(j + 1) * WALK_BLOCK], carry)[-1]
+    return ends
+
+
+def inverse_cdf(nu: np.ndarray, ends: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """min(np.searchsorted(np.cumsum(nu), u, side="right"), len(nu) - 1),
+    walking nu a block at a time, where ends = walk_ends(nu).
+
+    np.cumsum(nu) does not decrease, so a u in [ends[j - 1], ends[j]) lies
+    at or past every point of the blocks before j and before block j's last
+    point: its index is found in block j's carried cumsum alone, from
+    ends[j - 1].  A u at or past ends[-1] is clamped to the last point.  The
+    u are sorted first, so each block's share of them is one run.
+    """
+    order = np.argsort(u)
+    u = u[order]
+    idx = np.full(len(u), len(nu) - 1, dtype=np.int64)
+    start = 0
+    for j, stop in enumerate(np.searchsorted(u, ends, side="left").tolist()):
+        if stop > start:
+            lo = j * WALK_BLOCK
+            cum = carried_cumsum(nu[lo:lo + WALK_BLOCK], ends[j - 1] if j else -0.0)
+            idx[order[start:stop]] = np.searchsorted(cum, u[start:stop], side="right") + lo
+        start = stop
+    return idx
 
 
 def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
     """Deterministic weighted draws from the table (inverse-CDF on one stream).
 
     Each call draws from one fresh PCG64(seed) stream, so the same seed gives
-    the same draws.
+    the same draws.  The uniforms come DRAW_BLOCK at a time, the same stream
+    in the same order as one call for every draw, scaled by np.cumsum(nu)'s
+    last value and placed by inverse_cdf; no cumsum of the whole support is
+    held.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
     if len(table.support) == 0:
         raise ValueError("cannot sample from an empty table")
-    cum = np.cumsum(table.nu)
+    ends = walk_ends(table.nu)
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = rng.random(count) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
-    return table.support[idx]
+    draws = np.empty(count, dtype=np.int64)
+    for lo in range(0, count, DRAW_BLOCK):
+        u = rng.random(min(DRAW_BLOCK, count - lo))
+        u *= ends[-1]
+        draws[lo:lo + len(u)] = inverse_cdf(table.nu, ends, u)
+    draws *= table.support.step
+    draws += table.support.start
+    return draws
 
 
 def tiny_prime_rigidity(table: WeightTable, k_hi: Optional[int] = None) -> float:
@@ -435,10 +513,12 @@ def axiom_check(
     """
     params = table.params
     if which == "A":
-        ok = bool(np.all(table.support % params.W == 0)) and bool(
-            np.all(table.support >= params.x) and np.all(table.support <= 2 * params.x)
-        )
-        return AxiomReport("A", ok, {"support_size": len(table.support)})
+        # the support is the progression of the multiples of W in [x, 2x]:
+        # its first point, last point and step, each exactly
+        sup, x, W = table.support, params.x, params.W
+        ok = (len(sup) > 0 and sup.step == W and sup[0] == x + (-x) % W
+              and sup[-1] == 2 * x - 2 * x % W)
+        return AxiomReport("A", ok, {"support_size": len(sup)})
 
     if which == "B":
         if s < 0:

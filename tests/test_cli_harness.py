@@ -257,6 +257,48 @@ def test_cramer_gaps_resume_holds_trials_as_bit_strings(tmp_path):
     assert peak <= ch.GAP_TRIALS * bits + 8 * ch.GAP_N + 1_500_000
 
 
+@pytest.mark.parametrize("subcommand", ["sample", "sieve-scan"])
+def test_measure_steps_hold_nu_alone(subcommand, tmp_path):
+    # the support is a range and every other temporary is block-, chunk- or
+    # draw-sized: from x to 4x the whole step's traced peak grows by at most
+    # nu's 8 bytes per added support point, +10%.  At both x sieve-scan's 32
+    # chunks pass one CSV block (8192 rows), where write_csv's buffers stop
+    # growing.  The support, cumsum and index arrays of the earlier layout
+    # grew by 23 (sample) and 32 (sieve-scan) bytes a point here.
+    sizes, peaks = [], []
+    for x in (1_600_000, 6_400_000):
+        params = tmp_path / f"{x}.params"
+        params.write_text(f"x = {x}\nK = 1\nw = 3\nc = 0.3\ngamma = 1\n")
+        sizes.append(len(sieve_measure.weight_support(
+            sieve_measure.parse_params(params.read_text()))))
+        argv = [subcommand, "--params", str(params), "--out", str(tmp_path / str(x))]
+        if subcommand == "sieve-scan":
+            argv += ["--checkpoint-secs", "0"]
+        rc, peak = traced_peak(ch.main, argv)
+        assert rc == 0
+        peaks.append(peak)
+    assert sizes[0] > 32 * 8192
+    assert peaks[1] - peaks[0] <= 1.1 * 8 * (sizes[1] - sizes[0])
+
+
+def test_runs_that_hash_nothing_load_no_openssl(tmp_path):
+    # hashlib's OpenSSL module adds about 3.5 MB to a process; only the
+    # checkpoint functions import hashlib, so importing the package and
+    # running c0 leave it unloaded
+    src = str(Path(roughn_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys\n"
+            "from roughn_lab import cli_harness\n"
+            "print('_hashlib' in sys.modules)\n"
+            "assert cli_harness.main(['c0', '--out', sys.argv[1]]) == 0\n"
+            "print('_hashlib' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "False"]
+
+
 def test_write_json_refuses_nan_before_writing(tmp_path):
     path = tmp_path / "report.json"
     with pytest.raises(ValueError):

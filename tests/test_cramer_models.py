@@ -269,6 +269,30 @@ def test_warmup_at_the_last_success_keeps_it_alone():
     assert simulate_gaps(config).empty_trials == (0,)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(),
+    dict(rate="semiprime", j=2),
+    dict(scale=1.5),
+    dict(rate="custom", custom=((3.0, 1.5), (10**3, 8.0), (10**5, 12.0))),
+], ids=["log", "semiprime-j2", "scale-1.5", "custom"])
+def test_sites_are_the_inverted_rates(kwargs):
+    config = CramerConfig(**{"rate": "log", "N": 10**4, **kwargs})
+    want = 1.0 / config.rate_values(np.arange(3, config.N + 1, dtype=np.int64))
+    assert config.sites.tobytes() == want.tobytes()
+    assert not config.sites.flags.writeable
+
+
+def test_sites_take_two_arrays_of_sites():
+    # a float64 arange and the rates taken from it, scaled and inverted in
+    # place; the Python objects of the two arrays come on top.  An int64
+    # arange, its float64 copy and an out-of-place scale and inversion
+    # peaked at three arrays (2.40 MB here).
+    config = CramerConfig(rate="log", N=10**5)
+    sites, peak = traced_peak(lambda: config.sites)
+    assert len(sites) == config.N - 2
+    assert peak <= 2 * sites.nbytes + 1024
+
+
 def test_doubling_rate_roughly_doubles_mean_gap():
     base = simulate_gaps(CramerConfig(rate="log", N=10**5, trials=100, seed=0))
     doubled = simulate_gaps(CramerConfig(rate="log", scale=2.0, N=10**5,

@@ -377,7 +377,7 @@ def test_max_log_ratio_witness_matches_brute_scan(toy_table):
     window = factor_window(lo, int(support[-1]) + k_max)
     ratios = max_log_ratio(window, support, k_max)
     best_n, best_val = None, math.inf
-    for n in support.tolist():
+    for n in support:
         val = max(trial_big_omega(n + k) / math.log(k) for k in range(2, k_max + 1))
         if val < best_val:
             best_n, best_val = n, val

@@ -251,7 +251,7 @@ def default_gap_ratio_columns():
 def measure_weight_columns():
     """weights.csv's columns at the benchmark's measure bundle."""
     _, _, table = ch._table_setup(MEASURE_BUNDLE)
-    return [table.support, table.nu, np.cumsum(table.nu) / table.total]
+    return [np.array(table.support), table.nu, np.cumsum(table.nu) / table.total]
 
 
 @pytest.mark.parametrize("header, make_columns", [

@@ -9,7 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from memory_helpers import traced_peak
+from test_acceptance import RECORD_PARAMS_TEXT
 
+from roughn_lab import sieve_measure
 from roughn_lab.bump_functions import eta_tilde, make_bump
 from roughn_lab.sieve_measure import (
     SieveParams,
@@ -17,13 +19,18 @@ from roughn_lab.sieve_measure import (
     _hits,
     axiom_check,
     build_weight_table,
+    carried_cumsum,
+    empty_medium_shifts,
     exact_weights,
+    inverse_cdf,
     nu_exact,
     parse_params,
     prob_divides,
     sample,
     shift_terms,
     tiny_prime_rigidity,
+    total_mass,
+    walk_ends,
     weights_at,
 )
 
@@ -93,7 +100,7 @@ def test_single_shift_coprime_weight_is_one(spec):
                          T_exponent=0.5, A=2.0, k_max=10)
     assert params.R(1) == pytest.approx(10.0)
     table = build_weight_table(params, spec)
-    n = next(n for n in table.support.tolist()
+    n = next(n for n in table.support
              if all((n + 1) % q for q in (3, 5, 7)))
     assert table.nu_of(n) == 1.0
 
@@ -102,7 +109,7 @@ def test_single_shift_single_prime_factor(spec):
     params = SieveParams(x=10**4, K=1, w=2, a=1, c=0.25, gamma=1.0,
                          T_exponent=0.5, A=2.0, k_max=10)
     table = build_weight_table(params, spec)
-    n = next(n for n in table.support.tolist()
+    n = next(n for n in table.support
              if (n + 1) % 3 == 0 and (n + 1) % 5 and (n + 1) % 7
              and (n + 1) % 9)
     want = (1.0 - float(eta_tilde(math.log(3) / math.log(10), spec))) ** 2
@@ -111,7 +118,7 @@ def test_single_shift_single_prime_factor(spec):
 
 def test_support_is_multiples_of_w_primorial(toy_table):
     assert toy_table.params.W == 6
-    assert set((toy_table.support % 6).tolist()) == {0}
+    assert {n % 6 for n in toy_table.support} == {0}
     assert toy_table.support[0] >= toy_table.params.x
     assert toy_table.support[-1] <= 2 * toy_table.params.x
 
@@ -120,7 +127,7 @@ def test_degenerate_schedule_gives_uniform_measure(spec):
     params = SieveParams(x=10**4, K=2, w=5, a=1, c=1e-9, gamma=1.0,
                          T_exponent=0.5, A=2.0, k_max=10)
     table = build_weight_table(params, spec)
-    assert table.empty_medium_shifts == (1, 2)
+    assert empty_medium_shifts(table.params) == (1, 2)
     assert bool((table.nu == 1.0).all())
     assert table.total == float(len(table.support))
 
@@ -129,7 +136,7 @@ def test_degenerate_schedule_gives_uniform_measure(spec):
 
 def test_pruned_vs_unpruned_on_random_support_points(toy_table, toy_params, spec):
     rng = random.Random(17)
-    pts = rng.sample(toy_table.support.tolist(), 100)
+    pts = rng.sample(toy_table.support, 100)
     for n in pts:
         pruned = nu_exact(n, toy_params, spec)
         unpruned = nu_unpruned_oracle(n, toy_params, spec)
@@ -161,7 +168,7 @@ def test_weight_kernel_on_support_slices(kernel_tables, data):
     got = weights_at(table.support[lo:hi], table.params.W,
                      shift_terms(table.params, table.spec))
     assert got.tobytes() == table.nu[lo:hi].tobytes()
-    for n, v in zip(table.support[lo:hi].tolist(), got.tolist()):
+    for n, v in zip(table.support[lo:hi], got.tolist()):
         ref = nu_exact(n, table.params, table.spec)
         assert abs(v - ref) <= 1e-12 * abs(ref)
 
@@ -244,7 +251,7 @@ def test_tiny_prime_rigidity_is_exact(toy_table):
 
 def test_prob_divides_against_hand_count(toy_table):
     d, k = 11, 1
-    mask = (toy_table.support + k) % d == 0
+    mask = (np.array(toy_table.support) + k) % d == 0
     want = math.fsum(toy_table.nu[mask].tolist()) / toy_table.total
     assert prob_divides(d, k, toy_table) == want
 
@@ -259,7 +266,7 @@ def test_exact_sums_make_no_per_point_objects(spec):
     assert again.total == math.fsum(table.nu.tolist()) and peak < n
     for d, k in ((2, 2), (5, 1), (11, 3)):
         got, peak = traced_peak(prob_divides, d, k, table)
-        want = math.fsum(table.nu[(table.support + k) % d == 0].tolist()) / table.total
+        want = math.fsum(table.nu[(np.array(table.support) + k) % d == 0].tolist()) / table.total
         assert got == want and peak < n, (d, k)
 
 
@@ -288,6 +295,90 @@ def test_sampling_is_deterministic_and_in_support(toy_table):
     assert (a == b).all()
     assert np.isin(a, toy_table.support).all()
     assert (sample(toy_table, seed=8, count=4096) != a).any()
+
+
+def sample_oracle(table, seed, count):
+    """The one-shot inverse-CDF draw: one generator call for every uniform,
+    scaled by the last value of one cumsum of the whole support."""
+    cum = np.cumsum(table.nu)
+    u = np.random.Generator(np.random.PCG64(seed)).random(count) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, u, side="right"), len(cum) - 1)
+    return np.array(table.support)[idx]
+
+
+@pytest.fixture(scope="module")
+def sample_tables(toy_table, spec):
+    # the toy and RECORD bundles, and the toy weights with runs of zero weight
+    # at both ends and inside, each longer than any walk block the test sets
+    nu = toy_table.nu.copy()
+    nu[:40] = nu[100:300] = nu[-50:] = 0.0
+    return {"toy": toy_table,
+            "record": build_weight_table(parse_params(RECORD_PARAMS_TEXT), spec),
+            "zero-runs": WeightTable(toy_table.params, spec, toy_table.support, nu)}
+
+
+@pytest.mark.parametrize("walk_block", [8, 24])
+@pytest.mark.parametrize("draw_block", [8, 24])
+@pytest.mark.parametrize("which", ["toy", "record", "zero-runs"])
+def test_sample_matches_one_shot_inverse_cdf(which, draw_block, walk_block, sample_tables,
+                                             monkeypatch):
+    # blocks of 8 and 24 make every draw cross many draw and walk blocks; the
+    # goldens' supports fit in one walk block of the default size
+    monkeypatch.setattr(sieve_measure, "DRAW_BLOCK", draw_block)
+    monkeypatch.setattr(sieve_measure, "WALK_BLOCK", walk_block)
+    table = sample_tables[which]
+    for seed, count in ((0, 1000), (5, 999), (2805, 7), (1, 1)):
+        got = sample(table, seed, count)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, sample_oracle(table, seed, count)), (seed, count)
+
+
+@pytest.mark.parametrize("walk_block", [8, 24])
+def test_inverse_cdf_at_block_ends(walk_block, toy_table, monkeypatch):
+    # a u equal to a cumulative value goes right of it (side="right"), also
+    # where that value ends a walk block or a run of zero weight; a u at the
+    # total is clamped to the last point
+    monkeypatch.setattr(sieve_measure, "WALK_BLOCK", walk_block)
+    runs = np.array([0.0] * 8 + [1.0] * 8 + [0.0] * 8 + [1.0] * 4 + [0.0] * 3)
+    for nu in (np.ones(20), runs, toy_table.nu):
+        cum = np.cumsum(nu)
+        ends = walk_ends(nu)
+        assert ends.tobytes() == cum[walk_block - 1::walk_block].tobytes() + (
+            cum[-1:].tobytes() if len(nu) % walk_block else b"")
+        u = np.concatenate([ends, cum[::3], [0.0, np.nextafter(cum[-1], 0.0)]])
+        want = np.minimum(np.searchsorted(cum, u, side="right"), len(nu) - 1)
+        assert np.array_equal(inverse_cdf(nu, ends, u), want)
+
+
+def decades(n, seed):
+    """n positive floats spread over 16 decades."""
+    return 10.0 ** np.random.default_rng(seed).uniform(-8.0, 8.0, n)
+
+
+@pytest.mark.parametrize("n, size", [(10**5, 1), (3 * 10**6, 7), (3 * 10**6, 8192),
+                                     (3 * 10**6, 250_007)])
+def test_carried_cumsum_and_chained_fsum_equal_one_call(n, size):
+    # numpy's add.accumulate adds left to right on this build: if one ever sums
+    # in another order, the carried cumsum (weights.csv, sample) fails here
+    values = decades(n, size)
+    cum = np.empty(n)
+    carry = -0.0
+    for lo in range(0, n, size):
+        cum[lo:lo + size] = part = carried_cumsum(values[lo:lo + size], carry)
+        carry = part[-1]
+    assert np.array_equal(cum.view(np.int64), np.cumsum(values).view(np.int64))
+    # fsum rounds once, so chained parts give the one call's float; the parts
+    # of a resumed checkpoint are unaligned "<f8" views of its body
+    whole = math.fsum(memoryview(values))
+    body = b"\0" + values.tobytes()
+    assert total_mass(values[lo:lo + size] for lo in range(0, n, size)) == whole
+    assert total_mass(np.frombuffer(body, "<f8", len(values[lo:lo + size]), 1 + 8 * lo)
+                      for lo in range(0, n, size)) == whole
+
+
+def test_total_mass_refuses_zero():
+    with pytest.raises(ValueError, match="total mass is zero"):
+        total_mass([np.zeros(3), np.zeros(0)])
 
 
 # --- parameter files ---
@@ -333,6 +424,13 @@ def test_default_parameter_bundle_is_feasible():
 def test_axiom_a_exact_on_support(toy_table):
     report = axiom_check("A", toy_table)
     assert report.passed and report.detail["support_size"] == len(toy_table.support)
+
+
+def test_axiom_a_checks_first_point_last_point_and_step(toy_table, spec):
+    sup, nu = toy_table.support, toy_table.nu
+    for part, weights in ((sup[1:], nu[1:]), (sup[:-1], nu[:-1]), (sup[::2], nu[::2])):
+        report = axiom_check("A", WeightTable(toy_table.params, spec, part, weights))
+        assert not report.passed and report.detail["support_size"] == len(part)
 
 
 def test_axiom_b_empty_tuple_ratio_is_one(toy_table):
