@@ -165,20 +165,21 @@ def _eta_hat_from_samples(ts, u_grid, eta_samples, h):
 
     eta is even and u_grid symmetric about its middle point, so the u < 0
     half is folded onto u > 0 and the cosines are taken over u >= 0 only.
-    The cosines of 32 t values at a time fill one reused block buffer; each
-    row's sum does not depend on the block it sits in.
+    The cosines of 8 t values at a time fill one reused block buffer (128 KiB
+    on make_bump's default grid); each row's sum does not depend on the block
+    it sits in.
     """
     wu = simpson_weights(len(u_grid), h) * eta_samples
     mid = len(u_grid) // 2
     folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
     u_pos = u_grid[mid:]
     out = np.empty(len(ts))
-    buf = np.empty((min(len(ts), 32), len(u_pos)))
-    for a in range(0, len(ts), 32):
+    buf = np.empty((min(len(ts), 8), len(u_pos)))
+    for a in range(0, len(ts), 8):
         block = buf[: len(ts) - a]
-        np.multiply.outer(ts[a : a + 32], u_pos, out=block)
+        np.multiply.outer(ts[a : a + 8], u_pos, out=block)
         np.cos(block, out=block)
-        out[a : a + 32] = np.einsum("ij,j->i", block, folded)
+        out[a : a + 8] = np.einsum("ij,j->i", block, folded)
     out /= 2.0 * np.pi
     return out
 
@@ -222,20 +223,29 @@ def eta_hat(t, spec: BumpSpec):
 
 
 def _symmetric_t_grid(spec: BumpSpec, extend_to: float = 0.0):
-    """Symmetric t grid with eta_hat values, optionally extended past t_max."""
+    """Symmetric t grid with eta_hat values, optionally extended past t_max.
+
+    The t >= 0 half, the cached grid then any extension, is written into the
+    upper half of each returned array and mirrored into its lower half, so
+    no piece is concatenated."""
     ht = spec.t_grid[1] - spec.t_grid[0]
-    pos_t = spec.t_grid
-    pos_h = spec.eta_hat_grid
+    n_extra = 0
     if extend_to > spec.t_max:
         n_extra = int(np.ceil((extend_to - spec.t_max) / ht))
         if n_extra % 2:
             n_extra += 1  # keep the total point count odd
-        extra_t = spec.t_max + ht * np.arange(1, n_extra + 1)
-        extra_h = _eta_hat_from_samples(extra_t, spec.u_grid, spec.eta, spec.h)
-        pos_t = np.concatenate([pos_t, extra_t])
-        pos_h = np.concatenate([pos_h, extra_h])
-    ts = np.concatenate([-pos_t[::-1][:-1], pos_t])
-    hs = np.concatenate([pos_h[::-1][:-1], pos_h])
+    m = spec.t_points + n_extra
+    ts, hs = np.empty(2 * m - 1), np.empty(2 * m - 1)
+    pos_t, pos_h = ts[m - 1 :], hs[m - 1 :]
+    pos_t[: spec.t_points] = spec.t_grid
+    pos_h[: spec.t_points] = spec.eta_hat_grid
+    if n_extra:
+        extra_t = pos_t[spec.t_points :]  # t_max + ht * (1, ..., n_extra)
+        np.multiply(ht, np.arange(1, n_extra + 1), out=extra_t)
+        np.add(spec.t_max, extra_t, out=extra_t)
+        pos_h[spec.t_points :] = _eta_hat_from_samples(extra_t, spec.u_grid, spec.eta, spec.h)
+    np.negative(pos_t[:0:-1], out=ts[: m - 1])
+    hs[: m - 1] = pos_h[:0:-1]
     return ts, hs, ht
 
 
@@ -280,13 +290,27 @@ def _freq_route(ts, hs, ht) -> float:
     2 * sum_{i,j} (1+t_i^2) wh_i wh_j g(t_i + t_j) with g(s) = 1/(4+s^2).
     On the uniform t grid t_i + t_j = 2*t_0 + (i+j)*ht depends on i+j only:
     the sum is 2 * sum_k g(s_k) c_k with c = conv((1+t^2) wh, wh).
+
+    The padded products and g are computed in place, with the ufuncs of
+    the expressions in the comments, in their order.
     """
     n = len(ts)
-    wh = simpson_weights(n, ht) * hs
-    pad = np.zeros(n - 1)
-    c = correlate_fixed(np.concatenate([pad, (1.0 + ts * ts) * wh, pad]), wh[::-1], 2 * n - 1)
-    s = 2.0 * ts[0] + ht * np.arange(2 * n - 1)
-    return 2.0 * float(np.einsum("i,i->", 1.0 / (4.0 + s * s), c))
+    wh = simpson_weights(n, ht)
+    wh *= hs
+    padded = np.zeros(3 * n - 2)  # n - 1 zeros, (1.0 + ts * ts) * wh, n - 1 zeros
+    inner = padded[n - 1 : 2 * n - 1]
+    np.multiply(ts, ts, out=inner)
+    np.add(1.0, inner, out=inner)
+    inner *= wh
+    c = correlate_fixed(padded, wh[::-1], 2 * n - 1)
+    del padded, inner, wh
+    g = np.arange(2 * n - 1, dtype=float)  # s = 2.0 * ts[0] + ht * arange; 1.0 / (4.0 + s * s)
+    np.multiply(ht, g, out=g)
+    np.add(2.0 * ts[0], g, out=g)
+    np.multiply(g, g, out=g)
+    np.add(4.0, g, out=g)
+    np.divide(1.0, g, out=g)
+    return 2.0 * float(np.einsum("i,i->", g, c))
 
 
 def c0_compute(spec: BumpSpec) -> C0Result:

@@ -137,9 +137,8 @@ def _run_chunked(
     configuration, so any interleaving of interrupts and resumes collects the
     same results and finalize writes the same bytes.
     """
-    fingerprint = config_fingerprint(args.subcommand, args.seed, params_text)
-
-    def header_at(cursor):
+    def header_at(cursor):  # hashed only when a checkpoint is saved or loaded
+        fingerprint = config_fingerprint(args.subcommand, args.seed, params_text)
         return checkpoint_header(args.subcommand, fingerprint,
                                  [(dtype, n) for n in lengths[:cursor]])
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -195,6 +194,7 @@ def _partition_shapes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _poly_mul(a: list, b: list, cap: int) -> list:
+    from fractions import Fraction  # with _decimal, 0.3 MB that only the exact routes need
     out = [Fraction(0)] * min(cap + 1, len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai == 0:
@@ -219,6 +219,7 @@ def partition_sum_G(s3: int, R: float) -> float:
         raise ValueError("partition enumeration is capped at s3 <= 10")
     if not (R > 2 and math.isfinite(R)):
         raise ValueError("R must be finite and exceed 2")
+    from fractions import Fraction
     R_frac = Fraction(R)
     # the factor of a block of size b, 2^(2b+1) / R^(2b-1), built once per size
     factor = [None] + [Fraction(2 ** (2 * b + 1)) / R_frac ** (2 * b - 1)

@@ -23,7 +23,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -361,6 +360,7 @@ def exact_weights(table: WeightTable) -> tuple[dict, Fraction]:
         raise ValueError(
             f"exact-rational mode only supports windows with x <= {EXACT_MODE_MAX_X}"
         )
+    from fractions import Fraction  # loads _decimal: only this exact route pays for it
     scale = 1 << ETA_QUANT_BITS
     quant = [[(d, Fraction(round(coef * scale), scale)) for d, coef in k_terms]
              for k_terms in shift_terms(params, table.spec).values()]

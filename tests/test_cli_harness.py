@@ -281,22 +281,41 @@ def test_measure_steps_hold_nu_alone(subcommand, tmp_path):
     assert peaks[1] - peaks[0] <= 1.1 * 8 * (sizes[1] - sizes[0])
 
 
-def test_runs_that_hash_nothing_load_no_openssl(tmp_path):
+def test_runs_that_hash_nothing_load_no_openssl(toy_file, tmp_path):
     # hashlib's OpenSSL module adds about 3.5 MB to a process; only the
-    # checkpoint functions import hashlib, so importing the package and
-    # running c0 leave it unloaded
+    # checkpoint functions import hashlib, and a chunked run hashes its
+    # configuration only to save or load a checkpoint, so importing the
+    # package, running c0 and a sieve-scan that never saves leave it
+    # unloaded.  fractions (and with it _decimal, 0.3 MB) is imported only by
+    # the exact-rational routes, which none of these reaches.
     src = str(Path(roughn_lab.__file__).resolve().parents[1])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     code = ("import sys\n"
             "from roughn_lab import cli_harness\n"
-            "print('_hashlib' in sys.modules)\n"
-            "assert cli_harness.main(['c0', '--out', sys.argv[1]]) == 0\n"
-            "print('_hashlib' in sys.modules)\n")
-    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+            "def loaded(): print('_hashlib' in sys.modules, 'fractions' in sys.modules)\n"
+            "loaded()\n"
+            "assert cli_harness.main(['c0', '--out', sys.argv[1] + '/c0']) == 0\n"
+            "loaded()\n"
+            "assert cli_harness.main(['sieve-scan', '--params', sys.argv[2], '--out',\n"
+            "                         sys.argv[1] + '/scan', '--checkpoint-secs', '0']) == 0\n"
+            "loaded()\n")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path), toy_file], env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == ["False"] * 6
+
+
+def test_c0_step_peak(tmp_path):
+    # the whole c0 subcommand, in-process: make_bump's 8-row cosine block,
+    # c0_compute's in-place frequency route and eta_profile.csv's one block
+    # buffer (4097 rows of 4 float columns) and its translated bytes.  With
+    # a 32-row cosine block, a concatenated t grid and every column's cell
+    # matrix held at once for the write, it peaked at 2.04 MiB.
+    assert ch.main(["c0", "--out", str(tmp_path / "warm")]) == 0  # lazy imports
+    rc, peak = traced_peak(ch.main, ["c0", "--out", str(tmp_path / "measured")])
+    assert rc == 0
+    assert peak <= 1.3 * 2**20
 
 
 def test_write_json_refuses_nan_before_writing(tmp_path):

@@ -17,6 +17,7 @@ from roughn_lab import reporting
 from roughn_lab.cli_harness import GAP_COLUMNS
 from roughn_lab.cramer_models import CramerConfig
 from roughn_lab.reporting import columns_of, float_digits, format_cell, write_csv
+from memory_helpers import traced_peak
 from test_cramer_models import gap_columns, kept_successes
 
 EDGE_FLOATS = [
@@ -109,8 +110,29 @@ def tables(draw):
     return [f"c{j}" for j in range(width)], columns
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(table=tables(), block=st.sampled_from([1, 2, 3, 7, 1 << 14]))
+def varied_ints(n: int):
+    """n int64 cells of 1 to 19 digits, drawn per cell, so that blocks of a
+    few rows differ in width."""
+    return st.lists(st.integers(0, 18).flatmap(lambda e: st.integers(-(10**e), 10**e)),
+                    min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64))
+
+
+@st.composite
+def mixed_tables(draw):
+    """Integer, float and text columns side by side, in any order, with at
+    least one integer column whose width changes from block to block."""
+    n = draw(st.integers(1, 30))
+    kinds = [varied_ints(n),
+             st.lists(floats, min_size=n, max_size=n).map(lambda v: np.array(v, np.float64)),
+             st.lists(st.text(st.characters(codec="ascii", exclude_characters=",\r\n"),
+                              max_size=6), min_size=n, max_size=n)]
+    kinds += draw(st.lists(st.sampled_from(kinds), max_size=3))
+    columns = [draw(kind) for kind in draw(st.permutations(kinds))]
+    return [f"c{j}" for j in range(len(columns))], columns
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(table=st.one_of(tables(), mixed_tables()), block=st.sampled_from([1, 2, 3, 7, 1 << 14]))
 def test_write_csv_matches_per_cell_oracle(table, block):
     header, columns = table
     with tempfile.TemporaryDirectory() as tmp, \
@@ -227,6 +249,41 @@ def test_misshapen_columns_are_refused_before_writing(tmp_path, header, columns)
     with pytest.raises(ValueError):
         write_csv(tmp_path / "t.csv", header, [columns])
     assert list(tmp_path.iterdir()) == []
+
+
+# --- what one block holds ---
+
+def float_block_peak(tmp_path, n_columns: int) -> int:
+    """The traced peak of writing one CSV_BLOCK_ROWS-row block of float columns."""
+    rng = np.random.default_rng(n_columns)
+    columns = [rng.standard_normal(reporting.CSV_BLOCK_ROWS) for _ in range(n_columns)]
+    reporting.pow10_table()  # the cached table is not a block's
+    _, peak = traced_peak(write_csv, tmp_path / "t.csv",
+                          [f"x{j}" for j in range(n_columns)], [columns])
+    return peak
+
+
+def float_block_bytes(n_columns: int) -> int:
+    """One block's buffer: a float cell's byte positions and a separator."""
+    return reporting.CSV_BLOCK_ROWS * n_columns * (reporting.FLOAT_CELL_ROWS + 1)
+
+
+def test_float_block_holds_its_buffer_and_output(tmp_path):
+    # one block of 4 float columns: the buffer, and translate's output, which
+    # CPython allocates at the buffer's length before trimming it.  Each cell
+    # matrix and its kernel's temporaries are gone by then.  Holding every
+    # column's matrix, the assembled block and its tobytes() copy at once
+    # peaked at 3.78 MB here.
+    peak = float_block_peak(tmp_path, 4)
+    assert peak < 2_000_000
+
+
+def test_float_columns_add_only_their_block_and_output_bytes(tmp_path):
+    # 4 more float columns add their share of the buffer and of translate's
+    # output, and 1 KiB of Python objects each; 3.77 MB when every column's
+    # matrix was held at once
+    added = float_block_peak(tmp_path, 8) - float_block_peak(tmp_path, 4)
+    assert added <= 2 * float_block_bytes(4) + 4 * 1024
 
 
 # --- full-size tables against the earlier writer ---
