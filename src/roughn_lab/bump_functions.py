@@ -14,10 +14,14 @@ than assume it.
 c0's two routes are diagonal sums, not full matrices.  The time route samples
 the base once per residue of its refinement.  The frequency route uses that
 the kernel 1 - (2+2tt')/(4+(t+t')^2) equals (2+t^2+t'^2)/(4+(t+t')^2) and that
-on the uniform t grid t_i + t_j depends on i+j only.  Their sums run through
-correlate_fixed and 1-D einsum, never BLAS, and so do eta_value's and
-eta_prime_value's sums over the base grid, so c0's bytes and the weight
-coefficients do not move with the BLAS build or its thread count.
+on the uniform t grid t_i + t_j depends on i+j only, so its sum is one
+convolution, taken by real FFT.  The eta_hat grid is one chirp-z transform of
+eta's samples: u and t both sit on uniform grids, so t*u is affine in the
+product of their indices.  The time route's sums, and eta_value's and
+eta_prime_value's sums over the base grid, run through correlate_fixed and
+1-D einsum; the real FFTs' spectra are multiplied by real ufuncs on their
+parts.  None of it calls BLAS, so c0's bytes and the weight coefficients do
+not move with the BLAS build or its thread count.
 """
 
 from __future__ import annotations
@@ -121,9 +125,11 @@ def make_bump(
     decay = np.exp(-u_grid)
     eta_tilde = decay * eta
     eta_tilde_prime = decay * (eta_prime - eta)
+    # the extended base grids are not held through the eta_hat transform
+    del ext_grid, b_ext, bp_ext, windows, windows_p, corr, corr_prime, eta_prime, decay
 
     t_grid = np.linspace(0.0, t_max, t_points)
-    eta_hat_grid = _eta_hat_from_samples(t_grid, u_grid, eta, h)
+    eta_hat_grid = _eta_hat_on_grid(eta, h, 0.0, t_grid[1], t_points)
 
     spec = BumpSpec(
         grid_points=grid_points,
@@ -160,26 +166,81 @@ def correlate_fixed(seq, w, count):
     return np.einsum("ij,j->i", windows, np.ascontiguousarray(w))
 
 
-def _eta_hat_from_samples(ts, u_grid, eta_samples, h):
-    """(1/2pi) * Simpson sum of eta(u) cos(tu) over u_grid.
+def _smooth_length(n: int) -> int:
+    """The least integer >= n with no prime factor above 5: an FFT length
+    pocketfft splits into radix-2, -3 and -5 passes."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
 
-    eta is even and u_grid symmetric about its middle point, so the u < 0
-    half is folded onto u > 0 and the cosines are taken over u >= 0 only.
-    The cosines of 8 t values at a time fill one reused block buffer (128 KiB
-    on make_bump's default grid); each row's sum does not depend on the block
-    it sits in.
+
+def _multiply_spectra(a, b):
+    """a *= b for complex arrays, by real ufuncs on the parts: numpy's own
+    complex multiply picks an FMA loop on some CPUs, and so moves the bytes."""
+    ai_bi = a.imag * b.imag
+    ai_br = a.imag * b.real
+    np.multiply(a.real, b.imag, out=a.imag)
+    a.imag += ai_br  # ar*bi + ai*br
+    a.real *= b.real
+    a.real -= ai_bi  # ar*br - ai*bi
+
+
+def _cos_sums(f, h, t0, ht, count):
+    """sum_k f[k] cos(t_j u_k) with u_k = k*h, at t_j = t0 + j*ht for j < count.
+
+    t_j u_k = t0 u_k + a*j*k with a = ht*h, and jk = (j^2 + k^2 - (j-k)^2)/2,
+    so each term is f_k cos(phi_j + theta_k - phi_{j-k}) with phi_m = a m^2/2
+    and theta_k = t0 u_k + phi_k.  By the angle-sum formulas the sum is
+    cos(phi_j) P_j - sin(phi_j) Q_j with P = conv(c, C) + conv(s, S) and
+    Q = conv(s, C) - conv(c, S), for c = f cos(theta), s = f sin(theta) and
+    the chirps C = cos(phi), S = sin(phi): a chirp-z (Bluestein) transform in
+    real arithmetic, by real FFTs of a 5-smooth length.
     """
-    wu = simpson_weights(len(u_grid), h) * eta_samples
-    mid = len(u_grid) // 2
+    n = len(f)
+    size = _smooth_length(count + n - 1)
+    phi = np.arange(max(count, n), dtype=float)  # a m^2 / 2
+    np.multiply(phi, phi, out=phi)
+    phi *= 0.5 * ht * h
+    theta = t0 * (h * np.arange(n)) + phi[:n]
+    c = np.fft.rfft(f * np.cos(theta), size)
+    s = np.fft.rfft(f * np.sin(theta), size)
+    del theta
+
+    def chirp_spectrum(chirp):  # the chirp at m < count, and at size - m for 0 < m < n
+        wrapped = np.zeros(size)
+        wrapped[:count] = chirp[:count]
+        wrapped[size - n + 1:] = chirp[n - 1:0:-1]
+        return np.fft.rfft(wrapped)
+
+    cos_chirp, sin_chirp = chirp_spectrum(np.cos(phi)), chirp_spectrum(np.sin(phi))
+    p, q = c.copy(), s.copy()
+    for product, chirp in ((p, cos_chirp), (q, cos_chirp), (s, sin_chirp), (c, sin_chirp)):
+        _multiply_spectra(product, chirp)
+    p += s  # the spectra of conv(c, C) + conv(s, S)
+    q -= c  # and of conv(s, C) - conv(c, S)
+    del c, s, cos_chirp, sin_chirp
+    p = np.fft.irfft(p, size)[:count]
+    q = np.fft.irfft(q, size)[:count]
+    return np.cos(phi[:count]) * p - np.sin(phi[:count]) * q
+
+
+def _eta_hat_on_grid(eta_samples, h, t0, ht, count):
+    """(1/2pi) * Simpson sum of eta(u) cos(tu) over make_bump's u grid, at
+    t = t0 + j*ht for j < count.
+
+    eta is even and the u grid symmetric about its middle point, so the u < 0
+    half is folded onto u = k*h >= 0 and the cosine sums are one _cos_sums.
+    """
+    wu = simpson_weights(len(eta_samples), h) * eta_samples
+    mid = len(eta_samples) // 2
     folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
-    u_pos = u_grid[mid:]
-    out = np.empty(len(ts))
-    buf = np.empty((min(len(ts), 8), len(u_pos)))
-    for a in range(0, len(ts), 8):
-        block = buf[: len(ts) - a]
-        np.multiply.outer(ts[a : a + 8], u_pos, out=block)
-        np.cos(block, out=block)
-        out[a : a + 8] = np.einsum("ij,j->i", block, folded)
+    del wu
+    out = _cos_sums(folded, h, t0, ht, count)
     out /= 2.0 * np.pi
     return out
 
@@ -214,14 +275,6 @@ def eta_tilde_prime(u, spec: BumpSpec):
     return vals if np.ndim(u) else float(vals[0])
 
 
-def eta_hat(t, spec: BumpSpec):
-    arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(np.abs(arr) > spec.t_max):
-        raise ValueError(f"|t| beyond cached truncation t_max={spec.t_max}")
-    vals = _eta_hat_from_samples(np.abs(arr), spec.u_grid, spec.eta, spec.h)
-    return vals if np.ndim(t) else float(vals[0])
-
-
 def _symmetric_t_grid(spec: BumpSpec, extend_to: float = 0.0):
     """Symmetric t grid with eta_hat values, optionally extended past t_max.
 
@@ -243,7 +296,7 @@ def _symmetric_t_grid(spec: BumpSpec, extend_to: float = 0.0):
         extra_t = pos_t[spec.t_points :]  # t_max + ht * (1, ..., n_extra)
         np.multiply(ht, np.arange(1, n_extra + 1), out=extra_t)
         np.add(spec.t_max, extra_t, out=extra_t)
-        pos_h[spec.t_points :] = _eta_hat_from_samples(extra_t, spec.u_grid, spec.eta, spec.h)
+        pos_h[spec.t_points :] = _eta_hat_on_grid(spec.eta, spec.h, extra_t[0], ht, n_extra)
     np.negative(pos_t[:0:-1], out=ts[: m - 1])
     hs[: m - 1] = pos_h[:0:-1]
     return ts, hs, ht
@@ -282,7 +335,7 @@ def _time_route(spec: BumpSpec, refine: int) -> float:
     return float(np.einsum("i,i->", simpson_weights(n, us[1] - us[0]), vals * vals))
 
 
-def _freq_route(ts, hs, ht) -> float:
+def _freq_route(ts, hs, ht, size) -> float:
     """The double Simpson sum of (1 - (2+2tt')/(4+(t+t')^2)) eta_hat(t) eta_hat(t').
 
     The kernel equals (2+t^2+t'^2)/(4+(t+t')^2), and (2+t^2+t'^2) =
@@ -291,19 +344,24 @@ def _freq_route(ts, hs, ht) -> float:
     On the uniform t grid t_i + t_j = 2*t_0 + (i+j)*ht depends on i+j only:
     the sum is 2 * sum_k g(s_k) c_k with c = conv((1+t^2) wh, wh).
 
-    The padded products and g are computed in place, with the ufuncs of
-    the expressions in the comments, in their order.
+    c is one real-FFT product, zero-padded to size >= 2*len(ts) - 1; g is
+    computed in place, with the ufuncs of the expression in the comment, in
+    its order.
     """
     n = len(ts)
     wh = simpson_weights(n, ht)
     wh *= hs
-    padded = np.zeros(3 * n - 2)  # n - 1 zeros, (1.0 + ts * ts) * wh, n - 1 zeros
-    inner = padded[n - 1 : 2 * n - 1]
-    np.multiply(ts, ts, out=inner)
-    np.add(1.0, inner, out=inner)
-    inner *= wh
-    c = correlate_fixed(padded, wh[::-1], 2 * n - 1)
-    del padded, inner, wh
+    wh_spectrum = np.fft.rfft(wh, size)
+    p = np.multiply(ts, ts)  # (1.0 + ts * ts) * wh
+    np.add(1.0, p, out=p)
+    p *= wh
+    del wh
+    spectrum = np.fft.rfft(p, size)
+    del p
+    _multiply_spectra(spectrum, wh_spectrum)
+    del wh_spectrum
+    c = np.fft.irfft(spectrum, size)[: 2 * n - 1]
+    del spectrum
     g = np.arange(2 * n - 1, dtype=float)  # s = 2.0 * ts[0] + ht * arange; 1.0 / (4.0 + s * s)
     np.multiply(ht, g, out=g)
     np.add(2.0 * ts[0], g, out=g)
@@ -328,10 +386,12 @@ def c0_compute(spec: BumpSpec) -> C0Result:
     err_time = abs(i_fine - i_coarse) + 1e-12
 
     ts, hs, ht = _symmetric_t_grid(spec)
-    s_base = _freq_route(ts, hs, ht)
-    s_coarse = _freq_route(ts[::2], hs[::2], 2 * ht)
     ts_x, hs_x, _ = _symmetric_t_grid(spec, extend_to=1.25 * spec.t_max)
-    s_ext = _freq_route(ts_x, hs_x, ht)
+    # one FFT length for the three sums: numpy keeps a plan per length it has seen
+    size = _smooth_length(2 * len(ts_x) - 1)
+    s_base = _freq_route(ts, hs, ht, size)
+    s_coarse = _freq_route(ts[::2], hs[::2], 2 * ht, size)
+    s_ext = _freq_route(ts_x, hs_x, ht, size)
     c0_freq = s_ext
     err_freq = abs(s_base - s_coarse) + 2.0 * abs(s_ext - s_base) + 1e-10
 

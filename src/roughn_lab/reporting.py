@@ -11,8 +11,8 @@ i holds byte i of every cell, and 0xFF, a byte UTF-8 never uses, stands
 where a cell has no byte i.  A block is one bytearray, sized from the
 columns' widths before any matrix is made; each matrix is copied into it,
 transposed, with a separator after it, and dropped before the next is made.
-The block's bytes are the buffer's other bytes in row order, kept by one
-bytearray.translate, with no tobytes() copy.
+The block's bytes are the buffer's other bytes in row order, kept by
+bytearray.translate a slab of the buffer at a time, with no tobytes() copy.
 
 Integer cells get their digits from repeated division by 10.  Float cells
 get '%.17g''s digits exactly: the decade k of |x| from a log10 estimate
@@ -36,6 +36,7 @@ from contextlib import contextmanager
 import numpy as np
 
 CSV_BLOCK_ROWS = 1 << 13
+TRANSLATE_SLAB = 1 << 16  # the buffer bytes one bytearray.translate call reads
 
 # The float kernel handles the doubles 1e-150 <= |x| < 1e150, whose decades k
 # lie in [-151, 150]; its table holds 10^e for e in POW10_RANGE, inclusive,
@@ -311,15 +312,18 @@ def _csv_column(column):
     return len(text), lambda lo, hi: text.shape[1], lambda lo, hi: text[lo:hi].T
 
 
-def _block_bytes(part, lo, hi) -> bytearray:
-    """Rows [lo, hi) of a part's checked columns (see _csv_column) as CSV bytes.
+def _block_bytes(part, lo, hi):
+    """Rows [lo, hi) of a part's checked columns (see _csv_column) as CSV
+    bytes, yielded a slab of TRANSLATE_SLAB buffer bytes at a time.
 
     The block is one bytearray, viewed as a byte matrix with a row per CSV
     row and a column per byte position.  Each column's cell matrix is made,
     copied in transposed and dropped before the next is made; a separator
     follows each.  Row i of a cell matrix holds byte i of each of its cells,
     and _SKIP where a cell has no byte i; each cell's bytes are contiguous.
-    UTF-8 never uses the byte _SKIP, so the kept bytes are the others."""
+    UTF-8 never uses the byte _SKIP, so the kept bytes are the others, and
+    translate keeps them slab by slab: its output, which it allocates at its
+    input's length, is never larger than a slab."""
     widths = [width(lo, hi) for _, width, _ in part]
     buf = bytearray((hi - lo) * (sum(widths) + len(widths)))
     block = np.frombuffer(buf, np.uint8).reshape(hi - lo, -1)
@@ -329,7 +333,8 @@ def _block_bytes(part, lo, hi) -> bytearray:
         block[:, at + width] = ord(",")
         at += width + 1
     block[:, -1] = ord("\n")
-    return buf.translate(None, bytes([_SKIP]))
+    for i in range(0, len(buf), TRANSLATE_SLAB):
+        yield buf[i:i + TRANSLATE_SLAB].translate(None, bytes([_SKIP]))
 
 
 def write_csv(path, header, parts) -> None:
@@ -356,7 +361,7 @@ def write_csv(path, header, parts) -> None:
                 raise ValueError(f"CSV columns differ in length: {sorted(lengths)}")
             n_rows = lengths.pop() if lengths else 0
             for lo in range(0, n_rows, CSV_BLOCK_ROWS):
-                fh.write(_block_bytes(part, lo, min(lo + CSV_BLOCK_ROWS, n_rows)))
+                fh.writelines(_block_bytes(part, lo, min(lo + CSV_BLOCK_ROWS, n_rows)))
             fh.flush()
 
 

@@ -1,15 +1,22 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from memory_helpers import traced_peak
 
+import roughn_lab
 from roughn_lab import cli_harness as ch
 from roughn_lab.bump_functions import (
-    _eta_hat_from_samples,
     _freq_route,
+    _smooth_length,
     _symmetric_t_grid,
     _time_route,
     c0_compute,
-    eta_hat,
     eta_tilde,
     eta_tilde_prime,
     eta_value,
@@ -79,6 +86,36 @@ def eta_hat_oracle(ts, u_grid, eta_samples, h, chunk=256):
         block = np.asarray(ts[a : a + chunk])
         out[a : a + chunk] = np.cos(np.outer(block, u_grid)) @ wu
     return out / (2.0 * np.pi)
+
+
+def eta_hat_fold(ts, u_grid, eta_samples, h):
+    """(1/2pi) * Simpson sum of eta(u) cos(tu) over u_grid, at any t's.
+
+    eta is even and u_grid symmetric about its middle point, so the u < 0
+    half is folded onto u > 0 and the cosines are taken over u >= 0 only.
+    The cosines of 8 t values at a time fill one reused block buffer."""
+    wu = simpson_weights(len(u_grid), h) * eta_samples
+    mid = len(u_grid) // 2
+    folded = np.concatenate([wu[mid : mid + 1], wu[mid + 1 :] + wu[mid - 1 :: -1]])
+    u_pos = u_grid[mid:]
+    out = np.empty(len(ts))
+    buf = np.empty((min(len(ts), 8), len(u_pos)))
+    for a in range(0, len(ts), 8):
+        block = buf[: len(ts) - a]
+        np.multiply.outer(ts[a : a + 8], u_pos, out=block)
+        np.cos(block, out=block)
+        out[a : a + 8] = np.einsum("ij,j->i", block, folded)
+    out /= 2.0 * np.pi
+    return out
+
+
+def eta_hat(t, spec):
+    """eta_hat at arbitrary |t| <= t_max, by the direct cosine fold."""
+    arr = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(np.abs(arr) > spec.t_max):
+        raise ValueError(f"|t| beyond cached truncation t_max={spec.t_max}")
+    vals = eta_hat_fold(np.abs(arr), spec.u_grid, spec.eta, spec.h)
+    return vals if np.ndim(t) else float(vals[0])
 
 
 @pytest.fixture(scope="module", params=["default", "fast"])
@@ -188,29 +225,72 @@ def test_freq_route_matches_full_matrix_oracle(any_spec, grid):
     ts, hs, ht = _symmetric_t_grid(any_spec, extend_to=extend_to)
     if grid == "coarse":
         ts, hs, ht = ts[::2], hs[::2], 2 * ht
-    got = _freq_route(ts, hs, ht)
+    ts_x = _symmetric_t_grid(any_spec, extend_to=1.25 * any_spec.t_max)[0]
+    got = _freq_route(ts, hs, ht, _smooth_length(2 * len(ts_x) - 1))  # c0_compute's length
     want = freq_route_oracle(ts, hs, ht)
     assert abs(got - want) <= 1e-13 * abs(want)
 
 
 def test_eta_hat_fold_matches_full_grid_oracle(any_spec):
-    want = eta_hat_oracle(any_spec.t_grid, any_spec.u_grid, any_spec.eta, any_spec.h)
-    assert np.max(np.abs(any_spec.eta_hat_grid - want)) <= 1e-14
-    got = _eta_hat_from_samples(any_spec.t_grid, any_spec.u_grid, any_spec.eta, any_spec.h)
-    assert np.array_equal(got, any_spec.eta_hat_grid)
+    # the chirp-z grid, and the extension past t_max that c0's frequency
+    # route adds, against the cosine sum over the whole u grid
+    spec = any_spec
+    want = eta_hat_oracle(spec.t_grid, spec.u_grid, spec.eta, spec.h)
+    assert np.max(np.abs(spec.eta_hat_grid - want)) <= 1e-14
+    ts, hs, _ = _symmetric_t_grid(spec, extend_to=1.25 * spec.t_max)
+    extension = slice(len(ts) // 2 + spec.t_points, None)
+    assert len(ts[extension]) > 0
+    want = eta_hat_oracle(ts[extension], spec.u_grid, spec.eta, spec.h)
+    assert np.max(np.abs(hs[extension] - want)) <= 1e-14
 
 
-def test_eta_hat_cosines_stay_in_one_block_buffer(bump_spec):
-    # make_bump() defaults: 4001 t values against 2049 u >= 0.  One reused
-    # 8-row cosine buffer is 128 KiB, and the weights, their temporaries and
-    # the output add about 11 rows; a 32-row buffer peaked at 43 rows
-    # (0.71 MB), and a fresh outer product and cosine array per 256-row block
-    # at 8.5 MB.
-    spec = bump_spec
-    row = (len(spec.u_grid) // 2 + 1) * spec.u_grid.itemsize
-    got, peak = traced_peak(_eta_hat_from_samples, spec.t_grid, spec.u_grid, spec.eta, spec.h)
-    assert np.array_equal(got, spec.eta_hat_grid)
-    assert peak < 24 * row
+def test_make_bump_and_c0_compute_traced_peaks(bump_spec):
+    # make_bump() defaults: 4097 u against 4001 t.  The eta_hat grid is one
+    # chirp-z transform by real FFTs of 6075 points (six half spectra of
+    # 48 KiB); c0's largest frequency sum is a real FFT of 20250 points.
+    # Peaks were 0.79 MB and 0.85 MB with the 8-row cosine block and the
+    # sliding-window convolution, and 0.64 MB and 0.78 MB here.
+    _, peak = traced_peak(make_bump)
+    assert peak < 700_000
+    _, peak = traced_peak(c0_compute, bump_spec)
+    assert peak < 800_000
+
+
+# fixed inputs made with + - * / only: numpy picks its exp loop by CPU
+# feature, so eta's own samples would move with the dispatch
+DISPATCH_PROBE = """\
+import hashlib
+import numpy as np
+from roughn_lab.bump_functions import _cos_sums, _freq_route, simpson_weights
+k = np.arange(2049.0)
+f = simpson_weights(2049, 1.0 / 2048) / (1.0 + k * k / 1e4)
+sums = [_cos_sums(f, 1.0 / 2048, t0, 0.05, count) for t0, count in ((0.0, 4001), (200.05, 1000))]
+ts = np.linspace(-250.0, 250.0, 10001)
+q = 1.0 + ts * ts
+print(*[hashlib.sha256(s.tobytes()).hexdigest() for s in sums],
+      _freq_route(ts, 1.0 / (q * q), ts[1] - ts[0], 20250).hex())
+"""
+
+
+def test_fft_kernels_hold_their_bytes_without_dispatched_loops():
+    # the chirp-z and real-FFT kernels in a child process whose numpy runs
+    # its baseline loops only: every SIMD target the host supports disabled
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    targets = [t for t in __cpu_dispatch__ if __cpu_features__.get(t)]
+    if not targets:
+        pytest.skip("numpy dispatches no loop beyond its baseline on this host")
+    with contextlib.redirect_stdout(io.StringIO()) as printed:
+        exec(DISPATCH_PROBE, {})
+    src = str(Path(roughn_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets), PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    still_on = ("from numpy._core._multiarray_umath import __cpu_features__\n"
+                f"print(*[t for t in {targets!r} if __cpu_features__[t]])\n")
+    proc = subprocess.run([sys.executable, "-c", DISPATCH_PROBE + still_on], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == printed.getvalue() + "\n"
 
 
 def test_c0_freq_integrand_nonnegative(bump_spec):

@@ -307,11 +307,12 @@ def test_runs_that_hash_nothing_load_no_openssl(toy_file, tmp_path):
 
 
 def test_c0_step_peak(tmp_path):
-    # the whole c0 subcommand, in-process: make_bump's 8-row cosine block,
-    # c0_compute's in-place frequency route and eta_profile.csv's one block
-    # buffer (4097 rows of 4 float columns) and its translated bytes.  With
-    # a 32-row cosine block, a concatenated t grid and every column's cell
-    # matrix held at once for the write, it peaked at 2.04 MiB.
+    # the whole c0 subcommand, in-process: make_bump's chirp-z transform,
+    # c0_compute's real-FFT frequency route and eta_profile.csv's one block
+    # buffer (4097 rows of 4 float columns), translated a slab at a time.
+    # With a 32-row cosine block, a concatenated t grid and every column's
+    # cell matrix held at once for the write, it peaked at 2.04 MiB; with an
+    # 8-row cosine block and the whole buffer translated at once, 1.15 MiB.
     assert ch.main(["c0", "--out", str(tmp_path / "warm")]) == 0  # lazy imports
     rc, peak = traced_peak(ch.main, ["c0", "--out", str(tmp_path / "measured")])
     assert rc == 0

@@ -22,6 +22,7 @@ import pytest
 
 import roughn_lab
 from roughn_lab import cli_harness as ch
+from roughn_lab.bump_functions import c0_compute
 
 BUNDLES = {
     # the acceptance suite's TOY and RECORD bundles
@@ -116,11 +117,25 @@ GOLDEN = {
         "gaps.csv": "887b61b3541731018c8bce923994180319c9469a28b61b8cf65ada35279823a3",
     },
     ("c0", None): {
-        "c0_report.json": "c806838fd5044b1e8e1a2ecbbd47b425cfe16ade7c3ab1a38f9de32066d518fc",
-        "eta_hat_profile.csv": "10debc465286af1fc9de831a61b4b094f5aba4f4599880e5b9ab6b99b1501c8a",
+        "c0_report.json": "5bb968dd1d960d6cc35a63a74648c3d8b391fec0765d4b662318c770c3b84af8",
+        "eta_hat_profile.csv": "895c8e0eca522181252648764c259ca4ae9a2628c59cd6773fcc9bc990a90f46",
         "eta_profile.csv": "f5f2e5c43456c59213d32e02bc4bb304aa437db83a1dc4af3dbf25266e8e0aba",
     },
 }
+
+# c0's time route reads eta and eta' only, never eta_hat, so its value and
+# error estimate hold when only the frequency side's bytes move.  C0_FREQ is
+# the frequency route's value by direct sums (a sliding-window convolution
+# and a cosine per (t, u) pair); the FFT sums stay within 1e-13 of it.
+C0_TIME = 1.5813373067997398
+ERR_TIME = 2.449063091740754e-12
+C0_FREQ = 1.5813373067799494
+
+
+def test_c0_time_route_is_pinned(bump_spec):
+    res = c0_compute(bump_spec)
+    assert (res.c0_time, res.err_time) == (C0_TIME, ERR_TIME)
+    assert abs(res.c0_freq - C0_FREQ) <= 1e-13 * C0_FREQ
 
 
 @pytest.mark.parametrize("subcommand,bundle", sorted(GOLDEN, key=str),
