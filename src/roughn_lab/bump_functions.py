@@ -17,11 +17,11 @@ the kernel 1 - (2+2tt')/(4+(t+t')^2) equals (2+t^2+t'^2)/(4+(t+t')^2) and that
 on the uniform t grid t_i + t_j depends on i+j only, so its sum is one
 convolution, taken by real FFT.  The eta_hat grid is one chirp-z transform of
 eta's samples: u and t both sit on uniform grids, so t*u is affine in the
-product of their indices.  The time route's sums, and eta_value's and
-eta_prime_value's sums over the base grid, run through correlate_fixed and
-1-D einsum; the real FFTs' spectra are multiplied by real ufuncs on their
-parts.  None of it calls BLAS, so c0's bytes and the weight coefficients do
-not move with the BLAS build or its thread count.
+product of their indices.  The time route's sums, and eta_value's sums over
+the base grid, run through correlate_fixed and 1-D einsum; the real FFTs'
+spectra are multiplied by real ufuncs on their parts.  None of it calls BLAS,
+so c0's bytes and the weight coefficients do not move with the BLAS build or
+its thread count.
 """
 
 from __future__ import annotations
@@ -254,24 +254,9 @@ def eta_value(u, spec: BumpSpec):
     return vals if np.ndim(u) else float(vals[0])
 
 
-def eta_prime_value(u, spec: BumpSpec):
-    """eta' at arbitrary points, differentiated under the convolution integral."""
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    points = arr[:, None] + spec.base_grid[None, :]
-    vals = np.einsum("ij,j->i", standard_base_prime(points), spec.base_weights) / spec.norm
-    vals[np.abs(arr) >= 1.0] = 0.0
-    return vals if np.ndim(u) else float(vals[0])
-
-
 def eta_tilde(u, spec: BumpSpec):
     arr = np.atleast_1d(np.asarray(u, dtype=float))
     vals = np.exp(-arr) * eta_value(arr, spec)
-    return vals if np.ndim(u) else float(vals[0])
-
-
-def eta_tilde_prime(u, spec: BumpSpec):
-    arr = np.atleast_1d(np.asarray(u, dtype=float))
-    vals = np.exp(-arr) * (eta_prime_value(arr, spec) - eta_value(arr, spec))
     return vals if np.ndim(u) else float(vals[0])
 
 
@@ -410,19 +395,3 @@ def c0_compute(spec: BumpSpec) -> C0Result:
         )
     return result
 
-
-def fourier_inverse_check(spec: BumpSpec, us) -> tuple[float, float]:
-    """Max deviation of the plain and twisted inversions at the given u's."""
-    ts, hs, ht = _symmetric_t_grid(spec)
-    wh = simpson_weights(len(ts), ht) * hs
-    worst_plain = 0.0
-    worst_twist = 0.0
-    for u in np.atleast_1d(us):
-        u = float(u)
-        plain = float(wh @ np.cos(ts * u))
-        twisted = complex((wh * np.exp(-(1.0 + 1j * ts) * u)).sum())
-        worst_plain = max(worst_plain, abs(plain - eta_value(u, spec)))
-        worst_twist = max(
-            worst_twist, abs(twisted - eta_tilde(u, spec)), abs(twisted.imag)
-        )
-    return worst_plain, worst_twist

@@ -71,7 +71,10 @@ class CramerConfig:
         w = self.warmup_index()
         if w < 3:
             raise ValueError("warmup must be >= 3")
-        probe = self.rate_values(np.array([float(w), float(self.N)]))
+        # a custom rate is linear between its knots, so it is least on [w, N]
+        # at w, at N or at a knot between them
+        knots = [n for n, _ in self.custom if w < n < self.N] if self.rate == "custom" else []
+        probe = self.rate_values(np.array([float(w), float(self.N)] + knots))
         if not np.all(probe > 1.0):
             raise ValueError("rate function must exceed 1 from the warmup index on")
 
@@ -243,14 +246,13 @@ def pi_k_lower_bound_shape(x: int, k: int) -> float:
     return x / math.log(x) * loglog(x) ** (k - 1) / math.factorial(k - 1)
 
 
-def density_profile(x_grid, k: Optional[int] = None) -> list[tuple[int, int, int, float, float]]:
-    """Rows (x, k, count, bound shape, ratio); k defaults to ceil(loglog x)."""
+def density_profile(x_grid, k: int) -> list[tuple[int, int, int, float, float]]:
+    """Rows (x, k, count, bound shape, ratio)."""
     rows = []
     for x in x_grid:
-        kk = k if k is not None else max(1, math.ceil(loglog(x)))
-        cnt = count_pi_k(x, kk)
-        shape = pi_k_lower_bound_shape(x, kk)
-        rows.append((int(x), kk, cnt, shape, cnt / shape))
+        cnt = count_pi_k(x, k)
+        shape = pi_k_lower_bound_shape(x, k)
+        rows.append((int(x), k, cnt, shape, cnt / shape))
     return rows
 
 
@@ -335,21 +337,16 @@ class RefuterResult:
     omega_value: Optional[int]
     threshold: Optional[float]
     searched_up_to: int
-    chain: Optional[dict] = None
+    chain: dict
 
 
-def erdos_style_refuter(
-    n: int,
-    delta: float,
-    budget: int = 10**5,
-    C0: Optional[float] = None,
-    d: Optional[float] = None,
-) -> RefuterResult:
+def erdos_style_refuter(n: int, delta: float, C0: float, d: float,
+                        budget: int = 10**5) -> RefuterResult:
     """First k >= 3 with omega(n-k) > (1+delta) log k / loglog k, if any.
 
-    With C0 and d supplied, also runs the window search at x = n and records
-    the two sides of the comparison chain linking the window threshold to the
-    gap threshold at the implied k.
+    Also runs the weak window search at x = n with C0 and d, and records the
+    two sides of the comparison chain linking the window threshold to the gap
+    threshold at the implied k.
     """
     if n < 10**6:
         raise ValueError("need n >= 10^6 so the iterated logs are stable")
@@ -368,23 +365,14 @@ def erdos_style_refuter(
         if om > thresh:
             found_k, found_omega, found_threshold = k, om, thresh
             break
-    chain = None
-    if C0 is not None and d is not None:
-        wit = window_search(n, "weak", C0=C0, d=d)
-        if wit.witness is not None and n - wit.witness >= 3:
-            k_w = n - wit.witness
-            lhs = C0 * loglog(wit.witness) / math.log(loglog(wit.witness))
-            rhs = (1.0 + (C0 / d - 1.0)) * math.log(k_w) / loglog(k_w)
-            chain = {
-                "witness": wit.witness,
-                "k": k_w,
-                "window_threshold": lhs,
-                "gap_threshold": rhs,
-                "chain_holds": lhs >= rhs,
-            }
-        else:
-            chain = {"witness": wit.witness, "k": None,
-                     "window_threshold": None, "gap_threshold": None,
-                     "chain_holds": None}
+    wit = window_search(n, "weak", C0=C0, d=d)
+    chain = {"witness": wit.witness, "k": None,
+             "window_threshold": None, "gap_threshold": None,
+             "chain_holds": None}
+    if wit.witness is not None and n - wit.witness >= 3:
+        k_w = n - wit.witness
+        lhs = C0 * loglog(wit.witness) / math.log(loglog(wit.witness))
+        rhs = (1.0 + (C0 / d - 1.0)) * math.log(k_w) / loglog(k_w)
+        chain.update(k=k_w, window_threshold=lhs, gap_threshold=rhs, chain_holds=lhs >= rhs)
     return RefuterResult(n=n, delta=delta, k=found_k, omega_value=found_omega,
                          threshold=found_threshold, searched_up_to=k_hi, chain=chain)

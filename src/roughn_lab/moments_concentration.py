@@ -27,21 +27,9 @@ _SIMPLEX_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # --- Stirling numbers of the second kind ---
 
-@dataclass(frozen=True)
-class StirlingTable:
-    """Triangular table of exact {s, t} values, 1 <= t <= s <= max_s."""
-
-    max_s: int
-    values: tuple[tuple[int, ...], ...]
-
-    def value(self, s: int, t: int) -> int:
-        if not 1 <= t <= s <= self.max_s:
-            raise ValueError(f"need 1 <= t <= s <= {self.max_s}, got s={s}, t={t}")
-        return self.values[s - 1][t - 1]
-
-
 @lru_cache(maxsize=4)
-def build_stirling_table(max_s: int = STIRLING_MAX_S) -> StirlingTable:
+def build_stirling_table(max_s: int = STIRLING_MAX_S) -> tuple[tuple[int, ...], ...]:
+    """Row s - 1 holds the exact {s, 1} .. {s, s}, for 1 <= s <= max_s."""
     if max_s < 1:
         raise ValueError("max_s must be >= 1")
     rows = [(1,)]
@@ -52,28 +40,16 @@ def build_stirling_table(max_s: int = STIRLING_MAX_S) -> StirlingTable:
             row.append(t * prev[t - 1] + prev[t - 2])
         row.append(1)
         rows.append(tuple(row))
-    return StirlingTable(max_s=max_s, values=tuple(rows))
-
-
-def stirling2(s: int, t: int) -> int:
-    return build_stirling_table().value(s, t)
-
-
-def stirling_identity_check(s: int, m: int) -> bool:
-    """Exact check of sum_{j=1}^{2s} {2s, j} * m!/(m-j)! == m^(2s)."""
-    if s < 1 or m < 2 * s:
-        raise ValueError(f"need m >= 2s >= 2, got s={s}, m={m}")
-    lhs = sum(stirling2(2 * s, j) * math.perm(m, j) for j in range(1, 2 * s + 1))
-    return lhs == m ** (2 * s)
+    return tuple(rows)
 
 
 def stirling_bound_kappa() -> float:
     """Smallest kappa with {s, t} <= kappa * (s/log s)^s for 10 <= s <= 60."""
-    table = build_stirling_table()
+    rows = build_stirling_table()
     kappa = 0.0
     for s in range(10, 61):
         envelope = (s / math.log(s)) ** s
-        best = max(table.values[s - 1])
+        best = max(rows[s - 1])
         kappa = max(kappa, best / envelope)
     return kappa
 
@@ -91,7 +67,6 @@ class MomentReport:
     exact_moment: float
     paper_bound: float
     ratio: float
-    centered: bool
     flagged_empty: bool = False
 
 
@@ -116,12 +91,11 @@ def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]
     raise ValueError(f"unknown range tag {range_tag!r}; expected one of {RANGE_TAGS}")
 
 
-def _display_bound(range_tag: str, params: SieveParams, k: int, s: int, centered: bool) -> float:
+def _display_bound(range_tag: str, params: SieveParams, k: int, s: int) -> float:
     if range_tag == "tiny":
         # tiny-prime divisibility is rigid, so the sum is a known constant
         det = math.fsum((1.0 if k % p == 0 else 0.0) for p in params.tiny_primes)
-        if centered:
-            det -= math.fsum(1.0 / p for p in params.tiny_primes)
+        det -= math.fsum(1.0 / p for p in params.tiny_primes)
         return abs(det) ** s
     if range_tag == "medium":
         return (2.0 * 3.0 * s) ** s  # (2*C3*s)^s at C3 = 3
@@ -135,9 +109,8 @@ def exact_centered_moment(
     k: int,
     range_tag: str,
     s: int,
-    centered: bool = True,
 ) -> MomentReport:
-    """s-th weighted moment of sum_{m in range} (1_{m | n+k} - [centered]/m).
+    """s-th weighted moment of sum_{m in range} (1_{m | n+k} - 1/m).
 
     Exact over the whole support: range_sum adds each modulus m on its
     strided slice of the support, O(N/m) work, and the moment is a weighted
@@ -150,15 +123,15 @@ def exact_centered_moment(
         raise ValueError("moment order s must lie in [1, 12]")
     params = table.params
     moduli = range_moduli(params, k, range_tag)
-    bound = _display_bound(range_tag, params, k, s, centered)
+    bound = _display_bound(range_tag, params, k, s)
     if not moduli:
-        return MomentReport(k, range_tag, s, 0.0, bound, 0.0, centered, flagged_empty=True)
-    acc = range_sum(table, k, moduli, centered)
+        return MomentReport(k, range_tag, s, 0.0, bound, 0.0, flagged_empty=True)
+    acc = range_sum(table, k, moduli)
     acc **= s
     acc *= table.nu
     moment = math.fsum(memoryview(acc)) / table.total
     ratio = moment / bound if bound > 0 else 0.0
-    return MomentReport(k, range_tag, s, moment, bound, ratio, centered)
+    return MomentReport(k, range_tag, s, moment, bound, ratio)
 
 
 def fit_c3(reports: Sequence[MomentReport]) -> Optional[float]:
@@ -245,11 +218,7 @@ def partition_sum_G(s3: int, R: float) -> float:
             series[i] += c * inv_fact
     egf = series[s3] * math.factorial(s3)
     if direct != egf:
-        rel = abs(float(direct - egf)) / max(abs(float(direct)), 1e-300)
-        if rel > 1e-10:
-            raise RuntimeError(
-                f"partition sum routes disagree: direct={direct}, egf={egf}"
-            )
+        raise RuntimeError(f"partition sum routes disagree: direct={direct}, egf={egf}")
     return float(direct)
 
 

@@ -23,7 +23,6 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -281,15 +280,6 @@ class WeightTable:
     def __post_init__(self):
         object.__setattr__(self, "total", total_mass([self.nu]))
 
-    def nu_of(self, n: int) -> float:
-        p = self.params
-        if not (p.x <= n <= 2 * p.x) or n % p.W:
-            return 0.0
-        idx = (n - self.support[0]) // p.W
-        if not 0 <= idx < len(self.support):
-            return 0.0
-        return float(self.nu[idx])
-
 
 def _hits(n0: int, step: int, k: int, m: int) -> slice:
     """Indexer of the points n_i = n0 + i*step with m | n_i + k, read as
@@ -394,13 +384,12 @@ def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
     return num / table.total
 
 
-def range_sum(table: WeightTable, k: int, moduli, centered: bool) -> np.ndarray:
-    """sum over m in moduli of 1_{m | n+k} - [centered]/m at every support point n."""
+def range_sum(table: WeightTable, k: int, moduli) -> np.ndarray:
+    """sum over m in moduli of 1_{m | n+k} - 1/m at every support point n."""
     acc = np.zeros(len(table.support), dtype=np.float64)
     for m in moduli:
         acc[_hits(table.support[0], table.params.W, k, m)] += 1.0
-    if centered:
-        acc -= math.fsum(1.0 / m for m in moduli)
+    acc -= math.fsum(1.0 / m for m in moduli)
     return acc
 
 
@@ -472,19 +461,6 @@ def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
     draws *= table.support.step
     draws += table.support.start
     return draws
-
-
-def tiny_prime_rigidity(table: WeightTable, k_hi: Optional[int] = None) -> float:
-    """max |P(p | n+k) - 1_{p | k}| over tiny p and 1 <= k <= k_hi; 0.0 when exact."""
-    params = table.params
-    k_hi = params.k_max if k_hi is None else k_hi
-    worst = 0.0
-    for p in params.tiny_primes:
-        for k in range(1, k_hi + 1):
-            got = prob_divides(p, k, table)
-            want = 1.0 if k % p == 0 else 0.0
-            worst = max(worst, abs(got - want))
-    return worst
 
 
 # --- axiom reports ---

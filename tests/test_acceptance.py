@@ -21,8 +21,6 @@ from roughn_lab.moments_concentration import (
     build_stirling_table,
     partition_sum_G,
     rho_r_maximize,
-    stirling2,
-    stirling_identity_check,
 )
 from roughn_lab.sieve_measure import (
     SieveParams,
@@ -30,7 +28,6 @@ from roughn_lab.sieve_measure import (
     build_weight_table,
     prob_divides,
     sample,
-    tiny_prime_rigidity,
 )
 
 TOY_PARAMS_TEXT = """\
@@ -114,24 +111,31 @@ def test_criterion_03_axiom_d_prime_power_factorization(wide_table):
 
 def test_criterion_04_tiny_prime_rigidity_exact(toy_table, wide_table):
     for table in (toy_table, wide_table):
-        assert tiny_prime_rigidity(table) == 0.0
+        for p in table.params.tiny_primes:
+            for k in range(1, table.params.k_max + 1):
+                assert prob_divides(p, k, table) == (k % p == 0)
     print("criterion 04 PASS: P(p|n+k) = [p|k] exactly, both tables")
 
 
 def test_criterion_05_stirling_suite_exact():
     t0 = time.perf_counter()
+    rows = build_stirling_table(24)
+
+    def stirling2(s, t):
+        return rows[s - 1][t - 1]
+
     assert stirling2(4, 2) == 7
-    table = build_stirling_table(24)
     for s in range(2, 25):
         # boundary columns absorb the {s-1, 0} = 0 and {s-1, s} = 0 terms
-        assert table.value(s, 1) == table.value(s - 1, 1)
-        assert table.value(s, s) == table.value(s - 1, s - 1)
+        assert stirling2(s, 1) == stirling2(s - 1, 1)
+        assert stirling2(s, s) == stirling2(s - 1, s - 1)
         for t in range(2, s):
-            assert table.value(s, t) == (
-                t * table.value(s - 1, t) + table.value(s - 1, t - 1))
+            assert stirling2(s, t) == t * stirling2(s - 1, t) + stirling2(s - 1, t - 1)
     for s in range(1, 7):
         for m in range(2 * s, 25):
-            assert stirling_identity_check(s, m) is True
+            # sum_j {2s, j} m!/(m-j)! == m^(2s)
+            assert sum(stirling2(2 * s, j) * math.perm(m, j)
+                       for j in range(1, 2 * s + 1)) == m ** (2 * s)
     elapsed = time.perf_counter() - t0
     assert elapsed <= 1.0
     print(f"criterion 05 PASS: recurrence, {{4,2}}=7, identity s<=6 m<=24, "

@@ -107,11 +107,12 @@ def test_omega_histogram_widens_no_omega(monkeypatch):
     assert peak < 2 * x
 
 
-def test_density_profile_default_k_grid():
-    rows = density_profile([10**3, 10**4, 10**5])
-    for x, k, count, shape, ratio in rows:
-        assert k == max(1, math.ceil(loglog(x)))
-        assert count == count_pi_k(x, k)
+def test_density_profile_rows_at_each_k():
+    for k in (1, 2, 3):
+        rows = density_profile([10**3, 10**4, 10**5], k)
+        assert [row[:2] for row in rows] == [(10**3, k), (10**4, k), (10**5, k)]
+        for x, _, count, shape, ratio in rows:
+            assert count == count_pi_k(x, k)
         assert ratio == pytest.approx(count / shape, rel=1e-14)
         assert ratio > 0
 
@@ -337,6 +338,17 @@ def test_config_validation():
         CramerConfig(rate="custom", custom=((10.0, 5.0), (3.0, 5.0)), N=1000)
 
 
+def test_custom_rate_dipping_to_one_between_warmup_and_n_is_refused():
+    # the rate is 5 at the warmup (10) and at N but 0.5 at the knot n = 500:
+    # site 500 would succeed with "probability" 2
+    with pytest.raises(ValueError, match="exceed 1"):
+        CramerConfig(rate="custom", custom=((3, 5), (500, 0.5), (1e4, 5)), N=10**4)
+    # knots outside [warmup, N] are not probed: below the warmup no gap starts
+    config = CramerConfig(rate="custom", custom=((3, 0.5), (10, 5), (1e4, 5), (2e4, 0.5)),
+                          N=10**4)
+    assert config.sites[config.warmup_index() - 3:].max() <= 0.2
+
+
 @pytest.mark.parametrize("kwargs", [
     dict(scale=math.nan),
     dict(scale=math.inf),
@@ -435,7 +447,7 @@ def test_missing_witness_keeps_window_metadata():
 
 def test_refuter_first_witness_matches_brute_scan():
     n = 10**8
-    res = erdos_style_refuter(n, 0.01, budget=10**5)
+    res = erdos_style_refuter(n, 0.01, C0=2.0, d=1.5, budget=10**5)
     assert res.k is not None
     for k in range(3, res.k + 1):
         om = trial_omega(n - k)
@@ -456,14 +468,13 @@ def test_refuter_primorial_construction():
 
 
 def test_refuter_none_within_budget():
-    res = erdos_style_refuter(10**6 + 3, delta=50.0, budget=500)
+    res = erdos_style_refuter(10**6 + 3, delta=50.0, C0=2.0, d=1.5, budget=500)
     assert res.k is None and res.omega_value is None
     assert res.searched_up_to == 500
 
 
 def test_refuter_chain_recorded_with_window_params():
-    res = erdos_style_refuter(10**6 + 7, 0.01, budget=10**4, C0=1.2, d=1.01)
-    assert res.chain is not None
+    res = erdos_style_refuter(10**6 + 7, 0.01, C0=1.2, d=1.01, budget=10**4)
     if res.chain["witness"] is not None and res.chain["k"] is not None:
         k = res.chain["k"]
         want_rhs = (1.0 + (1.2 / 1.01 - 1.0)) * math.log(k) / loglog(k)
@@ -473,9 +484,9 @@ def test_refuter_chain_recorded_with_window_params():
 
 def test_refuter_domain_checks():
     with pytest.raises(ValueError):
-        erdos_style_refuter(10**5, 0.1)
+        erdos_style_refuter(10**5, 0.1, C0=2.0, d=1.5)
     with pytest.raises(ValueError):
-        erdos_style_refuter(10**6, -0.5)
+        erdos_style_refuter(10**6, -0.5, C0=2.0, d=1.5)
 
 
 # --- gaps.csv ---

@@ -24,9 +24,7 @@ from roughn_lab.moments_concentration import (
     range_moduli,
     rho_r,
     rho_r_maximize,
-    stirling2,
     stirling_bound_kappa,
-    stirling_identity_check,
     validate_constants,
 )
 from roughn_lab.primes_core import factor_window
@@ -117,6 +115,11 @@ def trial_big_omega(m: int) -> int:
 
 # --- Stirling numbers ---
 
+def stirling2(s: int, t: int) -> int:
+    """{s, t} read from build_stirling_table's rows."""
+    return build_stirling_table()[s - 1][t - 1]
+
+
 def test_stirling_base_cases_and_small_values():
     assert stirling2(2, 1) == 1 and stirling2(2, 2) == 1
     assert stirling2(4, 2) == 7
@@ -130,33 +133,25 @@ def test_stirling_matches_set_partition_enumeration():
 
 
 def test_stirling_recurrence_exact():
-    table = build_stirling_table()
     for s in range(3, 40):
         for t in range(2, s):
-            assert table.value(s, t) == t * table.value(s - 1, t) + table.value(s - 1, t - 1)
+            assert stirling2(s, t) == t * stirling2(s - 1, t) + stirling2(s - 1, t - 1)
+
+
+def stirling_identity_holds(s: int, m: int) -> bool:
+    """sum_{j=1}^{2s} {2s, j} * m!/(m-j)! == m^(2s), exactly."""
+    return sum(stirling2(2 * s, j) * math.perm(m, j) for j in range(1, 2 * s + 1)) == m ** (2 * s)
 
 
 def test_stirling_identity_small_case_by_hand():
     # s=1, m=3: {2,1}*3 + {2,2}*6 = 3 + 6 = 9 = 3^2
-    assert stirling_identity_check(1, 3)
+    assert stirling_identity_holds(1, 3)
 
 
 def test_stirling_identity_full_grid():
     for s in range(1, 13):
         for m in range(2 * s, 25):
-            assert stirling_identity_check(s, m)
-
-
-def test_stirling_identity_rejects_small_m():
-    with pytest.raises(ValueError):
-        stirling_identity_check(3, 5)
-
-
-def test_stirling_out_of_range():
-    with pytest.raises(ValueError):
-        stirling2(0, 0)
-    with pytest.raises(ValueError):
-        stirling2(5, 6)
+            assert stirling_identity_holds(s, m)
 
 
 def test_stirling_envelope_constant_is_stable():
@@ -185,6 +180,20 @@ def test_partition_sum_dual_route_grid():
     for s3 in range(1, 9):
         for R in (10.0, 100.0, 1000.0):
             assert partition_sum_G(s3, R) > 0
+
+
+def test_partition_sum_routes_must_agree_exactly(monkeypatch):
+    # counting the single-block partition of {0..9} twice moves the direct
+    # route by 2^21 / R^19, 1.9e-30 of G(10, 1000): only an exact comparison
+    # of the two Fractions sees it
+    shapes = moments_concentration._partition_shapes
+
+    def miscounted(n):
+        return tuple((sizes, count + (sizes == (n,))) for sizes, count in shapes(n))
+
+    monkeypatch.setattr(moments_concentration, "_partition_shapes", miscounted)
+    with pytest.raises(RuntimeError, match="routes disagree"):
+        partition_sum_G(10, 1000.0)
 
 
 def per_partition_sum(s3: int, R: float) -> float:
@@ -309,7 +318,7 @@ def test_moment_holds_one_float_per_point(spec):
     n = len(table.support)
     for s in (1, 2, 3, 4):
         rep, peak = traced_peak(exact_centered_moment, table, 1, "medium", s)
-        acc = range_sum(table, 1, range_moduli(params, 1, "medium"), True)
+        acc = range_sum(table, 1, range_moduli(params, 1, "medium"))
         assert rep.exact_moment == math.fsum((table.nu * acc**s).tolist()) / table.total
         assert peak < 9 * n, s
 
@@ -337,7 +346,7 @@ def test_tiny_range_moment_is_deterministic(toy_table, toy_params):
     # divisibility by tiny primes depends only on k, so the moment equals
     # its displayed deterministic value and the ratio is exactly 1
     for k in (2, 3, 6):
-        rep = exact_centered_moment(toy_table, k, "tiny", 3, centered=True)
+        rep = exact_centered_moment(toy_table, k, "tiny", 3)
         assert rep.ratio == pytest.approx(1.0, rel=1e-12)
 
 
@@ -360,7 +369,7 @@ def test_power_range_moduli_are_proper_powers(toy_params):
 
 
 def test_fit_c3_covers_medium_reports(toy_table):
-    reports = [exact_centered_moment(toy_table, 1, "medium", s, centered=False)
+    reports = [exact_centered_moment(toy_table, 1, "medium", s)
                for s in (1, 2, 3, 4)]
     c3 = fit_c3(reports)
     assert c3 is not None and c3 > 0

@@ -436,3 +436,48 @@ def test_longdouble_columns_are_refused_before_writing(tmp_path):
     with pytest.raises(ValueError, match="refusing"):
         write_csv(tmp_path / "t.csv", ["x"], [[column]])
     assert list(tmp_path.iterdir()) == []
+
+
+def test_dekker_product_is_exact_against_every_table_entry():
+    # p + err == x * 10^e exactly, for err summed as float_digits sums it;
+    # a splitter that leaves a half wider than 26 bits breaks it.  Each x
+    # sits in the fast range, at the decade that keeps x * 10^e finite.
+    hi, _, hi_high, hi_low = reporting.pow10_table()
+    rng = np.random.default_rng(20261021)
+    lo_k, hi_k = reporting.FAST_DECADES
+    for i, e in enumerate(range(reporting.POW10_RANGE[0], reporting.POW10_RANGE[1] + 1)):
+        mantissas = rng.integers(2**52, 2**53, 32) / 2.0**52
+        x = mantissas * pow10(min(max(16 - e, lo_k), hi_k - 1))
+        p = x * hi[i]
+        x_high, x_low = reporting._veltkamp(x)
+        err = ((x_high * hi_high[i] - p) + x_high * hi_low[i] + x_low * hi_high[i]) \
+            + x_low * hi_low[i]
+        for xv, pv, ev in zip(x.tolist(), p.tolist(), err.tolist()):
+            assert Fraction(pv) + Fraction(ev) == Fraction(xv) * Fraction(float(hi[i])), (e, xv)
+
+
+@pytest.mark.parametrize("direction", [-np.inf, np.inf], ids=["ulp-low", "ulp-high"])
+def test_decade_checks_correct_a_log10_one_ulp_off(monkeypatch, direction):
+    # this build's log10 lands in the true decade at every power of ten; a
+    # libm or SIMD loop one ulp off must still give '%.17g''s digits
+    lo, hi = reporting.FAST_DECADES
+    values = [v for e in range(lo, hi + 1) for v in steps_around(pow10(e))]
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda x: np.nextafter(log10(x), direction))
+    assert written_floats(values) == expected_floats(values)
+
+
+def test_fast_range_is_exactly_its_stated_decades():
+    # the doubles at and next to 1e-150 and 1e150: float_digits settles
+    # exactly those with 1e-150 <= |x| < 1e150, and all print as '%.17g'
+    values = np.array(steps_around(1e-150) + steps_around(1e150))
+    a = np.abs(values)
+    _, _, slow = float_digits(a)
+    assert slow.tolist() == (~((a >= 1e-150) & (a < 1e150))).tolist()
+    assert written_floats(values) == expected_floats(values)
+
+
+def test_zero_column_csv_is_its_empty_header(tmp_path):
+    path = tmp_path / "t.csv"
+    write_csv(path, [], [columns_of([], 0), []])
+    assert path.read_bytes() == b"\n"

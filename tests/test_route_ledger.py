@@ -5,11 +5,13 @@ sys.setprofile hook that records each code object called.  Each chunked
 subcommand also runs once with --max-chunks 1 and once more with --resume
 from the checkpoint that left, so checkpoint save/load and the partial
 summaries count as reached.  A function or method of src/roughn_lab that the
-trace does not reach must be listed in ROUTES, with the acceptance criterion,
-unit test or benchmark step that calls it; any other unreached function is
-dead code and fails the ledger.  So does a ROUTES entry whose function or
-route no longer exists, one whose route does not name the function (or a
-library function that calls it), and one for a function the trace reaches.
+trace does not reach must be listed in ROUTES, with the benchmark step that
+calls it or, for a deliberate cross-check only, its test; any other
+unreached function is dead code and fails the ledger.  So does a ROUTES
+entry whose function or route no longer exists, one whose route does not
+name the function (or a chain of library functions that ends in it), one
+for a function the trace reaches, and a route into tests/ for anything but
+a cross-check.
 """
 
 import ast
@@ -27,36 +29,21 @@ from test_golden_omega import BUNDLES, GOLDEN, PATCHES
 SRC = Path(roughn_lab.__file__).resolve().parent
 REPO = SRC.parents[1]
 
-# "module.qualname" -> "path::name" of the criterion, test or benchmark step
-# that calls it, directly or through another library function
+# "module.qualname" -> "path::name" of the cross-check or benchmark step that
+# calls it, directly or through other library functions.  A route into tests/
+# is kept only for the CROSS_CHECKS; a function that only a test calls belongs
+# beside that test.
 ROUTES = {
-    # the cross-check routes: the direct enumeration behind the weight kernel
-    # and the lookup of a single weight
+    # the cross-check routes: the direct enumeration behind the weight kernel,
+    # and the exact-rational weights, checked against the float table
     "sieve_measure.nu_exact": "perfbench/workloads.py::measure_checks",
-    "sieve_measure.WeightTable.nu_of":
-        "tests/test_sieve_measure.py::test_nu_outside_window_raises_and_nu_of_is_zero",
-    # the exact-rational weights, checked against the float table
     "sieve_measure.exact_weights":
         "tests/test_sieve_measure.py::test_exact_rational_mode_matches_float_total",
-    "sieve_measure.tiny_prime_rigidity":
-        "tests/test_acceptance.py::test_criterion_04_tiny_prime_rigidity_exact",
-    # the bump's pointwise derivative, oracle of c0's time route
-    "bump_functions.eta_tilde_prime":
-        "tests/test_bump_functions.py::test_eta_tilde_prime_matches_difference_quotient",
-    "bump_functions.eta_prime_value":
-        "tests/test_bump_functions.py::test_eta_tilde_prime_matches_difference_quotient",
-    # the check tying eta_hat_profile.csv to eta_profile.csv
-    "bump_functions.fourier_inverse_check":
-        "tests/test_bump_functions.py::test_fourier_and_twisted_inversion",
-    "moments_concentration.StirlingTable.value":
-        "tests/test_acceptance.py::test_criterion_05_stirling_suite_exact",
-    "moments_concentration.stirling2":
-        "tests/test_acceptance.py::test_criterion_05_stirling_suite_exact",
-    "moments_concentration.stirling_identity_check":
-        "tests/test_acceptance.py::test_criterion_05_stirling_suite_exact",
-    # the constants library, which no subcommand reaches
-    "moments_concentration._set_partitions":
-        "tests/test_moments_concentration.py::per_partition_sum",
+    # the one-call gap simulation, which cramer-gaps splits into trials; the
+    # benchmark's layer tracer times it
+    "cramer_models.simulate_gaps": "perfbench/tracer.py::TARGETS",
+    # the constants library, which no subcommand reaches yet
+    "moments_concentration._set_partitions": "perfbench/step.py::constants_library",
     "moments_concentration._partition_shapes": "perfbench/step.py::constants_library",
     "moments_concentration._poly_mul": "perfbench/step.py::constants_library",
     "moments_concentration.partition_sum_G": "perfbench/step.py::constants_library",
@@ -64,10 +51,9 @@ ROUTES = {
         "perfbench/step.py::constants_library",
     "moments_concentration.rho_r": "perfbench/step.py::constants_library",
     "moments_concentration.rho_r_maximize": "perfbench/step.py::constants_library",
-    # the one-call gap simulation, which cramer-gaps splits into trials
-    "cramer_models.simulate_gaps":
-        "tests/test_acceptance.py::test_criterion_10_cramer_gap_ratios",
 }
+
+CROSS_CHECKS = {"sieve_measure.nu_exact", "sieve_measure.exact_weights"}
 
 SEED = 7
 
@@ -163,7 +149,21 @@ def top_level_source(path: str, name: str):
     return None
 
 
-def route_problems(routes: dict, functions: dict, reached: set) -> list[str]:
+def called_by(source: str, functions: dict) -> set:
+    """'module.qualname' of the functions that source names, and of those
+    that they name in turn."""
+    found, bodies = set(), [source]
+    while bodies:
+        text = bodies.pop()
+        for qualname, body in functions.items():
+            if qualname not in found and names(text, qualname.rpartition(".")[2]):
+                found.add(qualname)
+                bodies.append(body)
+    return found
+
+
+def route_problems(routes: dict, functions: dict, reached: set,
+                   cross_checks=CROSS_CHECKS) -> list[str]:
     problems = []
     for qualname, route in sorted(routes.items()):
         if qualname not in functions:
@@ -172,14 +172,13 @@ def route_problems(routes: dict, functions: dict, reached: set) -> list[str]:
         if qualname in reached:
             problems.append(f"{qualname}: a subcommand reaches it; drop its route")
         path, _, name = route.partition("::")
+        if path.startswith("tests/") and qualname not in cross_checks:
+            problems.append(f"{qualname}: only a test calls it; move it beside that test")
         source = top_level_source(path, name)
         if source is None:
             problems.append(f"{qualname}: route {route} does not exist")
             continue
-        word = qualname.rpartition(".")[2]
-        callers = [q.rpartition(".")[2] for q, body in functions.items()
-                   if q != qualname and names(body, word)]
-        if not (names(source, word) or any(names(source, c) for c in callers)):
+        if qualname not in called_by(source, functions):
             problems.append(f"{qualname}: route {route} does not call it")
     return problems
 
@@ -205,17 +204,22 @@ def test_every_route_exists_and_calls_its_function(reached):
 
 
 def test_ledger_flags_stale_routes():
-    # route_problems names top_level_source, which names inner
+    # route_problems names top_level_source, which names inner, which names
+    # deep; it also names partition (route.partition)
     route = "tests/test_route_ledger.py::route_problems"
     functions = {"m.top_level_source": "def top_level_source(): inner()",
-                 "m.inner": "def inner(): pass", "m.unnamed": "def unnamed(): pass",
-                 "m.walked": "def walked(): pass", "m.moved": "def moved(): pass"}
-    routes = {"m.top_level_source": route, "m.inner": route, "m.unnamed": route,
-              "m.walked": route, "m.gone": route,
-              "m.moved": "tests/test_route_ledger.py::no_such_test"}
-    assert route_problems(routes, functions, reached={"m.walked"}) == [
+                 "m.inner": "def inner(): deep()", "m.deep": "def deep(): pass",
+                 "m.unnamed": "def unnamed(): pass", "m.walked": "def walked(): pass",
+                 "m.moved": "def moved(): pass", "m.partition": "def partition(): pass"}
+    routes = {"m.top_level_source": route, "m.inner": route, "m.deep": route,
+              "m.unnamed": route, "m.walked": route, "m.gone": route,
+              "m.moved": "tests/test_route_ledger.py::no_such_test", "m.partition": route}
+    # every fake but m.partition stands for a cross-check
+    cross_checks = set(functions) - {"m.partition"}
+    assert route_problems(routes, functions, {"m.walked"}, cross_checks) == [
         "m.gone: no such function in src/",
         "m.moved: route tests/test_route_ledger.py::no_such_test does not exist",
+        "m.partition: only a test calls it; move it beside that test",
         f"m.unnamed: route {route} does not call it",
         "m.walked: a subcommand reaches it; drop its route",
         f"m.walked: route {route} does not call it",

@@ -28,7 +28,6 @@ from roughn_lab.sieve_measure import (
     prob_divides,
     sample,
     shift_terms,
-    tiny_prime_rigidity,
     total_mass,
     walk_ends,
     weights_at,
@@ -102,7 +101,7 @@ def test_single_shift_coprime_weight_is_one(spec):
     table = build_weight_table(params, spec)
     n = next(n for n in table.support
              if all((n + 1) % q for q in (3, 5, 7)))
-    assert table.nu_of(n) == 1.0
+    assert table.nu[table.support.index(n)] == 1.0
 
 
 def test_single_shift_single_prime_factor(spec):
@@ -113,7 +112,7 @@ def test_single_shift_single_prime_factor(spec):
              if (n + 1) % 3 == 0 and (n + 1) % 5 and (n + 1) % 7
              and (n + 1) % 9)
     want = (1.0 - float(eta_tilde(math.log(3) / math.log(10), spec))) ** 2
-    assert table.nu_of(n) == pytest.approx(want, rel=1e-12)
+    assert table.nu[table.support.index(n)] == pytest.approx(want, rel=1e-12)
 
 
 def test_support_is_multiples_of_w_primorial(toy_table):
@@ -141,7 +140,8 @@ def test_pruned_vs_unpruned_on_random_support_points(toy_table, toy_params, spec
         pruned = nu_exact(n, toy_params, spec)
         unpruned = nu_unpruned_oracle(n, toy_params, spec)
         assert pruned == pytest.approx(unpruned, rel=1e-10, abs=1e-14)
-        assert toy_table.nu_of(n) == pytest.approx(unpruned, rel=1e-10, abs=1e-14)
+        assert toy_table.nu[toy_table.support.index(n)] == pytest.approx(
+            unpruned, rel=1e-10, abs=1e-14)
 
 
 def test_normalization_drift_below_1e12(toy_table):
@@ -210,11 +210,9 @@ def test_total_is_sum_of_pointwise_weights(toy_table, toy_params, spec):
     assert direct == pytest.approx(table_part, rel=1e-10)
 
 
-def test_nu_outside_window_raises_and_nu_of_is_zero(toy_table, toy_params, spec):
+def test_nu_exact_outside_window_raises(toy_params, spec):
     with pytest.raises(ValueError):
         nu_exact(toy_params.x - 6, toy_params, spec)
-    assert toy_table.nu_of(toy_params.x - 6) == 0.0
-    assert toy_table.nu_of(toy_table.support[0] + 1) == 0.0
 
 
 def test_exact_rational_mode_matches_float_total(toy_table):
@@ -222,7 +220,7 @@ def test_exact_rational_mode_matches_float_total(toy_table):
     rel = abs(float(exact_total) - toy_table.total) / toy_table.total
     assert rel <= 1e-9
     n = int(toy_table.support[3])
-    assert float(exact_nu[n]) == pytest.approx(toy_table.nu_of(n), abs=1e-9)
+    assert float(exact_nu[n]) == pytest.approx(toy_table.nu[3], abs=1e-9)
 
 
 def test_exact_mode_rejects_large_windows(spec):
@@ -246,7 +244,9 @@ def test_prob_divides_unit_modulus(toy_table):
 
 
 def test_tiny_prime_rigidity_is_exact(toy_table):
-    assert tiny_prime_rigidity(toy_table, k_hi=20) == 0.0
+    for p in toy_table.params.tiny_primes:
+        for k in range(1, 21):
+            assert prob_divides(p, k, toy_table) == (k % p == 0)
 
 
 def test_prob_divides_against_hand_count(toy_table):
