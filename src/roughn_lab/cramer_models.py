@@ -72,8 +72,14 @@ class CramerConfig:
         if w < 3:
             raise ValueError("warmup must be >= 3")
         # a custom rate is linear between its knots, so it is least on [w, N]
-        # at w, at N or at a knot between them
-        knots = [n for n, _ in self.custom if w < n < self.N] if self.rate == "custom" else []
+        # at w, at N or at a knot between them; the semiprime rate falls until
+        # n = e^(e^(j-1)) and rises after, so it is least at w, at N or at an
+        # integer next to that turn
+        knots = [n for n, _ in self.custom] if self.rate == "custom" else []
+        if self.rate == "semiprime" and self.j - 1 < loglog(self.N):
+            turn = math.exp(math.exp(self.j - 1))
+            knots = [math.floor(turn), math.ceil(turn)]
+        knots = [n for n in knots if w < n < self.N]
         probe = self.rate_values(np.array([float(w), float(self.N)] + knots))
         if not np.all(probe > 1.0):
             raise ValueError("rate function must exceed 1 from the warmup index on")

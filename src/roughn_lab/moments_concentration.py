@@ -147,23 +147,21 @@ def fit_c3(reports: Sequence[MomentReport]) -> Optional[float]:
 
 # --- the partition sum G and its exponential-formula twin ---
 
-def _set_partitions(n: int):
-    """Yield all partitions of {0..n-1} as lists of blocks."""
-    if n == 0:
-        yield []
-        return
-    for rest in _set_partitions(n - 1):
-        item = n - 1
-        for i in range(len(rest)):
-            yield rest[:i] + [rest[i] + [item]] + rest[i + 1 :]
-        yield rest + [[item]]
-
-
 @lru_cache(maxsize=None)
 def _partition_shapes(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     """(sorted block sizes, number of partitions of {0..n-1} with them) for
-    every shape, tallied once per n; partition_sum_G's cap keeps n <= 10."""
-    return tuple(Counter(tuple(sorted(map(len, part))) for part in _set_partitions(n)).items())
+    every integer partition of n: with m_j blocks of size j, the blocks B
+    split {0..n-1} in n! / (prod_B |B|! * prod_j m_j!) ways."""
+    def shapes(total: int, smallest: int):
+        if total == 0:
+            yield ()
+        for b in range(smallest, total + 1):
+            for rest in shapes(total - b, b):
+                yield (b,) + rest
+
+    return tuple((sizes, math.factorial(n) // math.prod(
+        map(math.factorial, sizes + tuple(Counter(sizes).values()))))
+        for sizes in shapes(n, 1))
 
 
 def _poly_mul(a: list, b: list, cap: int) -> list:
@@ -257,9 +255,14 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
 
     Points are the nondecreasing compositions of `grid` into r parts, in
     lexicographic order, and a tie goes to the first point with the largest
-    math.exp(log rho_r).  The last two coordinates are one numpy vector per
-    prefix, summed term by term in rho_r's order, so every log is rho_r's
-    float; only logs within 1e-9 of a vector's largest can tie its exp.
+    math.exp(log rho_r).  Python walks the first r - 3 coordinates; the last
+    three, b <= c <= d, are one ragged numpy block per prefix in (b, c)
+    order, summed term by term in rho_r's order, so every log is rho_r's
+    float (r = 2 is one vector over c).  Only a block's points within 1e-9
+    of its largest log go through math.exp, in order, under a strict >.  A
+    point further below has a smaller exp than the block's largest-log
+    point, so it neither has the largest exp nor ties it: it can never be
+    the final winner, and skipping it keeps the tie rule.
     """
     if not 1 <= r <= 6:
         raise ValueError("r must lie in [1, 6]")
@@ -272,28 +275,36 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
     terms = [[0.0] + [(c / grid) * math.log(32.0 / ((c / grid) * q**5))
                       for c in range(1, grid + 1)]
              for q in _SIMPLEX_PRIMES[:r]]
-    second, last = np.array(terms[r - 2]), np.array(terms[r - 1])
+    tail = [np.array(t) for t in terms[-3:]]
     best_val = -math.inf
     best_comp = None
 
-    def walk(i: int, rest: int, minimum: int, acc: float, prefix: tuple) -> None:
+    def offer(logs: np.ndarray, prefix: tuple, *coords: np.ndarray) -> None:
         nonlocal best_val, best_comp
-        if i < r - 2:
-            for first in range(minimum, rest // (r - i) + 1):
-                walk(i + 1, rest - first, first, acc + terms[i][first], prefix + (first,))
-            return
-        # c runs over minimum..rest//2 and the last coordinate is rest - c
-        top = rest // 2
-        if top < minimum:
-            return
-        logs = (acc + second[minimum:top + 1]) + last[rest - top:rest - minimum + 1][::-1]
         for j in np.flatnonzero(logs >= logs.max() - 1e-9).tolist():
             val = math.exp(logs[j])
             if val > best_val:
                 best_val = val
-                best_comp = prefix + (minimum + j, rest - minimum - j)
+                best_comp = prefix + tuple(int(x[j]) for x in coords)
 
-    walk(0, grid, 1, 0.0, ())
+    def walk(i: int, rest: int, minimum: int, acc: float, prefix: tuple) -> None:
+        if i < r - 3:
+            for first in range(minimum, rest // (r - i) + 1):
+                walk(i + 1, rest - first, first, acc + terms[i][first], prefix + (first,))
+            return
+        # b runs over minimum..rest//3, c over b..(rest - b)//2, d = rest - b - c
+        bs = np.arange(minimum, rest // 3 + 1)
+        counts = (rest - bs) // 2 - bs + 1
+        b = np.repeat(bs, counts)
+        c = np.arange(len(b)) - np.repeat(np.cumsum(counts) - counts - bs, counts)
+        d = rest - b - c
+        offer(((acc + tail[0][b]) + tail[1][c]) + tail[2][d], prefix, b, c, d)
+
+    if r == 2:
+        c = np.arange(1, grid // 2 + 1)
+        offer(tail[0][c] + tail[1][grid - c], (), c, grid - c)
+    else:
+        walk(0, grid, 1, 0.0, ())
     best_alpha = tuple(c / grid for c in best_comp)
     uniform = tuple(1.0 / r for _ in range(r))
     return SimplexReport(

@@ -247,16 +247,16 @@ def _int_width(x) -> int:
     return len(str(max(int(x.max()), -int(x.min())))) if len(x) else 1
 
 
-def _int_cells(x):
+def _int_cells(x, width: int):
     """'%d' of integer cells as a byte matrix, one column per cell.
 
-    The digits of |x| are right-aligned below a sign row; uint64 holds the
-    magnitude of every int64 and uint64 value."""
+    The digits of |x|, at most width of them (see _int_width), are
+    right-aligned below a sign row; uint64 holds the magnitude of every int64
+    and uint64 value."""
     n = len(x)
     neg = x < 0
     mag = x.astype(np.uint64)
     np.negative(mag, out=mag, where=neg)
-    width = _int_width(x)
     out = np.empty((width + 1, n), np.uint8)
     out[0] = _SKIP
     length = np.ones(n, np.uint8)
@@ -285,7 +285,8 @@ def _text_matrix(cells):
 
 def _csv_column(column):
     """Check one CSV column; return its length and two functions of a row
-    range [lo, hi): the rows of those cells' byte matrix, and the matrix.
+    range [lo, hi): the rows of those cells' byte matrix, and the matrix,
+    given those rows.
 
     Integer arrays take '%d' and float16/32/64 arrays '%.17g', which print
     what format_cell prints for each tolist() cell; any other column (bools,
@@ -298,18 +299,18 @@ def _csv_column(column):
             raise ValueError("a CSV column must be one-dimensional")
         if column.dtype.kind in "iu":
             return (len(column), lambda lo, hi: _int_width(column[lo:hi]) + 1,
-                    lambda lo, hi: _int_cells(column[lo:hi]))
+                    lambda lo, hi, rows: _int_cells(column[lo:hi], rows - 1))
         if column.dtype.kind == "f":
             if column.dtype.type not in (np.float16, np.float32, np.float64):
                 raise ValueError(f"refusing a {column.dtype} column: only float16, "
                                  "float32 and float64 print as format_cell does")
             if not np.isfinite(column).all():
                 raise ValueError("refusing to write a non-finite value")
-            return len(column), lambda lo, hi: FLOAT_CELL_ROWS, lambda lo, hi: _float_cells(
+            return len(column), lambda lo, hi: FLOAT_CELL_ROWS, lambda lo, hi, rows: _float_cells(
                 np.asarray(column[lo:hi], dtype=np.float64))
         column = column.tolist()
     text = _text_matrix([format_cell(v).encode() for v in column])
-    return len(text), lambda lo, hi: text.shape[1], lambda lo, hi: text[lo:hi].T
+    return len(text), lambda lo, hi: text.shape[1], lambda lo, hi, rows: text[lo:hi].T
 
 
 def _block_bytes(part, lo, hi):
@@ -329,7 +330,7 @@ def _block_bytes(part, lo, hi):
     block = np.frombuffer(buf, np.uint8).reshape(hi - lo, -1)
     at = 0
     for (_, _, cells), width in zip(part, widths):
-        block[:, at:at + width] = cells(lo, hi).T
+        block[:, at:at + width] = cells(lo, hi, width).T
         block[:, at + width] = ord(",")
         at += width + 1
     block[:, -1] = ord("\n")

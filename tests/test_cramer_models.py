@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from memory_helpers import traced_peak
 from test_cli_harness import TOY_PARAMS
 
@@ -347,6 +349,31 @@ def test_custom_rate_dipping_to_one_between_warmup_and_n_is_refused():
     config = CramerConfig(rate="custom", custom=((3, 0.5), (10, 5), (1e4, 5), (2e4, 0.5)),
                           N=10**4)
     assert config.sites[config.warmup_index() - 3:].max() <= 0.2
+
+
+def test_semiprime_rate_dipping_below_one_at_its_turn_is_refused():
+    # at j = 2 the rate log n / loglog n is least near n = e^e: scaled by 0.35
+    # it is 4.09 at the warmup 3 and 1.65 at N but 0.951 at n = 15, where
+    # the site's "probability" would be 1.051
+    with pytest.raises(ValueError, match="exceed 1"):
+        CramerConfig(rate="semiprime", j=2, scale=0.35, warmup=3, N=10**5)
+
+
+@settings(deadline=None, derandomize=True, database=None, max_examples=300)
+@given(st.integers(1, 3), st.floats(0.1, 1.0), st.integers(3, 20), st.integers(60, 3000))
+@example(2, 0.35, 3, 3000)
+def test_semiprime_config_is_accepted_iff_no_site_exceeds_one(j, scale, warmup, N):
+    # at j = 2 a scale from about 0.26 to 0.368 puts the rate below 1 near
+    # n = 15 alone, above 1 at the warmup and at N
+    ns = np.arange(warmup, N + 1, dtype=np.float64)
+    rates = np.log(ns) / np.log(np.log(ns)) ** (j - 1) * scale
+    try:
+        config = CramerConfig(rate="semiprime", j=j, scale=scale, warmup=warmup, N=N)
+    except ValueError:
+        assert rates.min() <= 1.0
+        return
+    assert rates.min() > 1.0
+    assert config.sites[warmup - 3:].max() <= 1.0
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -16,8 +16,11 @@ from roughn_lab.moments_concentration import partition_sum_G, rho_r_maximize
 
 SIMPLEX_GOLDEN = {
     (2, 500): "263f4a366c833fd20bcedbf579ff74c3905758f169a192dd6f47b6b9722da002",
+    (2, 1000): "7fddaa71456f83074f78a5569d31ddbee3aa29d208a6c083e72d18c96b8e9c29",
     (3, 500): "ec14b1aff699212dd50aa2ff45b1ca96d10455db124e56395c505de2a4fdcd1e",
+    (3, 1000): "001d9b83a8ba8481daabb1a03c1438d53a57a89f62593d827308bbfbacf28020",
     (4, 500): "8eb2bfdcefe1dea70865d4c8f9f0aa7bde421e57e2c9910b5dd6ccc9e4923130",
+    (4, 1000): "1189ba7d4a6611cadba1baa40411e05937e827c4263e164c4bd0df533f0103e8",
     (5, 60): "db764c58dba96c9e8a952f183d2c33f6ac3dfe477f3918b4038648db3c05aa4f",
     (6, 40): "df9de2ebbd54cb5d21784e4913fac714f47068066d679b7c5b8fca6a767b3b95",
 }

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -68,6 +69,19 @@ def partitions_by_growth_string(n: int):
             yield from walk(i + 1, max(mx, b))
 
     yield from walk(1, 0)
+
+
+def set_partitions(n: int):
+    """Yield all partitions of {0..n-1} as lists of blocks, each partition
+    of {0..n-2} extended by adding n - 1 to each block in turn or alone."""
+    if n == 0:
+        yield []
+        return
+    for rest in set_partitions(n - 1):
+        item = n - 1
+        for i in range(len(rest)):
+            yield rest[:i] + [rest[i] + [item]] + rest[i + 1 :]
+        yield rest + [[item]]
 
 
 def stirling_by_enumeration(s: int, t: int) -> int:
@@ -182,6 +196,14 @@ def test_partition_sum_dual_route_grid():
             assert partition_sum_G(s3, R) > 0
 
 
+def test_partition_shapes_match_set_partition_enumeration():
+    # the closed-form counts tally every block shape as the enumeration does
+    for n in range(11):
+        want = Counter(tuple(sorted(map(len, part))) for part in set_partitions(n))
+        shapes = moments_concentration._partition_shapes(n)
+        assert len(shapes) == len(want) and dict(shapes) == want
+
+
 def test_partition_sum_routes_must_agree_exactly(monkeypatch):
     # counting the single-block partition of {0..9} twice moves the direct
     # route by 2^21 / R^19, 1.9e-30 of G(10, 1000): only an exact comparison
@@ -202,7 +224,7 @@ def per_partition_sum(s3: int, R: float) -> float:
     factor = [None] + [Fraction(2 ** (2 * b + 1)) / Fraction(R) ** (2 * b - 1)
                        for b in range(1, s3 + 1)]
     direct = Fraction(0)
-    for part in moments_concentration._set_partitions(s3):
+    for part in set_partitions(s3):
         term = Fraction(1)
         for block in part:
             term *= factor[len(block)]
@@ -279,18 +301,30 @@ def test_simplex_search_matches_enumeration(case):
     assert repr(rep) == repr(want)
 
 
+def test_simplex_search_holds_one_block_at_a_time():
+    # r = 4 at grid 1000: the largest block, alpha_1 = 1/1000, has 83,167
+    # points, so its index and log arrays are 0.67 MB each; the search's
+    # traced peak is 3.5 MB, and a block that grew would pass 4 MB
+    rep, peak = traced_peak(rho_r_maximize, 4, 1000)
+    assert rep.maximizer_is_uniform()
+    assert peak < 4_000_000
+
+
 def test_simplex_tie_goes_to_the_first_point(monkeypatch):
     # no real grid has two points whose rho_r round to the same float, so the
-    # tie rule is checked on a flat rho_r: with log patched to 0 every point
-    # ties, and the first composition in enumeration order must win
-    flat = SimpleNamespace(**vars(math))
-    flat.log = lambda x: 0.0
-    monkeypatch.setattr(moments_concentration, "math", flat)
-    for r in range(2, 7):
-        for grid in (r, r + 1, 17, 40):
-            rep = rho_r_maximize(r, grid)
-            assert rep.argmax == tuple(c / grid for c in (1,) * (r - 1) + (grid - r + 1,))
-            assert rep == simplex_search_by_enumeration(r, grid)
+    # tie rule is checked on a patched log: flat, every log is 0; below one
+    # ulp, the logs differ but stay under 1e-17, so every math.exp is 1.0.
+    # Either way every point ties, and the first composition in enumeration
+    # order must win, not the one with the largest log
+    for fake_log in (lambda x: 0.0, lambda x: 1e-17 * (x % 1.0)):
+        fake = SimpleNamespace(**vars(math))
+        fake.log = fake_log
+        monkeypatch.setattr(moments_concentration, "math", fake)
+        for r in range(2, 7):
+            for grid in (r, r + 1, 17, 40):
+                rep = rho_r_maximize(r, grid)
+                assert rep.argmax == tuple(c / grid for c in (1,) * (r - 1) + (grid - r + 1,))
+                assert rep == simplex_search_by_enumeration(r, grid)
 
 
 # --- moments over the toy table ---

@@ -43,7 +43,6 @@ ROUTES = {
     # benchmark's layer tracer times it
     "cramer_models.simulate_gaps": "perfbench/tracer.py::TARGETS",
     # the constants library, which no subcommand reaches yet
-    "moments_concentration._set_partitions": "perfbench/step.py::constants_library",
     "moments_concentration._partition_shapes": "perfbench/step.py::constants_library",
     "moments_concentration._poly_mul": "perfbench/step.py::constants_library",
     "moments_concentration.partition_sum_G": "perfbench/step.py::constants_library",
