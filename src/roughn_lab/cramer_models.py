@@ -310,7 +310,9 @@ def window_search(
         threshold_at = lambda ll: C0 * ll / math.log(ll)
     if width < 1:
         raise ValueError(f"window width {width:.3g} is below one integer")
-    lo = max(2, int(math.floor(x - width)) + 1)
+    # the least n with x - n < width, in integers: x - width in doubles
+    # rounds to an integer at large x, and the window then starts one late
+    lo = max(2, x - math.ceil(width) + 1)
     if variant == "weak":
         lo = max(lo, 16)  # logloglog must be positive
     hi = x

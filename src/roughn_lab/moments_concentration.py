@@ -1,10 +1,10 @@
 """Exact combinatorics for the tail-to-moment reduction.
 
-Stirling tables, the partition sum G with its exponential-formula twin,
+The Stirling table, the partition sum G with its exponential-formula twin,
 the ordered-simplex product rho_r, and full-enumeration moments of
-divisor-count sums under a weight table.  Everything here is either exact
-integer/rational arithmetic or a finite weighted enumeration; sampling
-never enters.  A refused input, such as a partition sum past s3 = 10,
+divisor-count sums over the medium and large prime ranges under a weight
+table.  Everything here is either exact integer/rational arithmetic or a
+finite weighted enumeration; sampling never enters.  A refused input, such as a partition sum past s3 = 10,
 raises ValueError; two exact routes that disagree raise RuntimeError.
 """
 
@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .primes_core import WindowOmega, primes_upto
+from .primes_core import WindowOmega
 from .sieve_measure import SieveParams, WeightTable, range_sum
 
 STIRLING_MAX_S = 64
@@ -27,13 +27,11 @@ _SIMPLEX_PRIMES = (2, 3, 5, 7, 11, 13)
 
 # --- Stirling numbers of the second kind ---
 
-@lru_cache(maxsize=4)
-def build_stirling_table(max_s: int = STIRLING_MAX_S) -> tuple[tuple[int, ...], ...]:
-    """Row s - 1 holds the exact {s, 1} .. {s, s}, for 1 <= s <= max_s."""
-    if max_s < 1:
-        raise ValueError("max_s must be >= 1")
+@lru_cache(maxsize=1)
+def build_stirling_table() -> tuple[tuple[int, ...], ...]:
+    """Row s - 1 holds the exact {s, 1} .. {s, s}, for 1 <= s <= STIRLING_MAX_S."""
     rows = [(1,)]
-    for s in range(2, max_s + 1):
+    for s in range(2, STIRLING_MAX_S + 1):
         prev = rows[-1]
         row = [1]
         for t in range(2, s):
@@ -56,7 +54,7 @@ def stirling_bound_kappa() -> float:
 
 # --- moments over the weight table ---
 
-RANGE_TAGS = ("tiny", "medium", "large", "power")
+RANGE_TAGS = ("medium", "large")
 
 
 @dataclass(frozen=True)
@@ -72,36 +70,17 @@ class MomentReport:
 
 def range_moduli(params: SieveParams, k: int, range_tag: str) -> tuple[int, ...]:
     """The divisor moduli entering the range's indicator sum."""
-    t_cut = params.T
-    if range_tag == "tiny":
-        return params.tiny_primes
     if range_tag == "medium":
         return params.medium_primes(k)
     if range_tag == "large":
         return params.large_primes(k)
-    if range_tag == "power":
-        mods = []
-        for p in primes_upto(int(t_cut)).tolist():
-            j_min = params.a + 1 if p <= params.w else 2
-            q = p**j_min
-            while q <= t_cut:
-                mods.append(int(q))
-                q *= p
-        return tuple(sorted(mods))
     raise ValueError(f"unknown range tag {range_tag!r}; expected one of {RANGE_TAGS}")
 
 
 def _display_bound(range_tag: str, params: SieveParams, k: int, s: int) -> float:
-    if range_tag == "tiny":
-        # tiny-prime divisibility is rigid, so the sum is a known constant
-        det = math.fsum((1.0 if k % p == 0 else 0.0) for p in params.tiny_primes)
-        det -= math.fsum(1.0 / p for p in params.tiny_primes)
-        return abs(det) ** s
     if range_tag == "medium":
         return (2.0 * 3.0 * s) ** s  # (2*C3*s)^s at C3 = 3
-    if range_tag == "large":
-        return (132.0 * params.A * math.log(k)) ** s if k >= 2 else 0.0
-    return 2.0 ** (19 * s) + 2.0**s
+    return (132.0 * params.A * math.log(k)) ** s if k >= 2 else 0.0
 
 
 def exact_centered_moment(
@@ -264,13 +243,10 @@ def rho_r_maximize(r: int, grid: int = 1000) -> SimplexReport:
     point, so it neither has the largest exp nor ties it: it can never be
     the final winner, and skipping it keeps the tie rule.
     """
-    if not 1 <= r <= 6:
-        raise ValueError("r must lie in [1, 6]")
+    if not 2 <= r <= 6:
+        raise ValueError("r must lie in [2, 6]")
     if grid < r:
         raise ValueError("grid must allow at least one point per coordinate")
-    if r == 1:
-        val = rho_r((1.0,))
-        return SimplexReport(1, grid, (1.0,), val, val, 0.0)
     # terms[i][c]: the summand rho_r adds for alpha_i = c / grid (index 0 unused)
     terms = [[0.0] + [(c / grid) * math.log(32.0 / ((c / grid) * q**5))
                       for c in range(1, grid + 1)]

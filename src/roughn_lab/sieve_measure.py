@@ -7,7 +7,7 @@ is a product of primes in (w, R_k).
 
 The module builds weight tables, evaluates exact divisibility probabilities,
 samples from the measure, and checks the distributional axioms (A)-(D) at
-desk scale.
+desk scale, (B) and (C) at the one tuple size AXIOM_TUPLE_SIZE.
 
 The support is an arithmetic progression, held as a range; nu over it is the
 one support-sized array.  The total mass is one fsum over consecutive parts
@@ -67,7 +67,6 @@ class SieveParams:
     T_exponent: float
     A: float
     k_max: int
-    tiny_primes: tuple[int, ...] = field(init=False, repr=False)
     W: int = field(init=False, repr=False)
     R_values: tuple[float, ...] = field(init=False, repr=False)
     T: float = field(init=False, repr=False)
@@ -107,11 +106,7 @@ class SieveParams:
             raise ValueError("constant A too small: the moments bound (132 A log 2)^4 underflows")
         if self.k_max < 2:
             raise ValueError("k_max must be >= 2")
-        tiny = tuple(primes_between(1, self.w))
-        W = 1
-        for p in tiny:
-            W *= p**self.a
-        object.__setattr__(self, "tiny_primes", tiny)
+        W = math.prod(primes_between(1, self.w)) ** self.a
         object.__setattr__(self, "W", W)
         rs = tuple(max(float(self.w), self._level(k)) for k in range(1, self.K + 1))
         object.__setattr__(self, "R_values", rs)
@@ -377,8 +372,6 @@ def prob_divides(d_star: int, k_star: int, table: WeightTable) -> float:
         raise ValueError("d_star must be >= 1")
     if k_star < 1:
         raise ValueError("k_star must be >= 1")
-    if d_star == 1:
-        return 1.0
     ix = _hits(table.support[0], table.params.W, k_star, d_star)
     num = math.fsum(memoryview(table.nu[ix]))
     return num / table.total
@@ -391,18 +384,6 @@ def range_sum(table: WeightTable, k: int, moduli) -> np.ndarray:
         acc[_hits(table.support[0], table.params.W, k, m)] += 1.0
     acc -= math.fsum(1.0 / m for m in moduli)
     return acc
-
-
-def draw_hits(table: WeightTable, draws: np.ndarray, d_star: int, k_star: int) -> int:
-    """How many of the draws (support points) n have d_star | n + k_star:
-    those whose support index lies in _hits' residue class."""
-    ix = _hits(table.support[0], table.params.W, k_star, d_star)
-    if ix.step is None:  # the empty slice: no point qualifies
-        return 0
-    idx = draws - table.support[0]
-    idx //= table.params.W
-    idx %= ix.step
-    return int(np.count_nonzero(idx == ix.start))
 
 
 def walk_ends(nu: np.ndarray) -> np.ndarray:
@@ -465,6 +446,9 @@ def sample(table: WeightTable, seed: int, count: int) -> np.ndarray:
 
 # --- axiom reports ---
 
+AXIOM_TUPLE_SIZE = 2  # the tuple size s at which axioms (B) and (C) are checked
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     which: str
@@ -476,7 +460,6 @@ class AxiomReport:
 def axiom_check(
     which: str,
     table: WeightTable,
-    s: int = 2,
     budget: int = 2000,
     seed: int = 0,
 ) -> AxiomReport:
@@ -488,6 +471,7 @@ def axiom_check(
     partial report.
     """
     params = table.params
+    s = AXIOM_TUPLE_SIZE
     if which == "A":
         # the support is the progression of the multiples of W in [x, 2x]:
         # its first point, last point and step, each exactly
@@ -497,10 +481,6 @@ def axiom_check(
         return AxiomReport("A", ok, {"support_size": len(sup)})
 
     if which == "B":
-        if s < 0:
-            raise ValueError("tuple size s must be >= 0")
-        if s == 0:
-            return AxiomReport("B", True, {"sup_ratio": 1.0, "tuples": 1, "s": 0})
         pool = params.large_primes(1)
         if len(pool) < s:
             return AxiomReport("B", True, {"sup_ratio": 0.0, "tuples": 0, "s": s}, truncated=True)
@@ -519,8 +499,6 @@ def axiom_check(
         return AxiomReport("B", True, {"sup_ratio": sup, "at_d_star": arg, "tuples": n_tuples, "s": s})
 
     if which == "C":
-        if s < 1:
-            raise ValueError("tuple size s must be >= 1")
         meds = params.medium_primes(1)
         total = 0.0
         count = 0
@@ -536,7 +514,7 @@ def axiom_check(
             total += fact_s * prob_divides(d, 1, table)
             count += 1
         c3 = None
-        if s >= 2 and total > 0:
+        if total > 0:
             c3 = total ** (1.0 / s) / math.log(s)
         return AxiomReport(
             "C", True,

@@ -22,6 +22,7 @@ from roughn_lab.moments_concentration import (
     partition_sum_G,
     rho_r_maximize,
 )
+from roughn_lab.primes_core import primes_between
 from roughn_lab.sieve_measure import (
     SieveParams,
     axiom_check,
@@ -111,7 +112,8 @@ def test_criterion_03_axiom_d_prime_power_factorization(wide_table):
 
 def test_criterion_04_tiny_prime_rigidity_exact(toy_table, wide_table):
     for table in (toy_table, wide_table):
-        for p in table.params.tiny_primes:
+        # d = 1 divides every n + k: prob_divides reads it through _hits too
+        for p in (1, *primes_between(1, table.params.w)):
             for k in range(1, table.params.k_max + 1):
                 assert prob_divides(p, k, table) == (k % p == 0)
     print("criterion 04 PASS: P(p|n+k) = [p|k] exactly, both tables")
@@ -119,7 +121,7 @@ def test_criterion_04_tiny_prime_rigidity_exact(toy_table, wide_table):
 
 def test_criterion_05_stirling_suite_exact():
     t0 = time.perf_counter()
-    rows = build_stirling_table(24)
+    rows = build_stirling_table()[:24]
 
     def stirling2(s, t):
         return rows[s - 1][t - 1]

@@ -452,6 +452,41 @@ def test_window_clamps_to_two():
     assert w.witness is None or w.witness >= 2
 
 
+# the six window-search calls of the CLI
+CLI_WINDOWS = [
+    ("A-omega", dict(epsilon=0.8, C=2.0)), ("A-omega", dict(epsilon=1.2, C=2.0)),
+    ("B-Omega", dict(epsilon=0.5, C=2.0)), ("B-Omega", dict(epsilon=1.0, C=2.0)),
+    ("weak", dict(C0=2.0, d=1.5)), ("weak", dict(C0=1.2, d=1.01)),
+]
+
+
+def starts_at_least_n_within_width(w) -> bool:
+    """lo is the least n with x - n < width, the width computed as
+    window_search does; an int compares with a float exactly."""
+    width = (math.log(w.x / 2.0) ** w.params["d"] if w.variant == "weak"
+             else w.params["C"] * math.log(w.x) * math.sqrt(loglog(w.x)))
+    return w.x - w.lo < width <= w.x - (w.lo - 1)
+
+
+def test_window_starts_at_the_least_n_within_its_width(monkeypatch):
+    # at x = 10^15, x - 130.0069 rounds to ...870.0 in doubles, and a window
+    # computed there started one integer late
+    for variant, kwargs in CLI_WINDOWS:
+        w = window_search(10**15, variant, **kwargs)
+        assert starts_at_least_n_within_width(w), (variant, kwargs)
+    # below 10^16, with empty counts in place of the sieve: no witness, so
+    # only the window is computed
+    monkeypatch.setattr(cramer_models, "factor_window", lambda lo, hi: WindowOmega(
+        lo, hi, np.zeros(hi - lo + 1, np.int64), np.zeros(hi - lo + 1, np.int64)))
+    rng = random.Random(34)
+    for _ in range(2000):
+        x = rng.randrange(100, 10 ** rng.randint(3, 16))
+        variant, kwargs = rng.choice(CLI_WINDOWS)
+        w = window_search(x, variant, **kwargs)
+        assert w.witness is None
+        assert starts_at_least_n_within_width(w), (x, variant, kwargs)
+
+
 def test_degenerate_window_rejected():
     with pytest.raises(ValueError):
         window_search(10**6, "A-omega", epsilon=1.0, C=1e-9)

@@ -12,6 +12,11 @@ entry whose function or route no longer exists, one whose route does not
 name the function (or a chain of library functions that ends in it), one
 for a function the trace reaches, and a route into tests/ for anything but
 a cross-check.
+
+The same hook records the option each run selects from the library's option
+sets (range tags, window variants, axioms, gap rates).  An option no run
+selects must be listed in CHOICES with the reason it stays; any other is
+dead code and fails the option ledger.
 """
 
 import ast
@@ -24,6 +29,7 @@ import pytest
 
 import roughn_lab
 from roughn_lab import cli_harness as ch
+from roughn_lab import cramer_models, moments_concentration, sieve_measure
 from test_golden_omega import BUNDLES, GOLDEN, PATCHES
 
 SRC = Path(roughn_lab.__file__).resolve().parent
@@ -53,6 +59,27 @@ ROUTES = {
 }
 
 CROSS_CHECKS = {"sieve_measure.nu_exact", "sieve_measure.exact_weights"}
+
+# option set -> (its values, the function whose call selects one, and how
+# the selected value is read from that call's arguments)
+OPTIONS = {
+    "RANGE_TAGS": (moments_concentration.RANGE_TAGS, moments_concentration.range_moduli,
+                   lambda args: args["range_tag"]),
+    "WINDOW_VARIANTS": (cramer_models.WINDOW_VARIANTS, cramer_models.window_search,
+                        lambda args: args["variant"]),
+    "ABCD": (tuple("ABCD"), sieve_measure.axiom_check, lambda args: args["which"]),
+    "RATE_NAMES": (cramer_models.RATE_NAMES, cramer_models.CramerConfig.__post_init__,
+                   lambda args: args["self"].rate),
+}
+
+# (option set, value) -> why an option that no subcommand selects stays
+CHOICES = {
+    ("RATE_NAMES", "semiprime"):
+        "the paper's Cramer-type model for integers with j prime factors",
+    ("RATE_NAMES", "custom"):
+        "the constant rate test_constant_rate_gaps_are_geometric uses as its "
+        "closed-form reference",
+}
 
 SEED = 7
 
@@ -98,19 +125,24 @@ def subcommand_runs(tmp_path):
     return runs
 
 
-def traced_qualnames(runs) -> set:
-    """'module.qualname' of every src/ code object called during the runs."""
+def traced_runs(runs) -> tuple[set, set]:
+    """'module.qualname' of every src/ code object called during the runs,
+    and the (option set, value) of every option they select."""
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("roughn_lab"):
             for value in vars(module).values():
                 # a cached result would hide the call that computes it
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
-    codes = set()
+    codes, chosen = set(), set()
+    readers = {fn.__code__: (name, read) for name, (_, fn, read) in OPTIONS.items()}
 
     def hook(frame, event, arg):
         if event == "call":
             codes.add(frame.f_code)
+            if frame.f_code in readers:
+                name, read = readers[frame.f_code]
+                chosen.add((name, read(frame.f_locals)))
 
     rcs = []
     previous = sys.getprofile()
@@ -124,7 +156,7 @@ def traced_qualnames(runs) -> set:
     assert rcs == expected
     prefix = str(SRC)
     return {f"{Path(code.co_filename).stem}.{code.co_qualname}" for code in codes
-            if code.co_filename.startswith(prefix)}
+            if code.co_filename.startswith(prefix)}, chosen
 
 
 def names(text: str, word: str) -> bool:
@@ -183,13 +215,18 @@ def route_problems(routes: dict, functions: dict, reached: set,
 
 
 @pytest.fixture(scope="module")
-def reached(tmp_path_factory):
+def traced(tmp_path_factory):
     with pytest.MonkeyPatch.context() as patch:
         # the golden sizes; each patched constant serves one subcommand
         for values in PATCHES.values():
             for name, value in values.items():
                 patch.setattr(ch, name, value)
-        return traced_qualnames(subcommand_runs(tmp_path_factory.mktemp("ledger")))
+        return traced_runs(subcommand_runs(tmp_path_factory.mktemp("ledger")))
+
+
+@pytest.fixture(scope="module")
+def reached(traced):
+    return traced[0]
 
 
 def test_every_function_is_reached_or_routed(reached):
@@ -200,6 +237,14 @@ def test_every_function_is_reached_or_routed(reached):
 
 def test_every_route_exists_and_calls_its_function(reached):
     assert route_problems(ROUTES, src_functions(), reached) == []
+
+
+def test_every_option_is_selected_or_listed(traced):
+    options = {(name, value) for name, (values, _, _) in OPTIONS.items() for value in values}
+    unselected = options - traced[1]
+    assert sorted(unselected - set(CHOICES)) == []
+    # a listed option must still exist and still go unselected
+    assert sorted(set(CHOICES) - unselected) == []
 
 
 def test_ledger_flags_stale_routes():

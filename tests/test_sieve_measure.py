@@ -13,6 +13,7 @@ from test_acceptance import RECORD_PARAMS_TEXT
 
 from roughn_lab import sieve_measure
 from roughn_lab.bump_functions import eta_tilde, make_bump
+from roughn_lab.primes_core import primes_between
 from roughn_lab.sieve_measure import (
     SieveParams,
     WeightTable,
@@ -174,7 +175,7 @@ def test_weight_kernel_on_support_slices(kernel_tables, data):
 
 
 # a modulus m = p^j * cofactor with p <= 7 shares p^min(j, a) with W, as the
-# tiny range and the power range's p^(a+1), p^(a+2), ... do
+# tiny primes and their powers p^(a+1), p^(a+2), ... do
 moduli = st.one_of(
     st.builds(lambda p, j, c: p**j * c, st.sampled_from([2, 3, 5, 7]),
               st.integers(0, 6), st.integers(1, 200)),
@@ -190,7 +191,7 @@ moduli = st.one_of(
 @example(primorial=210, a=1, q=5, offset=0, length=0, k=1, m=11)
 @example(primorial=210, a=1, q=5, offset=0, length=1, k=1, m=11)
 @example(primorial=30, a=2, q=3, offset=0, length=50, k=1, m=8)  # 8 | n+1: no n
-@example(primorial=6, a=1, q=9, offset=0, length=80, k=3, m=9)  # power range 3^2
+@example(primorial=6, a=1, q=9, offset=0, length=80, k=3, m=9)  # a tiny prime squared
 @example(primorial=2, a=3, q=1, offset=0, length=200, k=40, m=7)  # k >= m
 @example(primorial=1, a=1, q=100, offset=0, length=300, k=1, m=1)
 def test_hits_match_the_mask(primorial, a, q, offset, length, k, m):
@@ -244,7 +245,7 @@ def test_prob_divides_unit_modulus(toy_table):
 
 
 def test_tiny_prime_rigidity_is_exact(toy_table):
-    for p in toy_table.params.tiny_primes:
+    for p in primes_between(1, toy_table.params.w):
         for k in range(1, 21):
             assert prob_divides(p, k, toy_table) == (k % p == 0)
 
@@ -433,20 +434,15 @@ def test_axiom_a_checks_first_point_last_point_and_step(toy_table, spec):
         assert not report.passed and report.detail["support_size"] == len(part)
 
 
-def test_axiom_b_empty_tuple_ratio_is_one(toy_table):
-    report = axiom_check("B", toy_table, s=0)
-    assert report.detail["sup_ratio"] == 1.0
-
-
 def test_axiom_b_ratio_finite(toy_table):
-    report = axiom_check("B", toy_table, s=2, budget=200, seed=4)
+    report = axiom_check("B", toy_table, budget=200, seed=4)
     assert 0 < report.detail["sup_ratio"] < 10.0
     assert report.detail["tuples"] == 200
 
 
 def test_axiom_c_budget_truncation_flag(toy_table):
-    full = axiom_check("C", toy_table, s=2, budget=1000, seed=0)
-    cut = axiom_check("C", toy_table, s=2, budget=2, seed=0)
+    full = axiom_check("C", toy_table, budget=1000, seed=0)
+    cut = axiom_check("C", toy_table, budget=2, seed=0)
     assert not full.truncated and cut.truncated
     assert full.detail["tuples"] == 6  # C(4 medium primes, 2)
     assert full.detail["c3_fit"] is None or full.detail["c3_fit"] > 0
